@@ -24,15 +24,12 @@ from .bloom import (
     optimal_label_weight_int,
 )
 from .decompose import (
-    DecompositionError,
-    NotATreeError,
     core_periphery_universe_size,
     label_core_periphery,
     label_tree,
     perfect_tree_universe_size,
 )
 from .graphs import (
-    EdgeListParseError,
     Graph,
     NoPathError,
     ceil_log2,
@@ -339,19 +336,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EdgeListParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DecompositionError, NotATreeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

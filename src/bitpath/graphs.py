@@ -7,7 +7,6 @@ Vertex ids are 0..vertex_count-1; edge ids are positions in the edge list.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -180,7 +179,6 @@ def load_edge_list(text: str) -> Graph:
     if vertex_count < 0 or edge_count < 0:
         raise EdgeListParseError("line 1: header values must be non-negative")
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     for i in range(edge_count):
         lineno = i + 2
         if i + 1 >= len(lines):
@@ -194,19 +192,17 @@ def load_edge_list(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise EdgeListParseError(f"line {lineno}: endpoints must be integers") from None
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise EdgeListParseError(f"line {lineno}: vertex out of range: {u} {v}")
-        if u == v:
-            raise EdgeListParseError(f"line {lineno}: self-loop: {u} {v}")
-        pair = (u, v) if u < v else (v, u)
-        if pair in seen:
-            raise EdgeListParseError(f"line {lineno}: duplicate edge: {u} {v}")
-        seen.add(pair)
         edges.append((u, v))
     for j, extra in enumerate(lines[edge_count + 1 :], start=edge_count + 2):
         if extra.strip():
             raise EdgeListParseError(f"line {j}: unexpected trailing content")
-    return Graph(vertex_count, edges)
+    try:
+        return Graph(vertex_count, edges)
+    except ValueError as exc:
+        # Graph names a bad edge "edge {eid}: ..."; edge eid is on line eid + 2
+        where, detail = str(exc).split(": ", 1)
+        lineno = int(where.removeprefix("edge ")) + 2
+        raise EdgeListParseError(f"line {lineno}: {detail}") from None
 
 
 def emit_edge_list(g: Graph) -> str:
@@ -220,26 +216,84 @@ def emit_edge_list(g: Graph) -> str:
 # shortest paths
 
 
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """BFS hop counts from source; -1 marks unreachable vertices."""
+def _bfs(g: Graph, source: int, target: int | None = None) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first search from source, expanding neighbours in ascending
+    vertex id: the one BFS every shortest-path function here reads from.
+
+    Returns (dist, via, order): hop counts (-1 unreached), the id of the edge
+    that first reached each vertex (-1 for the source and unreached ones),
+    and the vertices in the order they were reached. Stops once target is
+    dequeued, when every vertex up to target's distance has its final dist.
+    """
     dist = [-1] * g.vertex_count
+    via = [-1] * g.vertex_count
     dist[source] = 0
-    queue = deque([source])
+    order = [source]
     adjacency = g._adjacency_by_vertex
-    while queue:
-        cur = queue.popleft()
+    for cur in order:
+        if cur == target:
+            break
         d = dist[cur] + 1
-        for nbr, _ in adjacency[cur]:
+        for nbr, eid in adjacency[cur]:
             if dist[nbr] < 0:
                 dist[nbr] = d
-                queue.append(nbr)
-    return dist
+                via[nbr] = eid
+                order.append(nbr)
+    return dist, via, order
+
+
+def _steps_toward_source(g: Graph, dist: Sequence[int]) -> list[list[tuple[int, int]]]:
+    """For each vertex, its (neighbour, edge id) steps one hop closer to the
+    source of the BFS that gave dist, in ascending neighbour id; empty for
+    the source and for unreached vertices."""
+    adjacency = g._adjacency_by_vertex
+    return [
+        [(x, eid) for x, eid in adjacency[w] if dist[x] == d - 1] if d > 0 else []
+        for w, d in enumerate(dist)
+    ]
+
+
+def _walk(
+    steps: Sequence[Sequence[tuple[int, int]]], start: int, source: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every shortest path from start to the BFS source as (vertices, edge
+    ids), lexicographic by vertex sequence: a depth-first walk down the step
+    table, kept on an explicit stack so path length is not bounded by the
+    recursion limit."""
+    if start == source:
+        yield (start,), ()
+        return
+    vertices, edge_ids = [start], []
+    pending = [iter(steps[start])]  # pending[i]: untried steps out of vertices[i]
+    while True:
+        step = next(pending[-1], None)
+        if step is None:
+            pending.pop()
+            if not pending:
+                return
+            vertices.pop()
+            edge_ids.pop()
+            continue
+        nbr, eid = step
+        vertices.append(nbr)
+        edge_ids.append(eid)
+        if nbr == source:
+            yield tuple(vertices), tuple(edge_ids)
+            vertices.pop()
+            edge_ids.pop()
+        else:
+            pending.append(iter(steps[nbr]))
+
+
+def bfs_distances(g: Graph, source: int) -> list[int]:
+    """BFS hop counts from source; -1 marks unreachable vertices."""
+    return _bfs(g, source)[0]
 
 
 def is_connected(g: Graph) -> bool:
     if g.vertex_count == 0:
         return True
-    return all(d >= 0 for d in bfs_distances(g, 0))
+    return len(_bfs(g, 0)[2]) == g.vertex_count
 
 
 def shortest_path(g: Graph, u: int, v: int) -> Path:
@@ -247,67 +301,36 @@ def shortest_path(g: Graph, u: int, v: int) -> Path:
     ascending vertex id, parent = first discoverer."""
     if not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
         raise ValueError("endpoint out of range")
-    if u == v:
-        return Path((u,), ())
-    parent: dict[int, tuple[int, int]] = {}  # vertex -> (previous vertex, edge id)
-    dist = [-1] * g.vertex_count
-    dist[u] = 0
-    queue = deque([u])
-    adjacency = g._adjacency_by_vertex
-    while queue:
-        cur = queue.popleft()
-        if cur == v:
-            break
-        for nbr, eid in adjacency[cur]:
-            if dist[nbr] < 0:
-                dist[nbr] = dist[cur] + 1
-                parent[nbr] = (cur, eid)
-                queue.append(nbr)
+    dist, via, _ = _bfs(g, u, v)
     if dist[v] < 0:
         raise NoPathError(f"no path from {u} to {v}")
     vertices = [v]
     edge_ids = []
     cur = v
     while cur != u:
-        prev, eid = parent[cur]
-        vertices.append(prev)
+        eid = via[cur]
+        a, b = g.edges[eid]
+        cur = a if b == cur else b
+        vertices.append(cur)
         edge_ids.append(eid)
-        cur = prev
     vertices.reverse()
     edge_ids.reverse()
     return Path(tuple(vertices), tuple(edge_ids))
 
 
 def iter_shortest_paths(g: Graph, u: int, v: int) -> Iterator[Path]:
-    """All shortest u-v paths, lexicographic by vertex sequence."""
+    """All shortest u-v paths, lexicographic by vertex sequence.
+
+    One BFS from v, then the walk verify_no_false_positives also uses: from
+    u down the table of steps one hop closer to v.
+    """
     if not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
         raise ValueError("endpoint out of range")
-    dist_u = bfs_distances(g, u)
-    if dist_u[v] < 0:
+    dist = bfs_distances(g, v)
+    if dist[u] < 0:
         raise NoPathError(f"no path from {u} to {v}")
-    if u == v:
-        yield Path((u,), ())
-        return
-    dist_v = bfs_distances(g, v)
-    total = dist_u[v]
-    adjacency = g._adjacency_by_vertex
-    vertices = [u]
-    edge_ids: list[int] = []
-
-    def walk(cur: int) -> Iterator[Path]:
-        if cur == v:
-            yield Path(tuple(vertices), tuple(edge_ids))
-            return
-        here = dist_u[cur]
-        for nbr, eid in adjacency[cur]:
-            if dist_u[nbr] == here + 1 and dist_u[nbr] + dist_v[nbr] == total:
-                vertices.append(nbr)
-                edge_ids.append(eid)
-                yield from walk(nbr)
-                vertices.pop()
-                edge_ids.pop()
-
-    yield from walk(u)
+    for vertices, edge_ids in _walk(_steps_toward_source(g, dist), u, v):
+        yield Path(vertices, edge_ids)
 
 
 def all_shortest_paths(g: Graph, u: int, v: int, cap: int | None = None) -> list[Path]:
@@ -320,37 +343,25 @@ def all_shortest_paths(g: Graph, u: int, v: int, cap: int | None = None) -> list
     return paths
 
 
-def _bfs_path_counts(g: Graph, source: int) -> tuple[list[int], list[int]]:
-    """Distances plus exact shortest-path counts from source."""
-    dist = [-1] * g.vertex_count
-    ways = [0] * g.vertex_count
-    dist[source] = 0
-    ways[source] = 1
-    queue = deque([source])
-    adjacency = g._adjacency_by_vertex
-    while queue:
-        cur = queue.popleft()
-        d = dist[cur] + 1
-        for nbr, _ in adjacency[cur]:
-            if dist[nbr] < 0:
-                dist[nbr] = d
-                queue.append(nbr)
-            if dist[nbr] == d:
-                ways[nbr] += ways[cur]
-    return dist, ways
-
-
 def count_shortest_paths(g: Graph) -> int:
     """Total number of shortest paths over all unordered vertex pairs.
 
     Exact integer arithmetic; counts overflow 64 bits for large graphs.
     """
+    adjacency = g._adjacency_by_vertex
     total = 0
     for u in range(g.vertex_count):
-        dist, ways = _bfs_path_counts(g, u)
-        if u == 0 and any(d < 0 for d in dist):
+        dist, _, order = _bfs(g, u)
+        if len(order) < g.vertex_count:
             raise ValueError("graph is disconnected")
-        total += sum(ways[v] for v in range(u + 1, g.vertex_count))
+        ways = [0] * g.vertex_count
+        ways[u] = 1
+        for w in order:
+            d = dist[w] + 1
+            for nbr, _ in adjacency[w]:
+                if dist[nbr] == d:
+                    ways[nbr] += ways[w]
+        total += sum(ways[u + 1 :])
     return total
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, Path, _bfs_path_counts, shortest_path
+from .graphs import Graph, Path, _bfs, _steps_toward_source, _walk, shortest_path
 from .labelling import EdgeLabel, Labelling
 
 
@@ -141,11 +141,13 @@ def simulate_delivery(g: Graph, labelling: Labelling, source: int, destination: 
 class VerificationReport:
     """What the brute-force oracle checked and every violation it found.
 
-    A violation is a (u, v, edge_id) triple where the edge's recognised
-    status disagreed with its membership in some shortest u-v path. The
-    false_positives list is capped at fp_record_cap entries; fp_truncated
-    says whether more existed. path_cap_hits counts pairs whose shortest
-    paths were only partially enumerated.
+    A violation is a false positive: a (u, v, edge_id) triple where the edge
+    is recognised by the header of some shortest u-v path it is not on.
+    False negatives cannot occur: a header is the OR of its path's labels,
+    so it contains every bit of every on-path label. The false_positives
+    list is capped at fp_record_cap entries; fp_truncated says whether more
+    existed. path_cap_hits counts pairs whose shortest paths were only
+    partially enumerated.
     """
 
     path_cap: int
@@ -190,9 +192,12 @@ def verify_no_false_positives(
     """Check [e] subset-of [S] <=> e in S for every edge e of the graph and
     every shortest path S of every unordered vertex pair.
 
-    Paths are enumerated from per-source BFS predecessor structure; the
-    subset tests run vectorised over all edges at once. Pairs with more than
-    path_cap shortest paths are reported, not an error.
+    One BFS per source u; each v > u then walks, lexicographically, every
+    shortest path from v down the steps one hop closer to u (the walk
+    iter_shortest_paths uses), and the subset tests run vectorised over all
+    edges at once. Only edges off S can fail, since S's header holds every
+    label on S. Pairs with more than path_cap shortest paths are
+    reported, not an error.
     """
     report = VerificationReport(path_cap=path_cap, fp_record_cap=fp_record_cap)
     edge_count = g.edge_count
@@ -203,53 +208,30 @@ def verify_no_false_positives(
     words = max(1, (labelling.width + 63) // 64)
     packed = _pack_labelling(labelling, words)
     masks = labelling.masks
-    adjacency = g._adjacency_by_vertex
-
-    def record(u: int, v: int, eid: int) -> None:
-        if len(report.false_positives) < fp_record_cap:
-            report.false_positives.append((u, v, eid))
-        else:
-            report.fp_truncated = True
 
     for u in range(g.vertex_count):
-        dist, _ = _bfs_path_counts(g, u)
-        # predecessor lists by ascending vertex id, one BFS per source
-        preds: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
-        for w in range(g.vertex_count):
-            if dist[w] > 0:
-                preds[w] = [
-                    (x, eid) for x, eid in adjacency[w] if dist[x] == dist[w] - 1
-                ]
-
+        dist, _, _ = _bfs(g, u)
+        steps = _steps_toward_source(g, dist)
         for v in range(u + 1, g.vertex_count):
             if dist[v] < 0:
                 continue
             report.pairs_checked += 1
-            # walk the predecessor DAG backwards from v
-            stack: list[tuple[int, list[int]]] = [(v, [])]
-            produced = 0
-            while stack:
-                vertex, edge_ids = stack.pop()
-                if vertex == u:
-                    produced += 1
-                    if produced > path_cap:
-                        report.path_cap_hits += 1
-                        break
-                    report.paths_checked += 1
-                    report.subset_tests += edge_count
-                    header = 0
-                    for eid in edge_ids:
-                        header |= masks[eid]
-                    outside = (packed & ~_pack_mask(header, words)).any(axis=1)
-                    recognised_ids = np.nonzero(~outside)[0]
-                    on_path = set(edge_ids)
-                    for eid in recognised_ids:
-                        if int(eid) not in on_path:
-                            record(u, v, int(eid))
-                    for eid in on_path:
-                        if outside[eid]:
-                            record(u, v, eid)
-                    continue
-                for x, eid in preds[vertex]:
-                    stack.append((x, edge_ids + [eid]))
+            for produced, (_, edge_ids) in enumerate(_walk(steps, v, u), start=1):
+                if produced > path_cap:
+                    report.path_cap_hits += 1
+                    break
+                report.paths_checked += 1
+                report.subset_tests += edge_count
+                header = 0
+                for eid in edge_ids:
+                    header |= masks[eid]
+                outside = (packed & ~_pack_mask(header, words)).any(axis=1)
+                on_path = set(edge_ids)
+                for eid in np.flatnonzero(~outside).tolist():
+                    if eid in on_path:
+                        continue
+                    if len(report.false_positives) < fp_record_cap:
+                        report.false_positives.append((u, v, eid))
+                    else:
+                        report.fp_truncated = True
     return report

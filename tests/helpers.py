@@ -47,6 +47,25 @@ def brute_force_total_path_count(g: Graph) -> int:
     return total
 
 
+def brute_force_false_positives(g: Graph, masks) -> tuple[list[tuple[int, int, int]], int]:
+    """(u, v, edge) once per shortest u-v path whose header recognises an
+    edge off that path, plus the number of shortest paths checked: every
+    path from brute_force_shortest_paths, subset tests on plain ints."""
+    violations: list[tuple[int, int, int]] = []
+    paths = 0
+    for u in range(g.vertex_count):
+        for v in range(u + 1, g.vertex_count):
+            for _, edge_ids in brute_force_shortest_paths(g, u, v):
+                paths += 1
+                header = 0
+                for eid in edge_ids:
+                    header |= masks[eid]
+                for eid, mask in enumerate(masks):
+                    if eid not in edge_ids and mask & ~header == 0:
+                        violations.append((u, v, eid))
+    return violations, paths
+
+
 def pack_masks(masks, width: int) -> np.ndarray:
     words = max(1, (width + 63) // 64)
     packed = np.zeros((len(masks), words), dtype=np.uint64)

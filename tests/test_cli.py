@@ -279,6 +279,24 @@ class TestArgumentErrors:
             main(["verify", "--star", "5", "--scheme", "nonsense"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "text, scheme",
+        [
+            (None, ["--scheme", "bit-per-edge"]),
+            # contracting core {0} of a 4-cycle leaves a cycle in the periphery
+            ("4 4\n0 1\n1 2\n2 3\n0 3\n", ["--scheme", "combined", "--core", "0"]),
+        ],
+        ids=["missing-graph-file", "contraction-fails"],
+    )
+    def test_bad_input_exits_two_without_traceback(self, capsys, tmp_path, text, scheme):
+        path = tmp_path / "g.txt"
+        if text is not None:
+            path.write_text(text)
+        code, _, err = run(capsys, ["verify", "--graph", str(path), *scheme])
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_generator_rejects_invalid_size(self, capsys):
         code, _, err = run(capsys, ["route", "--star", "0", "--scheme", "bit-per-edge", "--source", "0", "--dest", "0"])
         assert code == 2

@@ -250,6 +250,14 @@ class TestAllShortestPaths:
         with pytest.raises(TooManyPathsError):
             all_shortest_paths(four_cycle(), 0, 2, cap=1)
 
+    def test_long_path_graph_does_not_recurse(self):
+        # one stack frame per hop would pass Python's default recursion limit
+        g = Graph(1500, [(i, i + 1) for i in range(1499)])
+        paths = all_shortest_paths(g, 0, 1499)
+        assert len(paths) == 1
+        assert paths[0].vertices == tuple(range(1500))
+        assert paths[0].edges == tuple(range(1499))
+
     def test_matches_brute_force_enumeration(self):
         for g in (
             four_cycle(),

@@ -28,6 +28,7 @@ from bitpath import (
     star_labelling,
     verify_no_false_positives,
 )
+from helpers import brute_force_false_positives, random_graph_corpus
 
 
 class TestEncodePath:
@@ -263,3 +264,16 @@ class TestVerify:
         assert report.pairs_checked == 6
         assert report.paths_checked == 8
         assert report.ok
+
+    @pytest.mark.parametrize("j", [5, 24, 62])
+    def test_bloom_violations_match_brute_force(self, j):
+        # corpus graphs of 10-13 vertices with many multi-path pairs
+        g = random_graph_corpus()[j]
+        lab = bloom_labelling(g, g.vertex_count // 2, 3, seed=j)
+        report = verify_no_false_positives(g, lab, fp_record_cap=10**6)
+        expected, paths = brute_force_false_positives(g, lab.masks)
+        assert expected
+        assert not report.fp_truncated
+        assert report.path_cap_hits == 0
+        assert report.paths_checked == paths
+        assert sorted(report.false_positives) == sorted(expected)
