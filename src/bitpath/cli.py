@@ -216,6 +216,16 @@ def _resolve_graph(args: argparse.Namespace) -> tuple[Graph, frozenset[int] | No
         return load_edge_list(fh.read()), None
 
 
+def _parse_core(text: str) -> frozenset[int]:
+    core = set()
+    for tok in text.split(","):
+        try:
+            core.add(int(tok))
+        except ValueError:
+            raise UsageError(f"--core: {tok!r} is not a vertex id") from None
+    return frozenset(core)
+
+
 def _resolve_labelling(args: argparse.Namespace, g: Graph, core: frozenset[int] | None):
     if args.scheme == "bit-per-edge":
         return bit_per_edge(g)
@@ -232,8 +242,7 @@ def _resolve_labelling(args: argparse.Namespace, g: Graph, core: frozenset[int] 
         if args.tree is not None:
             return label_tree(g, 0)
         if args.graph is not None and args.core:
-            core_set = frozenset(int(tok) for tok in args.core.split(","))
-            return label_core_periphery(g, core_set)
+            return label_core_periphery(g, _parse_core(args.core))
         raise UsageError("--scheme combined requires --core-periphery, --tree, or --graph with --core")
     if args.scheme == "bloom":
         if args.m is None or args.k is None:
@@ -249,6 +258,8 @@ def _maybe_dump(args: argparse.Namespace, labelling) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.path_cap < 1:
+        raise UsageError(f"--path-cap must be >= 1, got {args.path_cap}")
     g, core = _resolve_graph(args)
     labelling = _resolve_labelling(args, g, core)
     _maybe_dump(args, labelling)

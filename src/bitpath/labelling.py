@@ -13,6 +13,11 @@ from typing import NamedTuple, Sequence
 from .graphs import Graph
 
 
+def bit_positions(x: int) -> list[int]:
+    """Ascending positions of the set bits of x >= 0: the one bit iterator."""
+    return [i for i, c in enumerate(bin(x)[:1:-1]) if c == "1"]
+
+
 @dataclass(frozen=True)
 class BitUniverse:
     """A fixed-width universe: one descriptive tag per bit position."""
@@ -37,7 +42,7 @@ class EdgeLabel:
         return self.bits.bit_count()
 
     def positions(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.width) if self.bits >> i & 1)
+        return tuple(bit_positions(self.bits))
 
 
 class Labelling:
@@ -88,6 +93,8 @@ class Labelling:
             width = int(lines[0].split()[1])
         except (IndexError, ValueError):
             raise ValueError("line 1: expected 'universe <size>'") from None
+        if width < 0:
+            raise ValueError(f"line 1: universe size must be non-negative, got {width}")
         masks = []
         for i, line in enumerate(lines[1:]):
             prefix = f"edge {i}:"
@@ -95,7 +102,10 @@ class Labelling:
                 raise ValueError(f"line {i + 2}: expected '{prefix} ...'")
             bits = 0
             for tok in line[len(prefix) :].split():
-                pos = int(tok)
+                try:
+                    pos = int(tok)
+                except ValueError:
+                    raise ValueError(f"line {i + 2}: bit {tok!r} is not an integer") from None
                 if not 0 <= pos < width:
                     raise ValueError(f"line {i + 2}: bit {pos} outside universe")
                 bits |= 1 << pos

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .graphs import Graph, Path, _bfs, _steps_toward_source, _walk, shortest_path
-from .labelling import EdgeLabel, Labelling
+from .labelling import EdgeLabel, Labelling, bit_positions
 
 
 @dataclass(frozen=True)
@@ -172,17 +170,6 @@ class VerificationReport:
         )
 
 
-def _pack_mask(mask: int, words: int) -> np.ndarray:
-    return np.frombuffer(mask.to_bytes(words * 8, "little"), dtype="<u8")
-
-
-def _pack_labelling(labelling: Labelling, words: int) -> np.ndarray:
-    packed = np.zeros((labelling.edge_count, words), dtype=np.uint64)
-    for eid, mask in enumerate(labelling.masks):
-        packed[eid] = _pack_mask(mask, words)
-    return packed
-
-
 def verify_no_false_positives(
     g: Graph,
     labelling: Labelling,
@@ -194,10 +181,12 @@ def verify_no_false_positives(
 
     One BFS per source u; each v > u then walks, lexicographically, every
     shortest path from v down the steps one hop closer to u (the walk
-    iter_shortest_paths uses), and the subset tests run vectorised over all
-    edges at once. Only edges off S can fail, since S's header holds every
-    label on S. Pairs with more than path_cap shortest paths are
-    reported, not an error.
+    iter_shortest_paths uses). The subset tests run on an inverted index:
+    carriers[b] is the set of edges whose label has bit b, as one int, so
+    the edges a header rejects are the union of carriers[b] over the bits b
+    it lacks, and every other edge off S is recognised. Only edges off S
+    can fail, since S's header holds every label on S. Pairs with more
+    than path_cap shortest paths are reported, not an error.
     """
     report = VerificationReport(path_cap=path_cap, fp_record_cap=fp_record_cap)
     edge_count = g.edge_count
@@ -205,9 +194,13 @@ def verify_no_false_positives(
         return report
     if labelling.edge_count != edge_count:
         raise ValueError("labelling does not cover this graph's edges")
-    words = max(1, (labelling.width + 63) // 64)
-    packed = _pack_labelling(labelling, words)
     masks = labelling.masks
+    carriers = [0] * labelling.width
+    for eid, mask in enumerate(masks):
+        for b in bit_positions(mask):
+            carriers[b] |= 1 << eid
+    universe = (1 << labelling.width) - 1
+    all_edges = (1 << edge_count) - 1
 
     for u in range(g.vertex_count):
         dist, _, _ = _bfs(g, u)
@@ -222,14 +215,13 @@ def verify_no_false_positives(
                     break
                 report.paths_checked += 1
                 report.subset_tests += edge_count
-                header = 0
+                header = rejected = 0
                 for eid in edge_ids:
                     header |= masks[eid]
-                outside = (packed & ~_pack_mask(header, words)).any(axis=1)
-                on_path = set(edge_ids)
-                for eid in np.flatnonzero(~outside).tolist():
-                    if eid in on_path:
-                        continue
+                    rejected |= 1 << eid
+                for b in bit_positions(universe & ~header):
+                    rejected |= carriers[b]
+                for eid in bit_positions(all_edges & ~rejected):
                     if len(report.false_positives) < fp_record_cap:
                         report.false_positives.append((u, v, eid))
                     else:

@@ -1,8 +1,8 @@
 """Shared test oracles.
 
 Everything here is deliberately independent of the library's own algorithms:
-path enumeration is plain DFS over adjacency, and the exhaustive star check
-packs bits and compares subsets on its own.
+path enumeration is plain depth-limited DFS over adjacency, and the exhaustive
+star check packs bits and compares subsets on its own.
 """
 
 from __future__ import annotations
@@ -13,29 +13,30 @@ from bitpath import Graph, make_random_connected
 
 
 def brute_force_shortest_paths(g: Graph, u: int, v: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All shortest u-v paths by exhaustive simple-path DFS (tiny graphs only),
-    sorted by vertex sequence."""
-    if u == v:
-        return [((u,), ())]
+    """All shortest u-v paths, sorted by vertex sequence: simple-path DFS
+    limited to 0, 1, 2, ... hops, stopping at the first limit at which some
+    path reaches v (small graphs only)."""
     found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
-    def walk(cur: int, vseq: list[int], eseq: list[int]) -> None:
+    def walk(cur: int, vseq: list[int], eseq: list[int], hops_left: int) -> None:
         if cur == v:
             found.append((tuple(vseq), tuple(eseq)))
+            return
+        if hops_left == 0:
             return
         for nbr, eid in g.adjacency[cur]:
             if nbr not in vseq:
                 vseq.append(nbr)
                 eseq.append(eid)
-                walk(nbr, vseq, eseq)
+                walk(nbr, vseq, eseq, hops_left - 1)
                 vseq.pop()
                 eseq.pop()
 
-    walk(u, [u], [])
-    if not found:
-        return []
-    shortest = min(len(es) for _, es in found)
-    return sorted((vs, es) for vs, es in found if len(es) == shortest)
+    for limit in range(g.vertex_count):
+        walk(u, [u], [], limit)
+        if found:
+            break
+    return sorted(found)
 
 
 def brute_force_total_path_count(g: Graph) -> int:

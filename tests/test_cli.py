@@ -2,6 +2,10 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -207,6 +211,25 @@ class TestVerifyCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_rejects_non_positive_path_cap(self, capsys, cap):
+        code, out, err = run(capsys, ["verify", "--star", "5", "--scheme", "star", "--path-cap", cap])
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "--path-cap" in err
+        assert out == ""
+
+    def test_rejects_bad_core_token(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("4 3\n0 1\n0 2\n0 3\n")
+        code, _, err = run(
+            capsys, ["verify", "--graph", str(path), "--scheme", "combined", "--core", "0,x"]
+        )
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "--core" in err
+        assert "'x'" in err
+
     def test_malformed_graph_file(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 1\n0 0\n")
@@ -300,3 +323,12 @@ class TestArgumentErrors:
     def test_generator_rejects_invalid_size(self, capsys):
         code, _, err = run(capsys, ["route", "--star", "0", "--scheme", "bit-per-edge", "--source", "0", "--dest", "0"])
         assert code == 2
+
+
+class TestStartup:
+    def test_import_leaves_numpy_out(self):
+        # the library needs only the standard library; numpy is for tests and perfbench
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = "import bitpath, bitpath.cli, sys; assert 'numpy' not in sys.modules"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

@@ -261,6 +261,14 @@ class TestLabellingType:
         assert label.popcount == 2
         assert label.positions() == (0, 3)
 
+        wide = EdgeLabel(1 | 1 << 63 | 1 << 64 | 1 << 130 | 1 << 199, 200)
+        positions = wide.positions()
+        assert positions == (0, 63, 64, 130, 199)
+        rebuilt = 0
+        for p in positions:
+            rebuilt |= 1 << p
+        assert rebuilt == wide.bits
+
 
 class TestSerialization:
     def test_golden_text(self):
@@ -273,13 +281,26 @@ class TestSerialization:
             assert again.width == lab.width
             assert again.masks == lab.masks
 
-    def test_parse_rejects_bad_header(self):
-        with pytest.raises(ValueError, match="line 1"):
-            Labelling.from_text("edges 3\n")
+    @pytest.mark.parametrize(
+        "text, message",
+        [("edges 3\n", "line 1"), ("universe -3\n", "line 1: .*non-negative")],
+        ids=["not-universe", "negative-size"],
+    )
+    def test_parse_rejects_bad_header(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            Labelling.from_text(text)
 
-    def test_parse_rejects_out_of_range_bit(self):
-        with pytest.raises(ValueError, match="outside universe"):
-            Labelling.from_text("universe 2\nedge 0: 5\n")
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("universe 2\nedge 0: 5\n", "outside universe"),
+            ("universe 4\nedge 0: 1 x\n", "line 2: .*'x'"),
+        ],
+        ids=["out-of-range", "not-an-integer"],
+    )
+    def test_parse_rejects_out_of_range_bit(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            Labelling.from_text(text)
 
     def test_parse_rejects_wrong_edge_order(self):
         with pytest.raises(ValueError, match="line 3"):

@@ -265,9 +265,10 @@ class TestVerify:
         assert report.paths_checked == 8
         assert report.ok
 
-    @pytest.mark.parametrize("j", [5, 24, 62])
+    @pytest.mark.parametrize("j", [5, 24, 62, 80])
     def test_bloom_violations_match_brute_force(self, j):
-        # corpus graphs of 10-13 vertices with many multi-path pairs
+        # corpus graphs of 10-13 vertices with many multi-path pairs, and one
+        # of 40 vertices and 219 edges, whose edge sets span several words
         g = random_graph_corpus()[j]
         lab = bloom_labelling(g, g.vertex_count // 2, 3, seed=j)
         report = verify_no_false_positives(g, lab, fp_record_cap=10**6)
