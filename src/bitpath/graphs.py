@@ -257,9 +257,9 @@ def _walk(
     steps: Sequence[Sequence[tuple[int, int]]], start: int, source: int
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every shortest path from start to the BFS source as (vertices, edge
-    ids), lexicographic by vertex sequence: a depth-first walk down the step
-    table, kept on an explicit stack so path length is not bounded by the
-    recursion limit."""
+    ids), lexicographic by vertex sequence, one at a time: a depth-first
+    walk down the step table, kept on an explicit stack so path length is
+    not bounded by the recursion limit."""
     if start == source:
         yield (start,), ()
         return
@@ -321,8 +321,9 @@ def shortest_path(g: Graph, u: int, v: int) -> Path:
 def iter_shortest_paths(g: Graph, u: int, v: int) -> Iterator[Path]:
     """All shortest u-v paths, lexicographic by vertex sequence.
 
-    One BFS from v, then the walk verify_no_false_positives also uses: from
-    u down the table of steps one hop closer to v.
+    One BFS from v, then a lazy walk from u down the table of steps one hop
+    closer to v. verify_no_false_positives folds over the same BFS order and
+    tie-break instead of walking each pair.
     """
     if not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
         raise ValueError("endpoint out of range")

@@ -37,6 +37,10 @@ class EdgeLabel:
     bits: int
     width: int
 
+    def __post_init__(self):
+        if self.bits < 0 or self.bits >> self.width:
+            raise ValueError(f"label bits {self.bits:#x} outside a {self.width}-bit universe")
+
     @property
     def popcount(self) -> int:
         return self.bits.bit_count()
@@ -78,8 +82,8 @@ class Labelling:
     def to_text(self) -> str:
         """Serialize as 'universe <size>' then one 'edge <id>: <positions>' line each."""
         lines = [f"universe {self.width}"]
-        for eid in range(self.edge_count):
-            positions = " ".join(str(p) for p in self.label(eid).positions())
+        for eid, mask in enumerate(self._masks):
+            positions = " ".join(str(p) for p in bit_positions(mask))
             lines.append(f"edge {eid}: {positions}")
         return "\n".join(lines) + "\n"
 

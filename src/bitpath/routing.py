@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Graph, Path, _bfs, _steps_toward_source, _walk, shortest_path
+from .graphs import Graph, Path, _bfs, shortest_path
 from .labelling import EdgeLabel, Labelling, bit_positions
 
 
@@ -179,15 +179,24 @@ def verify_no_false_positives(
     """Check [e] subset-of [S] <=> e in S for every edge e of the graph and
     every shortest path S of every unordered vertex pair.
 
-    One BFS per source u; each v > u then walks, lexicographically, every
-    shortest path from v down the steps one hop closer to u (the walk
-    iter_shortest_paths uses). The subset tests run on an inverted index:
-    carriers[b] is the set of edges whose label has bit b, as one int, so
-    the edges a header rejects are the union of carriers[b] over the bits b
-    it lacks, and every other edge off S is recognised. Only edges off S
-    can fail, since S's header holds every label on S. Pairs with more
-    than path_cap shortest paths are reported, not an error.
+    One BFS per source u, then one fold down its order: paths[w] holds the
+    (header, edge set) ints of the first path_cap + 1 shortest w-u paths,
+    lexicographic by vertex sequence, built from paths[x] of each
+    predecessor x (ascending id) by OR-ing in the label and bit of the edge
+    x-w. Each v > u then checks the first path_cap entries of paths[v]; a
+    pair with more than path_cap shortest paths counts as a cap hit, not an
+    error. Memory per source is at most path_cap + 1 entries per vertex.
+
+    The subset tests run on an inverted index: carriers[b] is the set of
+    edges whose label has bit b, as one int, so the edges a header rejects
+    are the union of carriers[b] over the bits b it lacks, and every other
+    edge off S is recognised. That union is read byte by byte from tables
+    built once per call: rejects[c][p] is the union of carriers[8c + i]
+    over the set bits i of byte p. Only edges off S can fail, since S's
+    header holds every label on S.
     """
+    if path_cap < 1:
+        raise ValueError(f"path_cap must be at least 1, got {path_cap}")
     report = VerificationReport(path_cap=path_cap, fp_record_cap=fp_record_cap)
     edge_count = g.edge_count
     if edge_count == 0:
@@ -195,32 +204,50 @@ def verify_no_false_positives(
     if labelling.edge_count != edge_count:
         raise ValueError("labelling does not cover this graph's edges")
     masks = labelling.masks
-    carriers = [0] * labelling.width
+    width = labelling.width
+    carriers = [0] * width
     for eid, mask in enumerate(masks):
         for b in bit_positions(mask):
             carriers[b] |= 1 << eid
-    universe = (1 << labelling.width) - 1
+    rejects = []
+    for base in range(0, width, 8):
+        row = [0] * (1 << min(8, width - base))
+        for p in range(1, len(row)):
+            row[p] = row[p & (p - 1)] | carriers[base + (p & -p).bit_length() - 1]
+        rejects.append(row)
+    byte_count = len(rejects)
+    universe = (1 << width) - 1
     all_edges = (1 << edge_count) - 1
+    adjacency = g._adjacency_by_vertex
 
     for u in range(g.vertex_count):
-        dist, _, _ = _bfs(g, u)
-        steps = _steps_toward_source(g, dist)
+        dist, _, order = _bfs(g, u)
+        paths = {u: [(0, 0)]}
+        for w in order[1:]:
+            d = dist[w] - 1
+            paths[w] = folded = []
+            for x, eid in adjacency[w]:
+                if dist[x] == d:
+                    mask, bit = masks[eid], 1 << eid
+                    folded += [(h | mask, s | bit) for h, s in paths[x]]
+                    if len(folded) > path_cap:
+                        del folded[path_cap + 1 :]
+                        break
         for v in range(u + 1, g.vertex_count):
             if dist[v] < 0:
                 continue
             report.pairs_checked += 1
-            for produced, (_, edge_ids) in enumerate(_walk(steps, v, u), start=1):
-                if produced > path_cap:
-                    report.path_cap_hits += 1
-                    break
-                report.paths_checked += 1
-                report.subset_tests += edge_count
-                header = rejected = 0
-                for eid in edge_ids:
-                    header |= masks[eid]
-                    rejected |= 1 << eid
-                for b in bit_positions(universe & ~header):
-                    rejected |= carriers[b]
+            checked = paths[v]
+            if len(checked) > path_cap:
+                report.path_cap_hits += 1
+                checked = checked[:path_cap]
+            report.paths_checked += len(checked)
+            report.subset_tests += edge_count * len(checked)
+            for header, rejected in checked:
+                for row, p in zip(rejects, (universe & ~header).to_bytes(byte_count, "little")):
+                    rejected |= row[p]
+                if rejected == all_edges:
+                    continue
                 for eid in bit_positions(all_edges & ~rejected):
                     if len(report.false_positives) < fp_record_cap:
                         report.false_positives.append((u, v, eid))

@@ -48,15 +48,23 @@ def brute_force_total_path_count(g: Graph) -> int:
     return total
 
 
-def brute_force_false_positives(g: Graph, masks) -> tuple[list[tuple[int, int, int]], int]:
+def brute_force_false_positives(
+    g: Graph, masks, path_cap: int | None = None
+) -> tuple[list[tuple[int, int, int]], int, int]:
     """(u, v, edge) once per shortest u-v path whose header recognises an
-    edge off that path, plus the number of shortest paths checked: every
-    path from brute_force_shortest_paths, subset tests on plain ints."""
+    edge off that path, the number of shortest paths checked, and the number
+    of pairs with more than path_cap shortest paths: the first path_cap
+    paths (all without a cap) of brute_force_shortest_paths(g, v, u), in
+    that order, subset tests on plain ints."""
     violations: list[tuple[int, int, int]] = []
-    paths = 0
+    paths = cap_hits = 0
     for u in range(g.vertex_count):
         for v in range(u + 1, g.vertex_count):
-            for _, edge_ids in brute_force_shortest_paths(g, u, v):
+            found = brute_force_shortest_paths(g, v, u)
+            if path_cap is not None and len(found) > path_cap:
+                cap_hits += 1
+                found = found[:path_cap]
+            for _, edge_ids in found:
                 paths += 1
                 header = 0
                 for eid in edge_ids:
@@ -64,7 +72,7 @@ def brute_force_false_positives(g: Graph, masks) -> tuple[list[tuple[int, int, i
                 for eid, mask in enumerate(masks):
                     if eid not in edge_ids and mask & ~header == 0:
                         violations.append((u, v, eid))
-    return violations, paths
+    return violations, paths, cap_hits
 
 
 def pack_masks(masks, width: int) -> np.ndarray:

@@ -269,6 +269,14 @@ class TestLabellingType:
             rebuilt |= 1 << p
         assert rebuilt == wide.bits
 
+    @pytest.mark.parametrize("bits", [-1, 1 << 9], ids=["negative", "past-width"])
+    def test_edge_label_rejects_out_of_range_bits(self, bits):
+        with pytest.raises(ValueError, match="outside a 4-bit universe"):
+            EdgeLabel(bits, 4)
+
+    def test_edge_label_accepts_its_top_bit(self):
+        assert EdgeLabel(1 << 64, 65).positions() == (64,)
+
 
 class TestSerialization:
     def test_golden_text(self):

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitpath import (
     Ambiguous,
@@ -20,6 +22,7 @@ from bitpath import (
     label_core_periphery,
     make_complete,
     make_core_periphery,
+    make_random_connected,
     make_star,
     next_hop,
     recognised,
@@ -243,6 +246,11 @@ class TestVerify:
         assert not report.ok
         assert any(eid in (4, 7) for _, _, eid in report.false_positives)
 
+    @pytest.mark.parametrize("path_cap", [0, -1])
+    def test_rejects_path_cap_below_one(self, path_cap):
+        with pytest.raises(ValueError, match="path_cap"):
+            verify_no_false_positives(make_star(3), star_labelling(3, 2), path_cap=path_cap)
+
     def test_path_cap_is_reported_not_raised(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         report = verify_no_false_positives(g, bit_per_edge(g), path_cap=1)
@@ -272,9 +280,46 @@ class TestVerify:
         g = random_graph_corpus()[j]
         lab = bloom_labelling(g, g.vertex_count // 2, 3, seed=j)
         report = verify_no_false_positives(g, lab, fp_record_cap=10**6)
-        expected, paths = brute_force_false_positives(g, lab.masks)
+        expected, paths, _ = brute_force_false_positives(g, lab.masks)
         assert expected
         assert not report.fp_truncated
         assert report.path_cap_hits == 0
         assert report.paths_checked == paths
         assert sorted(report.false_positives) == sorted(expected)
+
+    @pytest.mark.parametrize("path_cap", [1, 2])
+    @pytest.mark.parametrize("name", ["corpus5", "corpus24", "corpus62", "grid4x4", "cube5"])
+    def test_capped_report_matches_brute_force(self, name, path_cap):
+        # graphs with pairs of more shortest paths than the cap (corpus graph 5
+        # has at most two per pair); the reference checks the same paths in
+        # the same order, so the records match in order too
+        if name == "grid4x4":
+            g = Graph(16, [(v, v + 1) for v in range(16) if v % 4 < 3] + [(v, v + 4) for v in range(12)])
+        elif name == "cube5":
+            g = Graph(32, [(v, v | 1 << i) for v in range(32) for i in range(5) if not v >> i & 1])
+        else:
+            g = random_graph_corpus()[int(name[len("corpus") :])]
+        lab = bloom_labelling(g, g.vertex_count // 2, 3, seed=7)
+        report = verify_no_false_positives(g, lab, path_cap=path_cap, fp_record_cap=10**6)
+        expected, paths, cap_hits = brute_force_false_positives(g, lab.masks, path_cap)
+        assert cap_hits or (name, path_cap) == ("corpus5", 2)
+        assert report.paths_checked == paths
+        assert report.path_cap_hits == cap_hits
+        assert report.false_positives == expected
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_bloom_report_matches_brute_force_on_random_graphs(self, data):
+        n = data.draw(st.integers(1, 10), label="vertices")
+        p = data.draw(st.floats(0.2, 0.9), label="edge probability")
+        g = make_random_connected(n, p, data.draw(st.integers(0, 2**16), label="graph seed"))
+        m = data.draw(st.integers(1, 12), label="m")
+        k = data.draw(st.integers(1, m), label="k")
+        lab = bloom_labelling(g, m, k, data.draw(st.integers(0, 2**16), label="label seed"))
+        path_cap = data.draw(st.sampled_from([1, 2, 1000]), label="path_cap")
+        report = verify_no_false_positives(g, lab, path_cap=path_cap, fp_record_cap=10**6)
+        expected, paths, cap_hits = brute_force_false_positives(g, lab.masks, path_cap)
+        assert report.pairs_checked == n * (n - 1) // 2
+        assert report.paths_checked == paths
+        assert report.path_cap_hits == cap_hits
+        assert report.false_positives == expected
