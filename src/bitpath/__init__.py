@@ -2,14 +2,14 @@
 
 Edges of a network get fixed-width bit labels, a path is encoded as the
 union of its edge labels, and forwarding is a bitwise subset test per
-incident edge. The constructive labellings here (bit-per-edge,
-bit-per-vertex, star, and the combined core/periphery scheme) recognise an
-edge if and only if it lies on the encoded shortest path; the bloom module
-provides the random-label baseline they are measured against.
+incident edge; labels and headers are plain Python ints. The constructive
+labellings here (bit-per-edge, bit-per-vertex, star, and the combined
+core/periphery scheme) recognise an edge if and only if it lies on the
+encoded shortest path; the bloom module provides the random-label baseline
+they are measured against.
 """
 
 from .bloom import (
-    BloomParams,
     EmpiricalRate,
     analytic_fpr,
     at_least_one_fp,
@@ -56,19 +56,15 @@ from .graphs import (
     theoretical_smallest_size,
 )
 from .labelling import (
-    BitUniverse,
-    EdgeLabel,
     Labelling,
     LevelRank,
     RankChoice,
-    StarParams,
     admissible_ranks,
     bit_per_edge,
     bit_per_vertex,
     ceil_nth_root,
     optimal_rank,
     optimal_rank_float,
-    star_digits,
     star_labelling,
     star_universe_size,
 )
@@ -76,12 +72,10 @@ from .routing import (
     Ambiguous,
     Delivered,
     Forward,
-    Header,
     RoutingTrace,
     VerificationReport,
     encode_path,
     next_hop,
-    recognised,
     simulate_delivery,
     verify_no_false_positives,
 )

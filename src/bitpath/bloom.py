@@ -9,28 +9,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graphs import Graph
-from .labelling import BitUniverse, Labelling
-
-
-@dataclass(frozen=True)
-class BloomParams:
-    """Parameters of a random labelling experiment: universe size m, label
-    weight k, encoded set size n (path length in edges), and the seed."""
-
-    universe_size: int
-    label_weight: int
-    encoded_size: int
-    seed: int
-
-    def __post_init__(self):
-        if not 1 <= self.label_weight <= self.universe_size:
-            raise ValueError("label weight must satisfy 1 <= k <= universe size")
-        if self.encoded_size < 1:
-            raise ValueError("encoded set size must be positive")
+from .labelling import Labelling
 
 
 def _draw_masks(rng: random.Random, edge_count: int, m: int, k: int) -> list[int]:
@@ -48,9 +30,7 @@ def bloom_labelling(g: Graph, m: int, k: int, seed: int) -> Labelling:
     order; the same seed reproduces the labelling bit for bit."""
     if not 1 <= k <= m:
         raise ValueError("label weight must satisfy 1 <= k <= universe size")
-    rng = random.Random(seed)
-    names = tuple(f"bit {i}" for i in range(m))
-    return Labelling(BitUniverse(m, names), _draw_masks(rng, g.edge_count, m, k))
+    return Labelling(m, _draw_masks(random.Random(seed), g.edge_count, m, k))
 
 
 def analytic_fpr(m: int, n: int, k: float) -> float:
@@ -91,7 +71,9 @@ def exact_two_label_fpr(m: int, k: int) -> float:
     Conditioning on the overlap j of the two on-path labels (hypergeometric)
     gives sum_j P(j) * C(2k-j, k) / C(m, k). This is what the star
     experiment converges to; analytic_fpr underestimates it noticeably for
-    small m.
+    small m. Bose et al., "On the false-positive rate of Bloom filters"
+    (Information Processing Letters 108(4), 2008), show the same formula is
+    only a lower bound on the true rate of a hashed Bloom filter.
     """
     if not 1 <= k <= m:
         raise ValueError("label weight must satisfy 1 <= k <= universe size")

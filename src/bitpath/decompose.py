@@ -11,13 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import Graph, bfs_distances, is_connected
-from .labelling import (
-    BitUniverse,
-    Labelling,
-    bit_per_vertex,
-    optimal_rank_float,
-    star_labelling,
-)
+from .labelling import Labelling, bit_per_vertex, optimal_rank_float, star_labelling
 
 CONTRACTED_VERTEX = 0  # id of the merged core inside every periphery graph
 
@@ -155,14 +149,12 @@ def combine(edge_count: int, parts: Sequence[tuple[Labelling, Sequence[int]]]) -
             raise DecompositionError(f"edge {ge} not covered by any part")
 
     masks = [0] * edge_count
-    names: list[str] = []
     offset = 0
     for part, edge_map in parts:
         for pe, ge in enumerate(edge_map):
             masks[ge] = part.masks[pe] << offset
-        names.extend(part.universe.element_names)
         offset += part.width
-    return Labelling(BitUniverse(offset, tuple(names)), masks)
+    return Labelling(offset, masks)
 
 
 def label_tree(tree: Graph, center: int) -> Labelling:

@@ -1,13 +1,14 @@
-"""Bit universes and the constructive edge labellings.
+"""Labellings and the constructive edge labellings.
 
-Labels are bit vectors stored as Python ints over a fixed-width universe.
-All constructors here are pure and the resulting Labelling is immutable.
+A label is a bit set stored as a Python int over the universe of bits
+0..width-1, and a Labelling is a width plus one such int per edge. All
+constructors here are pure.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .graphs import Graph
@@ -18,78 +19,39 @@ def bit_positions(x: int) -> list[int]:
     return [i for i, c in enumerate(bin(x)[:1:-1]) if c == "1"]
 
 
-@dataclass(frozen=True)
-class BitUniverse:
-    """A fixed-width universe: one descriptive tag per bit position."""
-
-    size: int
-    element_names: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.size != len(self.element_names):
-            raise ValueError("universe size must match the number of element names")
-
-
-@dataclass(frozen=True)
-class EdgeLabel:
-    """One edge's label as a bit vector of the universe's width."""
-
-    bits: int
-    width: int
-
-    def __post_init__(self):
-        if self.bits < 0 or self.bits >> self.width:
-            raise ValueError(f"label bits {self.bits:#x} outside a {self.width}-bit universe")
-
-    @property
-    def popcount(self) -> int:
-        return self.bits.bit_count()
-
-    def positions(self) -> tuple[int, ...]:
-        return tuple(bit_positions(self.bits))
-
-
 class Labelling:
-    """Immutable edge-id -> label map over one bit universe."""
+    """Edge-id -> label map: edge e's label is the bit set masks[e], a tuple
+    entry, over the universe of bits 0..width-1."""
 
-    def __init__(self, universe: BitUniverse, masks: Sequence[int]):
+    def __init__(self, width: int, masks: Sequence[int]):
+        if width < 0:
+            raise ValueError(f"universe width must be non-negative, got {width}")
         for eid, mask in enumerate(masks):
             if mask <= 0:
                 raise ValueError(f"edge {eid}: label must set at least one bit")
-            if mask >> universe.size:
+            if mask >> width:
                 raise ValueError(f"edge {eid}: label exceeds universe width")
-        self.universe = universe
-        self._masks = tuple(masks)
-
-    @property
-    def width(self) -> int:
-        return self.universe.size
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        return self._masks
+        self.width = width
+        self.masks = tuple(masks)
 
     @property
     def edge_count(self) -> int:
-        return len(self._masks)
-
-    def label(self, edge_id: int) -> EdgeLabel:
-        return EdgeLabel(self._masks[edge_id], self.width)
+        return len(self.masks)
 
     def __len__(self) -> int:
-        return len(self._masks)
+        return len(self.masks)
 
     def to_text(self) -> str:
         """Serialize as 'universe <size>' then one 'edge <id>: <positions>' line each."""
         lines = [f"universe {self.width}"]
-        for eid, mask in enumerate(self._masks):
+        for eid, mask in enumerate(self.masks):
             positions = " ".join(str(p) for p in bit_positions(mask))
             lines.append(f"edge {eid}: {positions}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "Labelling":
-        """Parse the to_text format; element names are synthesized."""
+        """Parse the to_text format."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("universe "):
             raise ValueError("line 1: expected 'universe <size>'")
@@ -114,8 +76,7 @@ class Labelling:
                     raise ValueError(f"line {i + 2}: bit {pos} outside universe")
                 bits |= 1 << pos
             masks.append(bits)
-        names = tuple(f"bit {i}" for i in range(width))
-        return cls(BitUniverse(width, names), masks)
+        return cls(width, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -124,15 +85,13 @@ class Labelling:
 
 def bit_per_edge(g: Graph) -> Labelling:
     """Universe = edge set; every edge labelled by its own singleton bit."""
-    names = tuple(f"edge {e}" for e in range(g.edge_count))
-    return Labelling(BitUniverse(g.edge_count, names), [1 << e for e in range(g.edge_count)])
+    return Labelling(g.edge_count, [1 << e for e in range(g.edge_count)])
 
 
 def bit_per_vertex(g: Graph) -> Labelling:
     """Universe = vertex set; edge {u, v} labelled by bits u and v."""
-    names = tuple(f"vertex {v}" for v in range(g.vertex_count))
     masks = [(1 << u) | (1 << v) for u, v in g.edges]
-    return Labelling(BitUniverse(g.vertex_count, names), masks)
+    return Labelling(g.vertex_count, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -140,56 +99,21 @@ def bit_per_vertex(g: Graph) -> Labelling:
 
 
 def ceil_nth_root(n: int, r: int) -> int:
-    """Smallest k with k**r >= n, by exact integer arithmetic.
+    """Smallest k with k**r >= n, by exact integer arithmetic for every n.
 
-    Floating-point powering is only used to seed the search; the boundary is
-    settled with integer comparisons, so exact roots (e.g. 10**6 at r=6)
-    never come out one too high.
+    Integer Newton steps descend from 2**ceil(bits(n)/r), which is at least
+    the r-th root, to the floor of the root; one comparison then settles the
+    ceiling, so exact roots (e.g. 10**6 at r=6) never come out one too high.
     """
     if n < 1 or r < 1:
         raise ValueError("need n >= 1 and r >= 1")
-    k = max(1, round(n ** (1.0 / r)))
-    while k > 1 and (k - 1) ** r >= n:
-        k -= 1
-    while k**r < n:
-        k += 1
-    return k
-
-
-@dataclass(frozen=True)
-class StarParams:
-    """Digit parameters for a star labelling: rank many digits in base
-    ceil(edge_count ** (1/rank)), so base**rank >= edge_count."""
-
-    edge_count: int
-    rank: int
-    base: int
-
-    def __post_init__(self):
-        if self.edge_count < 1 or self.rank < 1 or self.base < 1:
-            raise ValueError("edge_count, rank, and base must all be positive")
-        if self.base**self.rank < self.edge_count:
-            raise ValueError("base**rank must cover every edge index")
-
-    @classmethod
-    def for_star(cls, edge_count: int, rank: int, base: int | None = None) -> "StarParams":
-        if base is None:
-            base = ceil_nth_root(edge_count, rank)
-        return cls(edge_count, rank, base)
-
-
-def star_digits(edge_index: int, params: StarParams) -> tuple[int, ...]:
-    """Mixed-radix digits of the edge index, most significant first,
-    zero-padded to the rank. Injective because base**rank >= edge_count."""
-    if not 0 <= edge_index < params.edge_count:
-        raise ValueError(f"edge index {edge_index} out of range")
-    digits = []
-    x = edge_index
-    for _ in range(params.rank):
-        digits.append(x % params.base)
-        x //= params.base
-    digits.reverse()
-    return tuple(digits)
+    k = 1 << -(-n.bit_length() // r)
+    while True:
+        step = ((r - 1) * k + n // k ** (r - 1)) // r
+        if step >= k:
+            break
+        k = step
+    return k if k**r >= n else k + 1
 
 
 def star_universe_size(n: int, rank: int) -> int:
@@ -206,22 +130,23 @@ def star_labelling(n: int, rank: int, base: int | None = None) -> Labelling:
     (r, s, (d[r]+d[s]) mod base) for every r < s, giving every label exactly
     rank + rank*(rank-1)/2 bits.
     """
-    params = StarParams.for_star(n, rank, base)
-    r_count, k = params.rank, params.base
-    coordinate_pairs = [(r, s) for r in range(1, r_count + 1) for s in range(r + 1, r_count + 1)]
-    names = [f"({r},{d})" for r in range(1, r_count + 1) for d in range(k)]
-    names += [f"({r},{s},{d})" for r, s in coordinate_pairs for d in range(k)]
-    triple_offset = r_count * k
+    if n < 1 or rank < 1:
+        raise ValueError("need n >= 1 and rank >= 1")
+    k = ceil_nth_root(n, rank) if base is None else base
+    if k < 1 or k**rank < n:
+        raise ValueError(f"base {k} at rank {rank} cannot number {n} edges")
+    coordinate_pairs = [(r, s) for r in range(rank) for s in range(r + 1, rank)]
+    triple_offset = rank * k
     masks = []
-    for e in range(n):
-        d = star_digits(e, params)
+    # digit tuples of 0..n-1 in base k, most significant first
+    for d in itertools.islice(itertools.product(range(k), repeat=rank), n):
         bits = 0
-        for r in range(r_count):
+        for r in range(rank):
             bits |= 1 << (r * k + d[r])
         for t, (r, s) in enumerate(coordinate_pairs):
-            bits |= 1 << (triple_offset + t * k + (d[r - 1] + d[s - 1]) % k)
+            bits |= 1 << (triple_offset + t * k + (d[r] + d[s]) % k)
         masks.append(bits)
-    return Labelling(BitUniverse(len(names), tuple(names)), masks)
+    return Labelling((rank + len(coordinate_pairs)) * k, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +195,10 @@ def optimal_rank_float(n: int) -> LevelRank:
     """
     best: LevelRank | None = None
     for r in admissible_ranks(n):
-        k = math.ceil(n ** (1.0 / r))
+        try:
+            k = math.ceil(n ** (1.0 / r))
+        except OverflowError:
+            raise ValueError(f"n={n} is too large for double-precision rank selection") from None
         size = (r + r * (r - 1) // 2) * k
         if best is None or size < best.size:
             best = LevelRank(r, k, size)

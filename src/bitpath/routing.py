@@ -1,9 +1,10 @@
 """Header construction, forwarding simulation, and the exhaustive
 false-positive oracle.
 
-An edge is recognised by a header when its label is a bit-subset of the
-header. Forwarding inspects only the labels of the current vertex's incident
-edges, exactly as a header-routed switch would.
+A header is a plain int: the OR of its path's label masks. An edge is
+recognised by a header when its label is a bit-subset of the header,
+mask & ~header == 0. Forwarding inspects only the labels of the current
+vertex's incident edges, exactly as a header-routed switch would.
 """
 
 from __future__ import annotations
@@ -11,30 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import Graph, Path, _bfs, shortest_path
-from .labelling import EdgeLabel, Labelling, bit_positions
+from .labelling import Labelling, bit_positions
 
 
-@dataclass(frozen=True)
-class Header:
-    """The bit vector a message carries: the union of its path's labels."""
-
-    bits: int
-    width: int
-
-
-def encode_path(labelling: Labelling, path: Path) -> Header:
-    """Bitwise OR of the labels along the path (all-zero for an empty path)."""
-    bits = 0
+def encode_path(labelling: Labelling, path: Path) -> int:
+    """Bitwise OR of the labels along the path (0 for an empty path)."""
+    header = 0
     for eid in path.edges:
-        bits |= labelling.masks[eid]
-    return Header(bits, labelling.width)
-
-
-def recognised(label: EdgeLabel, header: Header) -> bool:
-    """True iff every set bit of the label is set in the header."""
-    if label.width != header.width:
-        raise ValueError(f"width mismatch: label {label.width}, header {header.width}")
-    return label.bits & ~header.bits == 0
+        header |= labelling.masks[eid]
+    return header
 
 
 @dataclass(frozen=True)
@@ -55,7 +41,7 @@ class Ambiguous:
 def next_hop(
     g: Graph,
     labelling: Labelling,
-    header: Header,
+    header: int,
     current: int,
     incoming: int | None = None,
 ) -> Forward | Delivered | Ambiguous:
@@ -65,9 +51,9 @@ def next_hop(
     arrived on; one candidate forwards, none terminates, several is reported
     as ambiguous (sorted by edge id).
     """
-    if labelling.width != header.width:
-        raise ValueError(f"width mismatch: labelling {labelling.width}, header {header.width}")
-    not_header = ~header.bits
+    if header < 0 or header >> labelling.width:
+        raise ValueError(f"header {header:#x} outside a {labelling.width}-bit universe")
+    not_header = ~header
     masks = labelling.masks
     candidates = [
         eid
@@ -193,16 +179,18 @@ def verify_no_false_positives(
     edge off S is recognised. That union is read byte by byte from tables
     built once per call: rejects[c][p] is the union of carriers[8c + i]
     over the set bits i of byte p. Only edges off S can fail, since S's
-    header holds every label on S.
+    header holds every label on S. Once the record list is full, the first
+    further false positive sets fp_truncated and later pairs are only
+    counted.
     """
     if path_cap < 1:
         raise ValueError(f"path_cap must be at least 1, got {path_cap}")
     report = VerificationReport(path_cap=path_cap, fp_record_cap=fp_record_cap)
     edge_count = g.edge_count
-    if edge_count == 0:
-        return report
     if labelling.edge_count != edge_count:
         raise ValueError("labelling does not cover this graph's edges")
+    if edge_count == 0:
+        return report
     masks = labelling.masks
     width = labelling.width
     carriers = [0] * width
@@ -243,14 +231,20 @@ def verify_no_false_positives(
                 checked = checked[:path_cap]
             report.paths_checked += len(checked)
             report.subset_tests += edge_count * len(checked)
+            if report.fp_truncated:
+                continue  # records full and truncated: later paths only add to the counts
             for header, rejected in checked:
                 for row, p in zip(rejects, (universe & ~header).to_bytes(byte_count, "little")):
                     rejected |= row[p]
                 if rejected == all_edges:
                     continue
-                for eid in bit_positions(all_edges & ~rejected):
-                    if len(report.false_positives) < fp_record_cap:
-                        report.false_positives.append((u, v, eid))
-                    else:
-                        report.fp_truncated = True
+                room = fp_record_cap - len(report.false_positives)
+                if room <= 0:
+                    report.fp_truncated = True
+                    break
+                found = bit_positions(all_edges & ~rejected)
+                report.false_positives += [(u, v, eid) for eid in found[:room]]
+                if len(found) > room:
+                    report.fp_truncated = True
+                    break
     return report

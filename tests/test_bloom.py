@@ -6,7 +6,6 @@ import math
 import pytest
 
 from bitpath import (
-    BloomParams,
     analytic_fpr,
     at_least_one_fp,
     bloom_labelling,
@@ -56,12 +55,6 @@ class TestBloomLabelling:
             bloom_labelling(g, 10, 11, seed=0)
         with pytest.raises(ValueError):
             bloom_labelling(g, 10, 0, seed=0)
-
-    def test_params_validate(self):
-        with pytest.raises(ValueError):
-            BloomParams(universe_size=10, label_weight=11, encoded_size=2, seed=0)
-        with pytest.raises(ValueError):
-            BloomParams(universe_size=10, label_weight=3, encoded_size=0, seed=0)
 
 
 class TestAnalytics:

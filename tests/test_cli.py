@@ -145,6 +145,25 @@ class TestTables:
         assert lines[1] == "|-------|---------------|----------------------|"
         assert lines[2] == "|    10 |            10 |                  9.1 |"
 
+    def test_star_table_past_double_range(self, capsys):
+        # rank 443 in base 8: 8**443 = 2**1329 >= 10**400 > 7**443
+        n = 10**400
+        code, out, _ = run(capsys, ["star-table", str(n), "--format", "csv"])
+        assert code == 0
+        assert out.splitlines()[1] == f"{n},2657,{(443 + 443 * 442 // 2) * 8},443"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["binary-tree-table", "1100"], ["core-periphery-table", str(10**160)]],
+        ids=["tree", "core-periphery"],
+    )
+    def test_float_rank_selection_overflow_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert err.startswith("error: n=")
+        assert "too large" in err
+        assert "Traceback" not in err
+
     def test_rejects_bad_sizes(self, capsys):
         code, _, err = run(capsys, ["star-table", "0"])
         assert code == 2

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitpath import (
     EdgeListParseError,
@@ -184,6 +186,20 @@ class TestEdgeListIO:
             again = load_edge_list(emit_edge_list(g))
             assert again.vertex_count == g.vertex_count
             assert again.edges == g.edges
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_round_trip_any_simple_graph(self, data):
+        n = data.draw(st.integers(0, 12), label="vertices")
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges") if pairs else []
+        # endpoints in either order, edges in any order
+        edges = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in chosen]
+        g = Graph(n, edges)
+        again = load_edge_list(emit_edge_list(g))
+        assert again.vertex_count == g.vertex_count
+        assert again.edges == g.edges
+        assert again.adjacency == g.adjacency
 
 
 class TestShortestPath:

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from bitpath import (
     Ambiguous,
     Delivered,
-    EdgeLabel,
     Forward,
     Graph,
-    Header,
+    Labelling,
     Path,
     all_shortest_paths,
     bit_per_edge,
@@ -25,7 +24,6 @@ from bitpath import (
     make_random_connected,
     make_star,
     next_hop,
-    recognised,
     shortest_path,
     simulate_delivery,
     star_labelling,
@@ -37,24 +35,25 @@ from helpers import brute_force_false_positives, random_graph_corpus
 class TestEncodePath:
     def test_empty_path_is_all_zero(self):
         lab = bit_per_edge(make_star(4))
-        header = encode_path(lab, Path((2,), ()))
-        assert header.bits == 0
-        assert header.width == 4
+        assert encode_path(lab, Path((2,), ())) == 0
 
     def test_single_edge_equals_label(self):
         g = make_star(4)
         lab = bit_per_edge(g)
         path = shortest_path(g, 0, 3)
-        assert encode_path(lab, path).bits == lab.masks[path.edges[0]]
+        assert encode_path(lab, path) == lab.masks[path.edges[0]]
 
     def test_star_header_is_exactly_its_edge_bits(self):
         g = make_star(10)
         lab = bit_per_edge(g)
         path = shortest_path(g, 1, 2)
-        assert encode_path(lab, path).bits == (1 << 0) | (1 << 1)
+        assert encode_path(lab, path) == (1 << 0) | (1 << 1)
 
 
 class TestRecognised:
+    """An edge is recognised when its label is a subset of the header:
+    mask & ~header == 0, the test next_hop and the oracle run."""
+
     def test_on_path_edges_always_recognised(self):
         g = make_complete(6)
         lab = bit_per_vertex(g)
@@ -63,14 +62,13 @@ class TestRecognised:
                 path = shortest_path(g, u, v)
                 header = encode_path(lab, path)
                 for eid in path.edges:
-                    assert recognised(lab.label(eid), header)
+                    assert lab.masks[eid] & ~header == 0
 
     def test_nonempty_label_vs_zero_header(self):
-        assert not recognised(EdgeLabel(0b1, 4), Header(0, 4))
-
-    def test_width_mismatch_raises(self):
-        with pytest.raises(ValueError, match="width"):
-            recognised(EdgeLabel(0b1, 4), Header(0, 5))
+        lab = bit_per_vertex(make_complete(5))
+        header = encode_path(lab, Path((2,), ()))
+        assert header == 0
+        assert not any(mask & ~header == 0 for mask in lab.masks)
 
     def test_classic_false_positive_on_non_shortest_path(self):
         # 0-1-2 around a triangle is not shortest; bit-per-vertex then
@@ -81,17 +79,17 @@ class TestRecognised:
         e12 = g.edges.index((1, 2))
         e02 = g.edges.index((0, 2))
         header = encode_path(lab, Path((0, 1, 2), (e01, e12)))
-        assert recognised(lab.label(e02), header)
+        assert lab.masks[e02] & ~header == 0
 
     def test_monotone_in_the_header(self):
         rng = random.Random(0)
         for _ in range(200):
             width = 48
-            label = EdgeLabel(rng.getrandbits(width) | 1, width)
+            label = rng.getrandbits(width) | 1
             small = rng.getrandbits(width)
             big = small | rng.getrandbits(width)
-            if recognised(label, Header(small, width)):
-                assert recognised(label, Header(big, width))
+            if label & ~small == 0:
+                assert label & ~big == 0
 
 
 class TestNextHop:
@@ -143,10 +141,13 @@ class TestNextHop:
         assert step.edge_ids == tuple(sorted(step.edge_ids))
 
     def test_width_mismatch_raises(self):
+        # the header must be a bit set of the labelling's universe
         g = make_star(3)
         lab = bit_per_edge(g)
-        with pytest.raises(ValueError, match="width"):
-            next_hop(g, lab, Header(0, 99), 0)
+        assert next_hop(g, lab, 0b111, 0, incoming=0) == Ambiguous((1, 2))
+        for header in (-1, 1 << 3, 1 << 99):
+            with pytest.raises(ValueError, match="outside a 3-bit universe"):
+                next_hop(g, lab, header, 0)
 
 
 class TestSimulateDelivery:
@@ -201,7 +202,7 @@ class TestSimulateDelivery:
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         lab = bit_per_edge(g)
         masks = [1, 1, 1]
-        shared = type(lab)(lab.universe, masks)
+        shared = Labelling(lab.width, masks)
         trace = simulate_delivery(g, shared, 0, 1)
         assert trace.outcome == "dead-end"
         assert trace.at == 3
@@ -241,7 +242,7 @@ class TestVerify:
         lab = star_labelling(10, 2)
         masks = list(lab.masks)
         masks[4] = masks[7]  # edge 4 now recognised by any path through edge 7
-        corrupted = type(lab)(lab.universe, masks)
+        corrupted = Labelling(lab.width, masks)
         report = verify_no_false_positives(g, corrupted)
         assert not report.ok
         assert any(eid in (4, 7) for _, _, eid in report.false_positives)
@@ -250,6 +251,11 @@ class TestVerify:
     def test_rejects_path_cap_below_one(self, path_cap):
         with pytest.raises(ValueError, match="path_cap"):
             verify_no_false_positives(make_star(3), star_labelling(3, 2), path_cap=path_cap)
+
+    @pytest.mark.parametrize("g", [make_star(3), Graph(3, [])], ids=["star", "edgeless"])
+    def test_rejects_labelling_of_another_edge_count(self, g):
+        with pytest.raises(ValueError, match="does not cover"):
+            verify_no_false_positives(g, bit_per_edge(make_star(5)))
 
     def test_path_cap_is_reported_not_raised(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -261,9 +267,17 @@ class TestVerify:
     def test_fp_record_cap_truncates(self):
         g = make_star(12)
         lab = bloom_labelling(g, 6, 5, seed=3)  # dense labels: many FPs
-        report = verify_no_false_positives(g, lab, fp_record_cap=3)
-        assert len(report.false_positives) == 3
-        assert report.fp_truncated
+        full = verify_no_false_positives(g, lab, fp_record_cap=10**6)
+        assert len(full.false_positives) > 50
+        for cap in (0, 3, 50):
+            report = verify_no_false_positives(g, lab, fp_record_cap=cap)
+            assert report.false_positives == full.false_positives[:cap]
+            assert report.fp_truncated
+            assert (report.pairs_checked, report.paths_checked, report.subset_tests) == (
+                full.pairs_checked,
+                full.paths_checked,
+                full.subset_tests,
+            )
 
     def test_checks_every_path_of_every_pair(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
