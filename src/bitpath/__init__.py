@@ -24,7 +24,6 @@ from .decompose import (
     Decomposition,
     DecompositionError,
     NotATreeError,
-    StarLevel,
     combine,
     contract,
     core_periphery_universe_size,
@@ -38,8 +37,6 @@ from .graphs import (
     Graph,
     NoPathError,
     Path,
-    TooManyPathsError,
-    all_shortest_paths,
     bfs_distances,
     ceil_log2,
     count_shortest_paths,
@@ -57,7 +54,6 @@ from .graphs import (
 )
 from .labelling import (
     Labelling,
-    LevelRank,
     RankChoice,
     admissible_ranks,
     bit_per_edge,
@@ -69,9 +65,6 @@ from .labelling import (
     star_universe_size,
 )
 from .routing import (
-    Ambiguous,
-    Delivered,
-    Forward,
     RoutingTrace,
     VerificationReport,
     encode_path,

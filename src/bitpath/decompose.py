@@ -34,7 +34,6 @@ class Decomposition:
     bijection from periphery edge ids onto the original non-core edges.
     """
 
-    core_vertices: frozenset[int]
     core: Graph
     core_vertex_map: tuple[int, ...]
     core_edge_map: tuple[int, ...]
@@ -90,7 +89,6 @@ def contract(g: Graph, core_vertices) -> Decomposition:
         raise DecompositionError("induced core is disconnected")
     periphery = Graph(len(outside) + 1, periphery_edges)
     return Decomposition(
-        core_vertices=core_set,
         core=core,
         core_vertex_map=tuple(core_ids),
         core_edge_map=tuple(core_edge_map),
@@ -100,22 +98,10 @@ def contract(g: Graph, core_vertices) -> Decomposition:
     )
 
 
-@dataclass(frozen=True)
-class StarLevel:
-    """One ring of tree edges: level i holds the edges joining vertices at
-    distance i-1 and i from the chosen center."""
-
-    level: int
-    edge_ids: tuple[int, ...]
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edge_ids)
-
-
-def tree_star_levels(tree: Graph, center: int) -> tuple[StarLevel, ...]:
+def tree_star_levels(tree: Graph, center: int) -> tuple[tuple[int, ...], ...]:
     """Partition a tree's edges into the stars obtained by repeatedly
-    contracting the star around the (merged) center."""
+    contracting the star around the (merged) center: entry i holds the
+    ascending ids of the edges joining distances i and i+1 from it."""
     if not 0 <= center < tree.vertex_count:
         raise ValueError("center out of range")
     dist = bfs_distances(tree, center)
@@ -125,7 +111,7 @@ def tree_star_levels(tree: Graph, center: int) -> tuple[StarLevel, ...]:
     buckets: list[list[int]] = [[] for _ in range(depth)]
     for eid, (u, v) in enumerate(tree.edges):
         buckets[max(dist[u], dist[v]) - 1].append(eid)
-    return tuple(StarLevel(i + 1, tuple(ids)) for i, ids in enumerate(buckets))
+    return tuple(tuple(ids) for ids in buckets)
 
 
 def combine(edge_count: int, parts: Sequence[tuple[Labelling, Sequence[int]]]) -> Labelling:
@@ -164,12 +150,10 @@ def label_tree(tree: Graph, center: int) -> Labelling:
     the tree sizing tables are defined by, so the built width always equals
     perfect_tree_universe_size on perfect trees.
     """
-    levels = tree_star_levels(tree, center)
     parts = []
-    for lv in levels:
-        choice = optimal_rank_float(lv.edge_count)
-        part = star_labelling(lv.edge_count, choice.rank, base=choice.base)
-        parts.append((part, lv.edge_ids))
+    for edge_ids in tree_star_levels(tree, center):
+        choice = optimal_rank_float(len(edge_ids))
+        parts.append((star_labelling(len(edge_ids), choice.rank, base=choice.base), edge_ids))
     return combine(tree.edge_count, parts)
 
 
@@ -193,11 +177,17 @@ def perfect_tree_universe_size(h: int) -> int:
     """Width label_tree produces for a perfect binary tree of height h."""
     if h < 1:
         raise ValueError("height must be at least 1")
-    return sum(optimal_rank_float(2**i).size for i in range(1, h + 1))
+    try:
+        return sum(optimal_rank_float(2**i).size for i in range(1, h + 1))
+    except ValueError:
+        raise ValueError(f"height {h} is too large for double-precision rank selection") from None
 
 
 def core_periphery_universe_size(n: int) -> int:
     """Width label_core_periphery produces for make_core_periphery(n)."""
     if n < 2:
         raise ValueError("core-periphery construction needs n >= 2")
-    return n + optimal_rank_float(n * (n - 1)).size
+    try:
+        return n + optimal_rank_float(n * (n - 1)).size
+    except ValueError:
+        raise ValueError(f"n={n} is too large for double-precision rank selection") from None

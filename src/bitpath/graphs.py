@@ -20,10 +20,6 @@ class NoPathError(ValueError):
     """Two vertices that are not connected were asked for a path."""
 
 
-class TooManyPathsError(RuntimeError):
-    """Shortest-path enumeration exceeded the caller-supplied cap."""
-
-
 @dataclass(frozen=True)
 class Path:
     """A simple path: vertices in visit order plus the edge ids joining them."""
@@ -332,16 +328,6 @@ def iter_shortest_paths(g: Graph, u: int, v: int) -> Iterator[Path]:
         raise NoPathError(f"no path from {u} to {v}")
     for vertices, edge_ids in _walk(_steps_toward_source(g, dist), u, v):
         yield Path(vertices, edge_ids)
-
-
-def all_shortest_paths(g: Graph, u: int, v: int, cap: int | None = None) -> list[Path]:
-    """Every shortest u-v path; raises TooManyPathsError past a caller cap."""
-    paths: list[Path] = []
-    for path in iter_shortest_paths(g, u, v):
-        paths.append(path)
-        if cap is not None and len(paths) > cap:
-            raise TooManyPathsError(f"more than {cap} shortest paths from {u} to {v}")
-    return paths
 
 
 def count_shortest_paths(g: Graph) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .graphs import Graph
 
@@ -36,9 +36,6 @@ class Labelling:
 
     @property
     def edge_count(self) -> int:
-        return len(self.masks)
-
-    def __len__(self) -> int:
         return len(self.masks)
 
     def to_text(self) -> str:
@@ -155,11 +152,6 @@ def star_labelling(n: int, rank: int, base: int | None = None) -> Labelling:
 
 class RankChoice(NamedTuple):
     rank: int
-    size: int
-
-
-class LevelRank(NamedTuple):
-    rank: int
     base: int
     size: int
 
@@ -171,19 +163,30 @@ def admissible_ranks(n: int) -> range:
     return range(1, max(1, n.bit_length() - 1) + 1)
 
 
-def optimal_rank(n: int) -> RankChoice:
-    """Rank minimizing star_universe_size(n, rank); ties go to the smaller
-    rank, which also minimizes per-label popcount."""
-    best: RankChoice | None = None
+def _best_rank(n: int, root: Callable[[int, int], int]) -> RankChoice:
+    """Rank minimizing the star universe size (rank + rank*(rank-1)/2) * base
+    for base = root(n, rank); min keeps the first minimum, so ties go to the
+    smaller rank, which also minimizes per-label popcount."""
+    choices = []
     for r in admissible_ranks(n):
-        size = star_universe_size(n, r)
-        if best is None or size < best.size:
-            best = RankChoice(r, size)
-    assert best is not None
-    return best
+        k = root(n, r)
+        choices.append(RankChoice(r, k, (r + r * (r - 1) // 2) * k))
+    return min(choices, key=lambda choice: choice.size)
 
 
-def optimal_rank_float(n: int) -> LevelRank:
+def optimal_rank(n: int) -> RankChoice:
+    """Rank minimizing star_universe_size(n, rank), with exact roots."""
+    return _best_rank(n, ceil_nth_root)
+
+
+def _float_root(n: int, r: int) -> int:
+    try:
+        return math.ceil(n ** (1.0 / r))
+    except OverflowError:
+        raise ValueError(f"n={n} is too large for double-precision rank selection") from None
+
+
+def optimal_rank_float(n: int) -> RankChoice:
     """Rank search scoring (rank + rank*(rank-1)/2) * ceil(n ** (1/rank)) in
     double precision.
 
@@ -193,14 +196,4 @@ def optimal_rank_float(n: int) -> LevelRank:
     the search settles on rank 6 (base 6, size 126). The perfect-binary-tree
     and core-periphery sizing tables are produced with this selection.
     """
-    best: LevelRank | None = None
-    for r in admissible_ranks(n):
-        try:
-            k = math.ceil(n ** (1.0 / r))
-        except OverflowError:
-            raise ValueError(f"n={n} is too large for double-precision rank selection") from None
-        size = (r + r * (r - 1) // 2) * k
-        if best is None or size < best.size:
-            best = LevelRank(r, k, size)
-    assert best is not None
-    return best
+    return _best_rank(n, _float_root)

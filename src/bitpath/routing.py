@@ -23,48 +23,26 @@ def encode_path(labelling: Labelling, path: Path) -> int:
     return header
 
 
-@dataclass(frozen=True)
-class Forward:
-    edge_id: int
-
-
-@dataclass(frozen=True)
-class Delivered:
-    pass
-
-
-@dataclass(frozen=True)
-class Ambiguous:
-    edge_ids: tuple[int, ...]
-
-
 def next_hop(
     g: Graph,
     labelling: Labelling,
     header: int,
     current: int,
     incoming: int | None = None,
-) -> Forward | Delivered | Ambiguous:
-    """Decide the next edge from the header alone.
-
-    Candidates are the recognised incident edges except the one the message
-    arrived on; one candidate forwards, none terminates, several is reported
-    as ambiguous (sorted by edge id).
-    """
+) -> tuple[int, ...]:
+    """Decide the next edge from the header alone: the recognised incident
+    edges except the one the message arrived on, in ascending edge id (the
+    order of g.adjacency). One candidate forwards, none terminates, several
+    is ambiguous."""
     if header < 0 or header >> labelling.width:
         raise ValueError(f"header {header:#x} outside a {labelling.width}-bit universe")
     not_header = ~header
     masks = labelling.masks
-    candidates = [
+    return tuple(
         eid
         for _, eid in g.adjacency[current]
         if eid != incoming and masks[eid] & not_header == 0
-    ]
-    if not candidates:
-        return Delivered()
-    if len(candidates) == 1:
-        return Forward(candidates[0])
-    return Ambiguous(tuple(sorted(candidates)))
+    )
 
 
 @dataclass(frozen=True)
@@ -77,9 +55,15 @@ class RoutingTrace:
 
     visited: tuple[int, ...]
     outcome: str  # "delivered" | "ambiguous" | "dead-end" | "loop"
-    at: int
-    hop_count: int
     candidate_counts: tuple[int, ...]
+
+    @property
+    def at(self) -> int:
+        return self.visited[-1]
+
+    @property
+    def hop_count(self) -> int:
+        return len(self.visited) - 1
 
     @property
     def delivered(self) -> bool:
@@ -93,28 +77,24 @@ def simulate_delivery(g: Graph, labelling: Labelling, source: int, destination: 
     dead end. A hop budget of |V| turns pathological walks into a "loop"
     outcome instead of running forever.
     """
-    path = shortest_path(g, source, destination)
-    header = encode_path(labelling, path)
+    header = encode_path(labelling, shortest_path(g, source, destination))
     visited = [source]
     counts: list[int] = []
-    current, incoming, hops = source, None, 0
-    while True:
-        step = next_hop(g, labelling, header, current, incoming)
-        if isinstance(step, Delivered):
-            counts.append(0)
+    current, incoming, outcome = source, None, "loop"
+    while len(visited) <= g.vertex_count + 1:
+        candidates = next_hop(g, labelling, header, current, incoming)
+        counts.append(len(candidates))
+        if len(candidates) > 1:
+            outcome = "ambiguous"
+            break
+        if not candidates:
             outcome = "delivered" if current == destination else "dead-end"
-            return RoutingTrace(tuple(visited), outcome, current, hops, tuple(counts))
-        if isinstance(step, Ambiguous):
-            counts.append(len(step.edge_ids))
-            return RoutingTrace(tuple(visited), "ambiguous", current, hops, tuple(counts))
-        counts.append(1)
-        u, v = g.edges[step.edge_id]
+            break
+        (incoming,) = candidates
+        u, v = g.edges[incoming]
         current = v if current == u else u
-        incoming = step.edge_id
         visited.append(current)
-        hops += 1
-        if hops > g.vertex_count:
-            return RoutingTrace(tuple(visited), "loop", current, hops, tuple(counts))
+    return RoutingTrace(tuple(visited), outcome, tuple(counts))
 
 
 # ---------------------------------------------------------------------------

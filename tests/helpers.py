@@ -75,6 +75,9 @@ def brute_force_false_positives(
     return violations, paths, cap_hits
 
 
+STAR_CHUNK_BYTES = 1 << 24
+
+
 def pack_masks(masks, width: int) -> np.ndarray:
     words = max(1, (width + 63) // 64)
     packed = np.zeros((len(masks), words), dtype=np.uint64)
@@ -91,23 +94,27 @@ def star_recognition_violations(masks, width: int) -> int:
     (e != f) and every center-to-leaf path (e == f). Counts the (e, f, g)
     triples where "label g is a subset of the header" disagrees with
     g in {e, f}. Zero means no false positives and no false negatives.
+
+    Label g lies outside header (e, f) when some 64-bit word of g has a bit
+    the same word of the header lacks; the test runs one word at a time into
+    a boolean accumulator, over chunks of g whose (e, f, g) word temporary
+    stays near STAR_CHUNK_BYTES.
     """
     n = len(masks)
     packed = pack_masks(masks, width)
-    words = packed.shape[1]
-    headers = packed[:, None, :] | packed[None, :, :]
-    not_headers = ~headers
+    not_headers = [~(word[:, None] | word[None, :]) for word in packed.T]
     ids = np.arange(n)
     violations = 0
-    chunk = max(1, (1 << 21) // max(1, n * n * words))
+    chunk = max(1, STAR_CHUNK_BYTES // (packed.itemsize * n * n))
     for g0 in range(0, n, chunk):
         g1 = min(n, g0 + chunk)
-        outside = (packed[g0:g1][None, None, :, :] & not_headers[:, :, None, :]).any(axis=3)
-        recognised = ~outside
+        outside = np.zeros((n, n, g1 - g0), dtype=bool)
+        for word, not_header in zip(packed.T, not_headers):
+            outside |= (not_header[:, :, None] & word[None, None, g0:g1]) != 0
         expected = (ids[g0:g1][None, None, :] == ids[:, None, None]) | (
             ids[g0:g1][None, None, :] == ids[None, :, None]
         )
-        violations += int((recognised != expected).sum())
+        violations += int((outside == expected).sum())
     return violations
 
 

@@ -3,28 +3,41 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitpath import (
     CONTRACTED_VERTEX,
     DecompositionError,
     Graph,
     NotATreeError,
-    all_shortest_paths,
     bfs_distances,
     bit_per_vertex,
     combine,
     contract,
     core_periphery_universe_size,
+    iter_shortest_paths,
     label_core_periphery,
     label_tree,
+    make_complete,
     make_core_periphery,
     make_perfect_binary_tree,
+    make_random_connected,
     make_star,
     optimal_rank,
     perfect_tree_universe_size,
     star_labelling,
     tree_star_levels,
+    verify_no_false_positives,
 )
+
+
+def grow_forest(data, edges: list[tuple[int, int]], start: int, stop: int) -> Graph:
+    """Add vertices start..stop-1 to the edge list, each joined to one
+    uniformly drawn earlier vertex."""
+    for v in range(start, stop):
+        edges.append((data.draw(st.integers(0, v - 1), label=f"parent of {v}"), v))
+    return Graph(stop, edges)
 
 
 class TestContract:
@@ -102,31 +115,31 @@ class TestContract:
 class TestTreeStarLevels:
     def test_perfect_tree_level_sizes(self):
         levels = tree_star_levels(make_perfect_binary_tree(5), center=0)
-        assert [lv.edge_count for lv in levels] == [2, 4, 8, 16, 32]
-        assert [lv.level for lv in levels] == [1, 2, 3, 4, 5]
+        assert [len(lv) for lv in levels] == [2, 4, 8, 16, 32]
+        assert levels[0] == (0, 1)  # entry 0 is level 1: the root's two edges
 
     def test_star_is_a_single_level(self):
         levels = tree_star_levels(make_star(10), center=0)
-        assert [lv.edge_count for lv in levels] == [10]
+        assert [len(lv) for lv in levels] == [10]
 
     def test_path_rooted_at_end(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         levels = tree_star_levels(g, center=0)
-        assert [lv.edge_count for lv in levels] == [1, 1, 1]
+        assert [len(lv) for lv in levels] == [1, 1, 1]
 
     def test_levels_partition_edges(self):
         tree = make_perfect_binary_tree(4)
         levels = tree_star_levels(tree, center=0)
-        seen = [eid for lv in levels for eid in lv.edge_ids]
+        seen = [eid for lv in levels for eid in lv]
         assert sorted(seen) == list(range(tree.edge_count))
 
     def test_level_edges_join_consecutive_depths(self):
         tree = make_perfect_binary_tree(4)
         dist = bfs_distances(tree, 0)
-        for lv in tree_star_levels(tree, 0):
-            for eid in lv.edge_ids:
+        for level, edge_ids in enumerate(tree_star_levels(tree, 0), 1):
+            for eid in edge_ids:
                 u, v = tree.edges[eid]
-                assert sorted((dist[u], dist[v])) == [lv.level - 1, lv.level]
+                assert sorted((dist[u], dist[v])) == [level - 1, level]
 
     def test_rejects_cycle(self):
         with pytest.raises(NotATreeError):
@@ -209,7 +222,7 @@ class TestLabelCorePeriphery:
     def test_toy_instance_width(self):
         g, core = make_core_periphery(3)
         # core contributes 3 bits; the 6-edge periphery star is cheapest at rank 1
-        assert optimal_rank(6) == (1, 6)
+        assert optimal_rank(6) == (1, 6, 6)
         assert label_core_periphery(g, core).width == 9
 
     def test_hundred_width(self):
@@ -275,7 +288,7 @@ class TestPathSplittingPremise:
         core_edge_set = set(d.core_edge_map)
         for u in range(g.vertex_count):
             for v in range(u + 1, g.vertex_count):
-                for path in all_shortest_paths(g, u, v):
+                for path in iter_shortest_paths(g, u, v):
                     core_positions = [
                         i for i, eid in enumerate(path.edges) if eid in core_edge_set
                     ]
@@ -315,9 +328,9 @@ class TestStarLevelSafety:
         for h in range(1, 8):
             tree = make_perfect_binary_tree(h)
             level_of = {}
-            for lv in tree_star_levels(tree, 0):
-                for eid in lv.edge_ids:
-                    level_of[eid] = lv.level
+            for level, edge_ids in enumerate(tree_star_levels(tree, 0), 1):
+                for eid in edge_ids:
+                    level_of[eid] = level
             # tree paths are unique: walk both endpoints up to their meeting
             # point using the heap numbering (parent of w is (w-1)//2)
             parent_edge = {w: w - 1 for w in range(1, tree.vertex_count)}
@@ -336,3 +349,26 @@ class TestStarLevelSafety:
                         lv = level_of[eid]
                         counts[lv] = counts.get(lv, 0) + 1
                     assert all(c <= 2 for c in counts.values())
+
+
+class TestNoFalsePositivesOnRandomShapes:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_label_tree_on_random_trees(self, data):
+        n = data.draw(st.integers(2, 30), label="vertices")
+        tree = grow_forest(data, [], 1, n)
+        center = data.draw(st.integers(0, n - 1), label="center")
+        assert verify_no_false_positives(tree, label_tree(tree, center)).ok
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_label_core_periphery_on_core_plus_forest(self, data):
+        c = data.draw(st.integers(2, 8), label="core vertices")
+        if data.draw(st.booleans(), label="complete core"):
+            core = make_complete(c)
+        else:
+            p = data.draw(st.floats(0.2, 0.9), label="edge probability")
+            core = make_random_connected(c, p, data.draw(st.integers(0, 2**16), label="core seed"))
+        n = c + data.draw(st.integers(1, 22), label="forest vertices")
+        g = grow_forest(data, list(core.edges), c, n)
+        assert verify_no_false_positives(g, label_core_periphery(g, range(c))).ok

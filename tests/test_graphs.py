@@ -10,13 +10,12 @@ from bitpath import (
     EdgeListParseError,
     Graph,
     NoPathError,
-    TooManyPathsError,
-    all_shortest_paths,
     bfs_distances,
     ceil_log2,
     count_shortest_paths,
     emit_edge_list,
     is_connected,
+    iter_shortest_paths,
     load_edge_list,
     make_complete,
     make_core_periphery,
@@ -63,6 +62,11 @@ class TestGraphType:
         for adj in g.adjacency:
             eids = [eid for _, eid in adj]
             assert eids == sorted(eids)
+        # next_hop returns its candidates in adjacency order
+        for seed in range(50):
+            g = make_random_connected(5 + seed % 20, 0.3, seed)
+            for adj in g.adjacency:
+                assert [eid for _, eid in adj] == sorted(eid for _, eid in adj)
 
 
 class TestGenerators:
@@ -248,28 +252,24 @@ class TestShortestPath:
 
 class TestAllShortestPaths:
     def test_four_cycle_opposite_corners(self):
-        paths = all_shortest_paths(four_cycle(), 0, 2)
+        paths = list(iter_shortest_paths(four_cycle(), 0, 2))
         assert [p.vertices for p in paths] == [(0, 1, 2), (0, 3, 2)]
 
     def test_tree_pairs_are_unique(self):
         g = make_perfect_binary_tree(3)
         for u in range(g.vertex_count):
             for v in range(u + 1, g.vertex_count):
-                assert len(all_shortest_paths(g, u, v)) == 1
+                assert len(list(iter_shortest_paths(g, u, v))) == 1
 
     def test_complete_adjacent_pair(self):
-        paths = all_shortest_paths(make_complete(6), 1, 4)
+        paths = list(iter_shortest_paths(make_complete(6), 1, 4))
         assert len(paths) == 1
         assert len(paths[0]) == 1
-
-    def test_cap_raises(self):
-        with pytest.raises(TooManyPathsError):
-            all_shortest_paths(four_cycle(), 0, 2, cap=1)
 
     def test_long_path_graph_does_not_recurse(self):
         # one stack frame per hop would pass Python's default recursion limit
         g = Graph(1500, [(i, i + 1) for i in range(1499)])
-        paths = all_shortest_paths(g, 0, 1499)
+        paths = list(iter_shortest_paths(g, 0, 1499))
         assert len(paths) == 1
         assert paths[0].vertices == tuple(range(1500))
         assert paths[0].edges == tuple(range(1499))
@@ -284,7 +284,7 @@ class TestAllShortestPaths:
             for u in range(g.vertex_count):
                 for v in range(g.vertex_count):
                     expected = brute_force_shortest_paths(g, u, v)
-                    got = [(p.vertices, p.edges) for p in all_shortest_paths(g, u, v)]
+                    got = [(p.vertices, p.edges) for p in iter_shortest_paths(g, u, v)]
                     assert got == expected
 
     def test_members_all_have_bfs_length(self):
@@ -292,7 +292,7 @@ class TestAllShortestPaths:
         for u in range(g.vertex_count):
             dist = bfs_distances(g, u)
             for v in range(g.vertex_count):
-                for p in all_shortest_paths(g, u, v):
+                for p in iter_shortest_paths(g, u, v):
                     assert len(p) == dist[v]
 
 
@@ -359,5 +359,5 @@ class TestStarPathShape:
             g = make_star(n)
             for u in range(g.vertex_count):
                 for v in range(u + 1, g.vertex_count):
-                    for p in all_shortest_paths(g, u, v):
+                    for p in iter_shortest_paths(g, u, v):
                         assert len(p) <= 2

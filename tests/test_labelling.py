@@ -117,18 +117,18 @@ class TestUniverseSize:
 class TestOptimalRank:
     def test_reference_column(self):
         expected = {
-            10: (1, 10),
-            100: (2, 30),
-            1_000: (3, 60),
-            10_000: (4, 100),
-            100_000: (6, 147),
-            1_000_000: (6, 210),
+            10: (1, 10, 10),
+            100: (2, 10, 30),
+            1_000: (3, 10, 60),
+            10_000: (4, 10, 100),
+            100_000: (6, 7, 147),
+            1_000_000: (6, 10, 210),
         }
-        for n, (rank, size) in expected.items():
-            assert optimal_rank(n) == (rank, size)
+        for n, (rank, base, size) in expected.items():
+            assert optimal_rank(n) == (rank, base, size)
 
     def test_smallest_star(self):
-        assert optimal_rank(2) == (1, 2)
+        assert optimal_rank(2) == (1, 2, 2)
 
     def test_tie_breaks_to_smaller_rank(self):
         # ranks 3 and 4 both give 60 at n=1000
@@ -149,7 +149,7 @@ class TestOptimalRank:
         for n in list(range(2, 1025)) + [9900, 39800, 10**5, 10**6]:
             assert optimal_rank_float(n).size == optimal_rank(n).size
         # the one divergence the tree tables rely on
-        assert optimal_rank(32768) == (5, 120)
+        assert optimal_rank(32768) == (5, 8, 120)
         assert optimal_rank_float(32768) == (6, 6, 126)
 
 
@@ -254,6 +254,12 @@ class TestNoFalsePositivesOnStars:
         masks = list(lab.masks)
         masks[5] = masks[3]
         assert star_recognition_violations(masks, lab.width) == 194
+        # the same plant on multi-word labellings: 200 bits (4 words), 84 bits (2)
+        for n, rank, count in ((200, 1, 794), (150, 7, 594)):
+            lab = star_labelling(n, rank)
+            masks = list(lab.masks)
+            masks[5] = masks[3]
+            assert star_recognition_violations(masks, lab.width) == count
 
 
 class TestLabellingType:

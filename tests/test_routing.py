@@ -7,13 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitpath import (
-    Ambiguous,
-    Delivered,
-    Forward,
     Graph,
     Labelling,
     Path,
-    all_shortest_paths,
     bit_per_edge,
     bit_per_vertex,
     bloom_labelling,
@@ -102,21 +98,21 @@ class TestNextHop:
                 path = shortest_path(g, u, v)
                 header = encode_path(lab, path)
                 step = next_hop(g, lab, header, 0, incoming=path.edges[0])
-                assert step == Forward(path.edges[1])
+                assert step == (path.edges[1],)
 
     def test_destination_sees_no_candidates(self):
         g = make_star(10)
         lab = star_labelling(10, 1)
         path = shortest_path(g, 1, 2)
         header = encode_path(lab, path)
-        assert next_hop(g, lab, header, 2, incoming=path.edges[1]) == Delivered()
+        assert next_hop(g, lab, header, 2, incoming=path.edges[1]) == ()
 
     def test_incoming_edge_is_excluded(self):
         g = Graph(3, [(0, 1), (1, 2)])
         lab = bit_per_edge(g)
         header = encode_path(lab, shortest_path(g, 0, 2))
         step = next_hop(g, lab, header, 1, incoming=0)
-        assert step == Forward(1)
+        assert step == (1,)
 
     def test_bloom_false_positive_turns_ambiguous(self):
         g = make_star(40)
@@ -128,7 +124,7 @@ class TestNextHop:
                     path = shortest_path(g, u, v)
                     header = encode_path(lab, path)
                     step = next_hop(g, lab, header, 0, incoming=path.edges[0])
-                    if isinstance(step, Ambiguous):
+                    if len(step) > 1:
                         found = (seed, u, v, step)
                         break
                 if found:
@@ -137,14 +133,14 @@ class TestNextHop:
                 break
         assert found is not None
         _, u, v, step = found
-        assert len(step.edge_ids) >= 2
-        assert step.edge_ids == tuple(sorted(step.edge_ids))
+        assert len(step) >= 2
+        assert step == tuple(sorted(step))
 
     def test_width_mismatch_raises(self):
         # the header must be a bit set of the labelling's universe
         g = make_star(3)
         lab = bit_per_edge(g)
-        assert next_hop(g, lab, 0b111, 0, incoming=0) == Ambiguous((1, 2))
+        assert next_hop(g, lab, 0b111, 0, incoming=0) == (1, 2)
         for header in (-1, 1 << 3, 1 << 99):
             with pytest.raises(ValueError, match="outside a 3-bit universe"):
                 next_hop(g, lab, header, 0)
