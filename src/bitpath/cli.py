@@ -226,6 +226,18 @@ def _parse_core(text: str) -> frozenset[int]:
     return frozenset(core)
 
 
+def _reject_unused_flags(args: argparse.Namespace) -> None:
+    scheme, from_file = args.scheme, args.graph is not None
+    for flag, value, used, where in (
+        ("--rank", args.rank, scheme == "star", "--scheme star"),
+        ("--core", args.core, scheme == "combined" and from_file, "--graph with --scheme combined"),
+        ("--m", args.m, scheme == "bloom", "--scheme bloom"),
+        ("--k", args.k, scheme == "bloom", "--scheme bloom"),
+    ):
+        if value is not None and not used:
+            raise UsageError(f"{flag} applies only to {where}")
+
+
 def _resolve_labelling(args: argparse.Namespace, g: Graph, core: frozenset[int] | None):
     if args.scheme == "bit-per-edge":
         return bit_per_edge(g)
@@ -241,28 +253,31 @@ def _resolve_labelling(args: argparse.Namespace, g: Graph, core: frozenset[int] 
             return label_core_periphery(g, core)
         if args.tree is not None:
             return label_tree(g, 0)
-        if args.graph is not None and args.core:
+        if args.core:  # only given with --graph
             return label_core_periphery(g, _parse_core(args.core))
         raise UsageError("--scheme combined requires --core-periphery, --tree, or --graph with --core")
-    if args.scheme == "bloom":
-        if args.m is None or args.k is None:
-            raise UsageError("--scheme bloom requires --m and --k")
-        return bloom_labelling(g, args.m, args.k, args.seed)
-    raise UsageError(f"unknown scheme {args.scheme}")
+    # "bloom": argparse's choices admit no other scheme
+    if args.m is None or args.k is None:
+        raise UsageError("--scheme bloom requires --m and --k")
+    return bloom_labelling(g, args.m, args.k, args.seed)
 
 
-def _maybe_dump(args: argparse.Namespace, labelling) -> None:
+def _graph_and_labelling(args: argparse.Namespace):
+    """The graph and labelling that verify and route act on, after the flag
+    checks; the labelling is also written out if --dump-labelling asks."""
+    _reject_unused_flags(args)
+    g, core = _resolve_graph(args)
+    labelling = _resolve_labelling(args, g, core)
     if args.dump_labelling:
         with open(args.dump_labelling, "w", encoding="utf-8") as fh:
             fh.write(labelling.to_text())
+    return g, labelling
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.path_cap < 1:
         raise UsageError(f"--path-cap must be >= 1, got {args.path_cap}")
-    g, core = _resolve_graph(args)
-    labelling = _resolve_labelling(args, g, core)
-    _maybe_dump(args, labelling)
+    g, labelling = _graph_and_labelling(args)
     report = verify_no_false_positives(g, labelling, path_cap=args.path_cap)
     print(report.summary())
     for u, v, eid in report.false_positives[:MAX_PRINTED_VIOLATIONS]:
@@ -274,9 +289,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_route(args: argparse.Namespace) -> int:
-    g, core = _resolve_graph(args)
-    labelling = _resolve_labelling(args, g, core)
-    _maybe_dump(args, labelling)
+    g, labelling = _graph_and_labelling(args)
     try:
         trace = simulate_delivery(g, labelling, args.source, args.dest)
     except NoPathError as exc:

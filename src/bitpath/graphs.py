@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 
@@ -45,7 +44,9 @@ class Graph:
     """Simple undirected graph.
 
     ``edges`` holds normalized (low, high) vertex pairs; ``adjacency[v]`` lists
-    (neighbor, edge_id) pairs in increasing edge-id order.
+    (neighbor, edge_id) pairs in ascending neighbor id, the tie-break order of
+    every BFS here. Every generator here numbers its edges so that this is
+    also ascending edge id; a loaded edge list need not.
     """
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
@@ -66,11 +67,11 @@ class Graph:
             normalized.append(pair)
             adjacency[pair[0]].append((pair[1], eid))
             adjacency[pair[1]].append((pair[0], eid))
+        for a in adjacency:
+            a.sort()
         self.vertex_count = vertex_count
         self.edges: tuple[tuple[int, int], ...] = tuple(normalized)
-        self.adjacency: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple(a) for a in adjacency
-        )
+        self.adjacency: tuple[tuple[tuple[int, int], ...], ...] = tuple(map(tuple, adjacency))
 
     @property
     def edge_count(self) -> int:
@@ -81,11 +82,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(vertices={self.vertex_count}, edges={self.edge_count})"
-
-    @cached_property
-    def _adjacency_by_vertex(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        # neighbors in ascending vertex id; fixes every BFS tie-break
-        return tuple(tuple(sorted(a)) for a in self.adjacency)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +221,7 @@ def _bfs(g: Graph, source: int, target: int | None = None) -> tuple[list[int], l
     via = [-1] * g.vertex_count
     dist[source] = 0
     order = [source]
-    adjacency = g._adjacency_by_vertex
+    adjacency = g.adjacency
     for cur in order:
         if cur == target:
             break
@@ -242,9 +238,8 @@ def _steps_toward_source(g: Graph, dist: Sequence[int]) -> list[list[tuple[int, 
     """For each vertex, its (neighbour, edge id) steps one hop closer to the
     source of the BFS that gave dist, in ascending neighbour id; empty for
     the source and for unreached vertices."""
-    adjacency = g._adjacency_by_vertex
     return [
-        [(x, eid) for x, eid in adjacency[w] if dist[x] == d - 1] if d > 0 else []
+        [(x, eid) for x, eid in g.adjacency[w] if dist[x] == d - 1] if d > 0 else []
         for w, d in enumerate(dist)
     ]
 
@@ -335,7 +330,7 @@ def count_shortest_paths(g: Graph) -> int:
 
     Exact integer arithmetic; counts overflow 64 bits for large graphs.
     """
-    adjacency = g._adjacency_by_vertex
+    adjacency = g.adjacency
     total = 0
     for u in range(g.vertex_count):
         dist, _, order = _bfs(g, u)

@@ -31,9 +31,9 @@ def next_hop(
     incoming: int | None = None,
 ) -> tuple[int, ...]:
     """Decide the next edge from the header alone: the recognised incident
-    edges except the one the message arrived on, in ascending edge id (the
-    order of g.adjacency). One candidate forwards, none terminates, several
-    is ambiguous."""
+    edges except the one the message arrived on, in the order of
+    g.adjacency (ascending neighbour id). One candidate forwards, none
+    terminates, several is ambiguous."""
     if header < 0 or header >> labelling.width:
         raise ValueError(f"header {header:#x} outside a {labelling.width}-bit universe")
     not_header = ~header
@@ -49,12 +49,13 @@ def next_hop(
 class RoutingTrace:
     """Outcome of one simulated delivery.
 
-    candidate_counts holds the number of recognised next edges at each
-    visited vertex, including the terminal one.
+    visited never repeats a vertex, and candidate_counts holds the number of
+    recognised next edges at each visited vertex: 1 at every vertex but the
+    last, where the walk stopped.
     """
 
     visited: tuple[int, ...]
-    outcome: str  # "delivered" | "ambiguous" | "dead-end" | "loop"
+    outcome: str  # "delivered" | "ambiguous" | "dead-end"
     candidate_counts: tuple[int, ...]
 
     @property
@@ -71,29 +72,26 @@ class RoutingTrace:
 
 
 def simulate_delivery(g: Graph, labelling: Labelling, source: int, destination: int) -> RoutingTrace:
-    """Encode the shortest source-destination path and forward hop by hop.
-
-    Zero candidates at the destination means delivery; anywhere else it is a
-    dead end. A hop budget of |V| turns pathological walks into a "loop"
-    outcome instead of running forever.
+    """Encode the shortest source-destination path and forward hop by hop
+    while exactly one edge is recognised. Then several candidates mean
+    "ambiguous", and none mean "delivered" at the destination and "dead-end"
+    anywhere else. The walk never revisits a vertex: the edge back to it
+    would have been a second candidate at the first visit.
     """
     header = encode_path(labelling, shortest_path(g, source, destination))
     visited = [source]
     counts: list[int] = []
-    current, incoming, outcome = source, None, "loop"
-    while len(visited) <= g.vertex_count + 1:
+    current, incoming = source, None
+    while True:
         candidates = next_hop(g, labelling, header, current, incoming)
         counts.append(len(candidates))
-        if len(candidates) > 1:
-            outcome = "ambiguous"
-            break
-        if not candidates:
-            outcome = "delivered" if current == destination else "dead-end"
+        if len(candidates) != 1:
             break
         (incoming,) = candidates
         u, v = g.edges[incoming]
         current = v if current == u else u
         visited.append(current)
+    outcome = "ambiguous" if candidates else "delivered" if current == destination else "dead-end"
     return RoutingTrace(tuple(visited), outcome, tuple(counts))
 
 
@@ -186,7 +184,7 @@ def verify_no_false_positives(
     byte_count = len(rejects)
     universe = (1 << width) - 1
     all_edges = (1 << edge_count) - 1
-    adjacency = g._adjacency_by_vertex
+    adjacency = g.adjacency
 
     for u in range(g.vertex_count):
         dist, _, order = _bfs(g, u)

@@ -7,6 +7,8 @@ star check packs bits and compares subsets on its own.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from bitpath import Graph, make_random_connected
@@ -127,3 +129,16 @@ def random_graph_corpus() -> list[Graph]:
         p = 0.10 + 0.015 * (seed % 14)
         graphs.append(make_random_connected(n, p, seed))
     return graphs
+
+
+def grid_4x4() -> Graph:
+    """The 4x4 grid, vertices row by row, horizontal edges first."""
+    return Graph(16, [(v, v + 1) for v in range(16) if v % 4 < 3] + [(v, v + 4) for v in range(12)])
+
+
+def shuffled_edge_ids(g: Graph, seed: int) -> Graph:
+    """g with its edges renumbered in a seeded random order, so edge ids no
+    longer follow the lexicographic order of the endpoint pairs."""
+    edges = list(g.edges)
+    random.Random(seed).shuffle(edges)
+    return Graph(g.vertex_count, edges)

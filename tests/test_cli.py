@@ -343,6 +343,30 @@ class TestArgumentErrors:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["verify", "--core-periphery", "4", "--scheme", "combined", "--core", "0,1"], "--core"),
+            (["verify", "--tree", "2", "--scheme", "combined", "--core", "0"], "--core"),
+            (["verify", "--graph", "GRAPH", "--scheme", "bit-per-edge", "--core", "0"], "--core"),
+            (["verify", "--complete", "4", "--scheme", "bit-per-vertex", "--rank", "2"], "--rank"),
+            (["verify", "--star", "4", "--scheme", "bloom", "--m", "4", "--k", "2", "--rank", "1"], "--rank"),
+            (["route", "--star", "4", "--scheme", "star", "--k", "3", "--source", "1", "--dest", "2"], "--k"),
+            (["verify", "--graph", "GRAPH", "--scheme", "combined", "--core", "0", "--m", "4"], "--m"),
+        ],
+        ids=["core-generated-core", "core-tree", "core-other-scheme", "rank-bit-per-vertex",
+             "rank-bloom", "k-star", "m-combined"],
+    )
+    def test_flag_the_scheme_does_not_use(self, capsys, tmp_path, argv, flag):
+        # each of these used to exit 0 without reading the flag
+        path = tmp_path / "g.txt"
+        path.write_text("3 2\n0 1\n1 2\n")
+        argv = [str(path) if a == "GRAPH" else a for a in argv]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} applies only to ")
+
     def test_generator_rejects_invalid_size(self, capsys):
         code, _, err = run(capsys, ["route", "--star", "0", "--scheme", "bit-per-edge", "--source", "0", "--dest", "0"])
         assert code == 2

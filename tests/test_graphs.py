@@ -25,7 +25,12 @@ from bitpath import (
     shortest_path,
     theoretical_smallest_size,
 )
-from helpers import brute_force_shortest_paths, brute_force_total_path_count
+from helpers import (
+    brute_force_shortest_paths,
+    brute_force_total_path_count,
+    grid_4x4,
+    shuffled_edge_ids,
+)
 
 
 def four_cycle() -> Graph:
@@ -67,6 +72,14 @@ class TestGraphType:
             g = make_random_connected(5 + seed % 20, 0.3, seed)
             for adj in g.adjacency:
                 assert [eid for _, eid in adj] == sorted(eid for _, eid in adj)
+
+    def test_adjacency_ascends_by_neighbour_id(self):
+        g = shuffled_edge_ids(grid_4x4(), seed=1)
+        assert g.edges != tuple(sorted(g.edges))
+        for v, adj in enumerate(g.adjacency):
+            assert [nbr for nbr, _ in adj] == sorted(nbr for nbr, _ in adj)
+            for nbr, eid in adj:
+                assert set(g.edges[eid]) == {v, nbr}
 
 
 class TestGenerators:

@@ -25,7 +25,10 @@ from bitpath import (
     star_labelling,
     verify_no_false_positives,
 )
-from helpers import brute_force_false_positives, random_graph_corpus
+from helpers import brute_force_false_positives, grid_4x4, random_graph_corpus, shuffled_edge_ids
+
+# the 4x4 grid under edge ids that are not in lexicographic order
+SHUFFLED_GRID = shuffled_edge_ids(grid_4x4(), seed=1)
 
 
 class TestEncodePath:
@@ -136,6 +139,15 @@ class TestNextHop:
         assert len(step) >= 2
         assert step == tuple(sorted(step))
 
+    def test_candidates_follow_neighbour_order(self):
+        # vertex 5 of the grid has neighbours 1, 4, 6 and 9; their edges have
+        # ids 5, 19, 23 and 3 here, so edge-id order would differ
+        g = SHUFFLED_GRID
+        lab = bit_per_edge(g)
+        assert [nbr for nbr, _ in g.adjacency[5]] == [1, 4, 6, 9]
+        assert next_hop(g, lab, (1 << lab.width) - 1, 5) == (5, 19, 23, 3)
+        assert next_hop(g, lab, (1 << lab.width) - 1, 5, incoming=19) == (5, 23, 3)
+
     def test_width_mismatch_raises(self):
         # the header must be a bit set of the labelling's universe
         g = make_star(3)
@@ -203,6 +215,31 @@ class TestSimulateDelivery:
         assert trace.outcome == "dead-end"
         assert trace.at == 3
         assert trace.visited == (0, 1, 2, 3)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_walk_never_revisits_a_vertex(self, data):
+        # returning to a vertex needs a recognised edge back into it, which
+        # would have been a second candidate at the first visit
+        n = data.draw(st.integers(1, 14), label="vertices")
+        p = data.draw(st.floats(0.2, 0.9), label="edge probability")
+        g = make_random_connected(n, p, data.draw(st.integers(0, 2**16), label="graph seed"))
+        g = shuffled_edge_ids(g, data.draw(st.integers(0, 2**16), label="shuffle seed"))
+        if data.draw(st.booleans(), label="bloom"):
+            m = data.draw(st.integers(1, 12), label="m")
+            k = data.draw(st.integers(1, m), label="k")
+            lab = bloom_labelling(g, m, k, data.draw(st.integers(0, 2**16), label="label seed"))
+        else:
+            lab = bit_per_vertex(g)
+        for u in range(n):
+            for v in range(n):
+                trace = simulate_delivery(g, lab, u, v)
+                last = trace.candidate_counts[-1]
+                assert len(set(trace.visited)) == len(trace.visited)
+                assert trace.candidate_counts == (1,) * trace.hop_count + (last,)
+                assert trace.outcome in ("delivered", "ambiguous", "dead-end")
+                assert (trace.outcome == "ambiguous") == (last > 1)
+                assert trace.delivered == (last == 0 and trace.at == v)
 
 
 class TestVerify:
@@ -298,13 +335,18 @@ class TestVerify:
         assert sorted(report.false_positives) == sorted(expected)
 
     @pytest.mark.parametrize("path_cap", [1, 2])
-    @pytest.mark.parametrize("name", ["corpus5", "corpus24", "corpus62", "grid4x4", "cube5"])
+    @pytest.mark.parametrize(
+        "name", ["corpus5", "corpus24", "corpus62", "grid4x4", "grid4x4-shuffled", "cube5"]
+    )
     def test_capped_report_matches_brute_force(self, name, path_cap):
         # graphs with pairs of more shortest paths than the cap (corpus graph 5
         # has at most two per pair); the reference checks the same paths in
-        # the same order, so the records match in order too
+        # the same order, so the records match in order too, also when edge
+        # ids are not in lexicographic order
         if name == "grid4x4":
-            g = Graph(16, [(v, v + 1) for v in range(16) if v % 4 < 3] + [(v, v + 4) for v in range(12)])
+            g = grid_4x4()
+        elif name == "grid4x4-shuffled":
+            g = SHUFFLED_GRID
         elif name == "cube5":
             g = Graph(32, [(v, v | 1 << i) for v in range(32) for i in range(5) if not v >> i & 1])
         else:
