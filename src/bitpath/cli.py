@@ -199,7 +199,7 @@ def _add_scheme_arguments(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--m", type=int, help="bloom scheme: universe size")
     sub.add_argument("--k", type=int, help="bloom scheme: label weight")
-    sub.add_argument("--seed", type=int, default=1, help="bloom scheme: RNG seed")
+    sub.add_argument("--seed", type=int, help="bloom scheme: RNG seed (default: 1)")
     sub.add_argument("--dump-labelling", metavar="PATH", help="write the labelling as text")
 
 
@@ -217,6 +217,8 @@ def _resolve_graph(args: argparse.Namespace) -> tuple[Graph, frozenset[int] | No
 
 
 def _parse_core(text: str) -> frozenset[int]:
+    if not text:
+        raise UsageError("--core is empty: give comma-separated core vertex ids")
     core = set()
     for tok in text.split(","):
         try:
@@ -233,6 +235,7 @@ def _reject_unused_flags(args: argparse.Namespace) -> None:
         ("--core", args.core, scheme == "combined" and from_file, "--graph with --scheme combined"),
         ("--m", args.m, scheme == "bloom", "--scheme bloom"),
         ("--k", args.k, scheme == "bloom", "--scheme bloom"),
+        ("--seed", args.seed, scheme == "bloom", "--scheme bloom"),
     ):
         if value is not None and not used:
             raise UsageError(f"{flag} applies only to {where}")
@@ -253,13 +256,13 @@ def _resolve_labelling(args: argparse.Namespace, g: Graph, core: frozenset[int] 
             return label_core_periphery(g, core)
         if args.tree is not None:
             return label_tree(g, 0)
-        if args.core:  # only given with --graph
+        if args.core is not None:  # only given with --graph
             return label_core_periphery(g, _parse_core(args.core))
         raise UsageError("--scheme combined requires --core-periphery, --tree, or --graph with --core")
     # "bloom": argparse's choices admit no other scheme
     if args.m is None or args.k is None:
         raise UsageError("--scheme bloom requires --m and --k")
-    return bloom_labelling(g, args.m, args.k, args.seed)
+    return bloom_labelling(g, args.m, args.k, 1 if args.seed is None else args.seed)
 
 
 def _graph_and_labelling(args: argparse.Namespace):
@@ -290,6 +293,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_route(args: argparse.Namespace) -> int:
     g, labelling = _graph_and_labelling(args)
+    for flag, vertex in (("--source", args.source), ("--dest", args.dest)):
+        if not 0 <= vertex < g.vertex_count:
+            raise UsageError(
+                f"{flag} {vertex} is not a vertex id: the graph has {g.vertex_count} vertices, ids from 0"
+            )
     try:
         trace = simulate_delivery(g, labelling, args.source, args.dest)
     except NoPathError as exc:

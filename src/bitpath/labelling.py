@@ -7,7 +7,6 @@ constructors here are pure.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable, NamedTuple, Sequence
 
@@ -125,25 +124,60 @@ def star_labelling(n: int, rank: int, base: int | None = None) -> Labelling:
     (coordinate, coordinate, digit-sum mod base) triples. An edge with digits
     d sets the pair bit (r, d[r]) for every coordinate r and the triple bit
     (r, s, (d[r]+d[s]) mod base) for every r < s, giving every label exactly
-    rank + rank*(rank-1)/2 bits.
+    rank + rank*(rank-1)/2 bits. Edge e's digits are its rank digits in base
+    k, most significant first, where k is base or, by default, the smallest
+    k with k**rank >= n.
+
+    The masks are built by a depth-first walk over digit prefixes in
+    lexicographic order, which is edge-id order, keeping one prefix state
+    per coordinate. A prefix d[0..i-1] carries the bits it has fixed (its
+    pair bits and the triple bits of coordinate pairs inside it) and, for
+    each later coordinate s, a row: the k-bit groups of pair (s) and of
+    every triple (r, s) with r < i, each holding the one bit that digit
+    d[s] = 0 would select. Appending digit d at coordinate i rotates every
+    group of row i left by d, which moves each bit to (d[r] + d) mod k, and
+    ORs it in; each later row s gains bit d of its group (i, s). A rotation
+    is two shifts and two ANDs with masks precomputed per (coordinate,
+    digit), so a leaf edge costs six big-int operations.
     """
     if n < 1 or rank < 1:
         raise ValueError("need n >= 1 and rank >= 1")
     k = ceil_nth_root(n, rank) if base is None else base
     if k < 1 or k**rank < n:
         raise ValueError(f"base {k} at rank {rank} cannot number {n} edges")
+    # group g spans bits g*k .. g*k + k-1: pair groups 0..rank-1, then one
+    # triple group per coordinate pair (r, s), r < s, in lexicographic order
     coordinate_pairs = [(r, s) for r in range(rank) for s in range(r + 1, rank)]
-    triple_offset = rank * k
-    masks = []
-    # digit tuples of 0..n-1 in base k, most significant first
-    for d in itertools.islice(itertools.product(range(k), repeat=rank), n):
-        bits = 0
-        for r in range(rank):
-            bits |= 1 << (r * k + d[r])
-        for t, (r, s) in enumerate(coordinate_pairs):
-            bits |= 1 << (triple_offset + t * k + (d[r] + d[s]) % k)
-        masks.append(bits)
+    triple_group = {pair: rank + t for t, pair in enumerate(coordinate_pairs)}
+    # levels[i] = (rotate, units) of coordinate i. rotate[d] = (d, keep,
+    # k - d, wrap): rotating each group of row i left by d is
+    # (row << d) & keep | (row >> (k - d)) & wrap. units: the digit-0 bit of
+    # group (i, s) for every s > i.
+    levels = []
+    for i in range(rank):
+        ones = sum(1 << (g * k) for g in [i] + [triple_group[r, i] for r in range(i)])
+        rotate = [(d, ones * ((1 << k) - (1 << d)), k - d, ones * ((1 << d) - 1)) for d in range(k)]
+        units = [1 << (triple_group[i, s] * k) for s in range(i + 1, rank)]
+        levels.append((rotate, units))
+    masks: list[int] = []
+    _walk_star_prefixes(masks, n, levels, 0, [1 << (s * k) for s in range(rank)])
     return Labelling((rank + len(coordinate_pairs)) * k, masks)
+
+
+def _walk_star_prefixes(masks: list[int], n: int, levels: list, bits: int, rows: list[int]) -> None:
+    """Append to masks, until it holds n, the star labels of every edge under
+    one digit prefix: bits and rows are the prefix's state and levels the
+    tables of the coordinates after it, as built by star_labelling."""
+    row = rows[0]
+    rotate, units = levels[0]
+    if len(rows) == 1:
+        masks.extend([bits | row << d & keep | row >> e & wrap for d, keep, e, wrap in rotate[: n - len(masks)]])
+        return
+    for d, keep, e, wrap in rotate:
+        if len(masks) == n:
+            return
+        later_rows = [r | u << d for r, u in zip(rows[1:], units)]
+        _walk_star_prefixes(masks, n, levels[1:], bits | row << d & keep | row >> e & wrap, later_rows)
 
 
 # ---------------------------------------------------------------------------

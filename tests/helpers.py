@@ -1,12 +1,14 @@
 """Shared test oracles.
 
 Everything here is deliberately independent of the library's own algorithms:
-path enumeration is plain depth-limited DFS over adjacency, and the exhaustive
-star check packs bits and compares subsets on its own.
+path enumeration is plain depth-limited DFS over adjacency, the exhaustive
+star check packs bits and compares subsets on its own, and the reference star
+labelling sets each edge's bits from its digit tuple.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -75,6 +77,24 @@ def brute_force_false_positives(
                     if eid not in edge_ids and mask & ~header == 0:
                         violations.append((u, v, eid))
     return violations, paths, cap_hits
+
+
+def star_labelling_reference(n: int, rank: int, base: int) -> tuple[int, list[int]]:
+    """(width, masks) of the star labelling, one edge at a time: edge e's
+    base-k digit tuple d (most significant first) sets bit r*k + d[r] for
+    every coordinate r, then bit (rank + t)*k + (d[r] + d[s]) mod k for the
+    t-th coordinate pair r < s in lexicographic order."""
+    k = base
+    coordinate_pairs = [(r, s) for r in range(rank) for s in range(r + 1, rank)]
+    masks = []
+    for d in itertools.islice(itertools.product(range(k), repeat=rank), n):
+        bits = 0
+        for r in range(rank):
+            bits |= 1 << (r * k + d[r])
+        for t, (r, s) in enumerate(coordinate_pairs):
+            bits |= 1 << ((rank + t) * k + (d[r] + d[s]) % k)
+        masks.append(bits)
+    return (rank + len(coordinate_pairs)) * k, masks
 
 
 STAR_CHUNK_BYTES = 1 << 24

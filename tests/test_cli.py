@@ -207,6 +207,10 @@ class TestVerifyCommand:
                 break
         assert code == 1
 
+    def test_bloom_seed_defaults_to_one(self, capsys):
+        argv = ["verify", "--star", "40", "--scheme", "bloom", "--m", "21", "--k", "7"]
+        assert run(capsys, argv) == run(capsys, [*argv, "--seed", "1"])
+
     def test_star_scheme_needs_star_graph(self, capsys):
         code, _, err = run(capsys, ["verify", "--complete", "5", "--scheme", "star"])
         assert code == 2
@@ -252,6 +256,14 @@ class TestVerifyCommand:
         assert err.startswith("error: ")
         assert "--core" in err
         assert "'x'" in err
+
+    def test_rejects_empty_core(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("4 3\n0 1\n0 2\n0 3\n")
+        code, out, err = run(capsys, ["verify", "--graph", str(path), "--scheme", "combined", "--core", ""])
+        assert code == 2
+        assert out == ""
+        assert err == "error: --core is empty: give comma-separated core vertex ids\n"
 
     def test_malformed_graph_file(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
@@ -306,6 +318,20 @@ class TestRouteCommand:
         assert code == 1
         assert "no path" in err
 
+    @pytest.mark.parametrize(
+        "endpoints, message",
+        [
+            (["--source", "5", "--dest", "1"], "--source 5 is not a vertex id: the graph has 5 vertices, ids from 0"),
+            (["--source", "1", "--dest", "-1"], "--dest -1 is not a vertex id: the graph has 5 vertices, ids from 0"),
+        ],
+        ids=["source", "dest"],
+    )
+    def test_endpoint_out_of_range_names_flag_and_size(self, capsys, endpoints, message):
+        code, out, err = run(capsys, ["route", "--star", "4", "--scheme", "star", *endpoints])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_candidate_counts_printed(self, capsys):
         code, out, _ = run(
             capsys, ["route", "--star", "6", "--scheme", "bit-per-edge", "--source", "2", "--dest", "3"]
@@ -353,9 +379,10 @@ class TestArgumentErrors:
             (["verify", "--star", "4", "--scheme", "bloom", "--m", "4", "--k", "2", "--rank", "1"], "--rank"),
             (["route", "--star", "4", "--scheme", "star", "--k", "3", "--source", "1", "--dest", "2"], "--k"),
             (["verify", "--graph", "GRAPH", "--scheme", "combined", "--core", "0", "--m", "4"], "--m"),
+            (["verify", "--star", "4", "--scheme", "star", "--seed", "5"], "--seed"),
         ],
         ids=["core-generated-core", "core-tree", "core-other-scheme", "rank-bit-per-vertex",
-             "rank-bloom", "k-star", "m-combined"],
+             "rank-bloom", "k-star", "m-combined", "seed-star"],
     )
     def test_flag_the_scheme_does_not_use(self, capsys, tmp_path, argv, flag):
         # each of these used to exit 0 without reading the flag

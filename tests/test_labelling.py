@@ -1,5 +1,6 @@
 """Labellings, constructive labellings, and rank selection."""
 
+import hashlib
 import math
 
 import pytest
@@ -13,15 +14,17 @@ from bitpath import (
     bit_per_vertex,
     ceil_nth_root,
     make_complete,
+    make_perfect_binary_tree,
     make_star,
     optimal_rank,
     optimal_rank_float,
     star_labelling,
     star_universe_size,
+    tree_star_levels,
     verify_no_false_positives,
 )
 from bitpath.labelling import bit_positions
-from helpers import star_recognition_violations
+from helpers import star_labelling_reference, star_recognition_violations
 
 
 def brute_root(n: int, r: int) -> int:
@@ -226,6 +229,41 @@ class TestStarLabelling:
             star_labelling(10, 0)
         with pytest.raises(ValueError):
             star_labelling(10, 2, base=2)  # 2**2 < 10
+
+
+class TestStarLabellingAgainstReference:
+    """The prefix walk builds the same masks as the per-edge digit loop."""
+
+    def test_every_small_star_at_every_rank(self):
+        for n in range(1, 301):
+            for rank in admissible_ranks(n):
+                lab = star_labelling(n, rank)
+                assert (lab.width, list(lab.masks)) == star_labelling_reference(n, rank, brute_root(n, rank)), (n, rank)
+
+    def test_tree_level_stars_with_explicit_base(self):
+        seen = set()
+        for h in range(1, 9):
+            for edge_ids in tree_star_levels(make_perfect_binary_tree(h), 0):
+                choice = optimal_rank_float(len(edge_ids))
+                seen.add((len(edge_ids), choice.rank, choice.base))
+        for n, rank, base in sorted(seen):
+            lab = star_labelling(n, rank, base=base)
+            assert (lab.width, list(lab.masks)) == star_labelling_reference(n, rank, base), (n, rank, base)
+
+    @pytest.mark.parametrize(
+        "rank, digest",
+        [
+            (5, "9937fb50dfb43287daca247e59ac9724b00e2be930dd1bee0e83595b39140b15"),
+            (6, "2b1ad221ed834c7943f976c4587e8acfe5d9e58827fd8f3f7ad56d4cbbf5e21f"),
+        ],
+        ids=["rank-5", "rank-6"],
+    )
+    def test_hundred_thousand_edges_by_digest(self, rank, digest):
+        # sha256 of "<width>\n" + comma-joined hex masks, recorded from the
+        # per-edge digit loop
+        lab = star_labelling(10**5, rank)
+        text = f"{lab.width}\n" + ",".join(format(m, "x") for m in lab.masks)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestNoFalsePositivesOnStars:
