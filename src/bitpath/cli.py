@@ -13,7 +13,7 @@ import csv
 import math
 import sys
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 from .bloom import (
     analytic_fpr,
@@ -50,10 +50,6 @@ BLOOM_TABLE_DEFAULT = (10, 20, 30, 40)
 MAX_PRINTED_VIOLATIONS = 20
 
 
-class UsageError(Exception):
-    """Bad flag combinations; reported on stderr with exit code 2."""
-
-
 def format_percent(p: float) -> str:
     """Probability -> percent with one decimal, round half up."""
     return str(Decimal(repr(p * 100.0)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
@@ -80,92 +76,78 @@ def emit_table(headers: Sequence[str], rows: Sequence[Sequence], fmt: str, out: 
 # table commands
 
 
-def cmd_star_table(args: argparse.Namespace) -> int:
+def _print_table(headers: list[str], sizes: list[int], floor: int, what: str, row: Callable, fmt: str) -> int:
+    """One row per size, in the order given; the first size below floor is an error."""
     rows = []
-    for n in args.sizes:
-        if n < 1:
-            raise UsageError("star sizes must be >= 1")
-        # every star pair has a unique shortest path: n one-edge + C(n,2) two-edge
-        path_count = n + math.comb(n, 2)
-        choice = optimal_rank(n)
-        rows.append([n, ceil_log2(path_count), choice.size, choice.rank])
-    emit_table(
-        ["n", "theoretical_smallest_size", "universe_size", "optimal_rank"],
-        rows,
-        args.format,
-        sys.stdout,
-    )
+    for n in sizes:
+        if n < floor:
+            raise ValueError(f"{what} must be >= {floor}")
+        rows.append(row(n))
+    emit_table(headers, rows, fmt, sys.stdout)
     return 0
+
+
+def cmd_star_table(args: argparse.Namespace) -> int:
+    def row(n: int) -> list:
+        # every star pair has a unique shortest path: n one-edge + C(n,2) two-edge
+        choice = optimal_rank(n)
+        return [n, ceil_log2(n + math.comb(n, 2)), choice.size, choice.rank]
+
+    headers = ["n", "theoretical_smallest_size", "universe_size", "optimal_rank"]
+    return _print_table(headers, args.sizes, 1, "star sizes", row, args.format)
 
 
 def cmd_core_periphery_table(args: argparse.Namespace) -> int:
-    rows = []
-    for n in args.sizes:
-        if n < 2:
-            raise UsageError("core-periphery sizes must be >= 2")
-        vertices = n * n
-        edges = math.comb(n, 2) + n * (n - 1)
+    def row(n: int) -> list:
+        vertices, edges = n * n, math.comb(n, 2) + n * (n - 1)
         # all vertex pairs have unique shortest paths here
-        rows.append(
-            [n, vertices, edges, ceil_log2(math.comb(vertices, 2)), core_periphery_universe_size(n)]
-        )
-    emit_table(
-        ["n", "vertices", "edges", "theoretical_smallest_size", "universe_size"],
-        rows,
-        args.format,
-        sys.stdout,
-    )
-    return 0
+        return [n, vertices, edges, ceil_log2(math.comb(vertices, 2)), core_periphery_universe_size(n)]
+
+    headers = ["n", "vertices", "edges", "theoretical_smallest_size", "universe_size"]
+    return _print_table(headers, args.sizes, 2, "core-periphery sizes", row, args.format)
 
 
 def cmd_binary_tree_table(args: argparse.Namespace) -> int:
-    rows = []
-    for h in args.heights:
-        if h < 1:
-            raise UsageError("tree heights must be >= 1")
+    def row(h: int) -> list:
         vertices = 2 ** (h + 1) - 1
-        rows.append(
-            [h, vertices, ceil_log2(math.comb(vertices, 2)), perfect_tree_universe_size(h)]
-        )
-    emit_table(
-        ["height", "vertices", "theoretical_smallest_size", "universe_size"],
-        rows,
-        args.format,
-        sys.stdout,
-    )
+        return [h, vertices, ceil_log2(math.comb(vertices, 2)), perfect_tree_universe_size(h)]
+
+    headers = ["height", "vertices", "theoretical_smallest_size", "universe_size"]
+    code = _print_table(headers, args.heights, 1, "tree heights", row, args.format)
     print(
         "note: theoretical_smallest_size = ceil(log2(total number of shortest "
         "paths)); on a tree that is ceil(log2(C(|V|, 2)))",
         file=sys.stderr,
     )
-    return 0
+    return code
 
 
 def cmd_bloom_table(args: argparse.Namespace) -> int:
+    _reject_unused_flags([
+        ("--trials", args.trials, args.empirical, "--empirical"),
+        ("--seed", args.seed, args.empirical, "--empirical"),
+    ])
+    trials = 100_000 if args.trials is None else args.trials
+    seed = 1 if args.seed is None else args.seed
     headers = ["edges", "universe_size", "analytic_fpr_percent"]
     if args.at_least_one:
         headers.append("at_least_one_percent")
     if args.empirical:
         headers.append("empirical_fpr_percent")
-    rows = []
-    for e in args.sizes:
-        if e < 3:
-            raise UsageError("bloom table sizes must be >= 3")
+
+    def row(e: int) -> list:
         m = optimal_rank(e).size
-        fpr = analytic_fpr(m, 2, optimal_label_weight(m, 2))
-        fpr_cell = format_percent(fpr)
-        row: list = [e, m, fpr_cell]
+        fpr_cell = format_percent(analytic_fpr(m, 2, optimal_label_weight(m, 2)))
+        cells: list = [e, m, fpr_cell]
         if args.at_least_one:
             # uses the rounded per-edge percent, matching the printed column
-            rounded_p = float(fpr_cell) / 100.0
-            row.append(format_percent(at_least_one_fp(rounded_p, e - 2)))
+            cells.append(format_percent(at_least_one_fp(float(fpr_cell) / 100.0, e - 2)))
         if args.empirical:
-            k_int = optimal_label_weight_int(m, 2)
-            rate, _ = empirical_fpr(e, m, k_int, args.trials, args.seed)
-            row.append(format_percent(rate))
-        rows.append(row)
-    emit_table(headers, rows, args.format, sys.stdout)
-    return 0
+            rate, _ = empirical_fpr(e, m, optimal_label_weight_int(m, 2), trials, seed)
+            cells.append(format_percent(rate))
+        return cells
+
+    return _print_table(headers, args.sizes, 3, "bloom table sizes", row, args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -213,32 +195,26 @@ def _resolve_graph(args: argparse.Namespace) -> tuple[Graph, frozenset[int] | No
     if args.tree is not None:
         return make_perfect_binary_tree(args.tree), None
     with open(args.graph, encoding="utf-8") as fh:
-        return load_edge_list(fh.read()), None
+        g = load_edge_list(fh.read())
+    return g, None if args.core is None else _parse_core(args.core)
 
 
 def _parse_core(text: str) -> frozenset[int]:
     if not text:
-        raise UsageError("--core is empty: give comma-separated core vertex ids")
+        raise ValueError("--core is empty: give comma-separated core vertex ids")
     core = set()
     for tok in text.split(","):
         try:
             core.add(int(tok))
         except ValueError:
-            raise UsageError(f"--core: {tok!r} is not a vertex id") from None
+            raise ValueError(f"--core: {tok!r} is not a vertex id") from None
     return frozenset(core)
 
 
-def _reject_unused_flags(args: argparse.Namespace) -> None:
-    scheme, from_file = args.scheme, args.graph is not None
-    for flag, value, used, where in (
-        ("--rank", args.rank, scheme == "star", "--scheme star"),
-        ("--core", args.core, scheme == "combined" and from_file, "--graph with --scheme combined"),
-        ("--m", args.m, scheme == "bloom", "--scheme bloom"),
-        ("--k", args.k, scheme == "bloom", "--scheme bloom"),
-        ("--seed", args.seed, scheme == "bloom", "--scheme bloom"),
-    ):
+def _reject_unused_flags(rows: Iterable[tuple[str, object, bool, str]]) -> None:
+    for flag, value, used, where in rows:
         if value is not None and not used:
-            raise UsageError(f"{flag} applies only to {where}")
+            raise ValueError(f"{flag} applies only to {where}")
 
 
 def _resolve_labelling(args: argparse.Namespace, g: Graph, core: frozenset[int] | None):
@@ -248,27 +224,36 @@ def _resolve_labelling(args: argparse.Namespace, g: Graph, core: frozenset[int] 
         return bit_per_vertex(g)
     if args.scheme == "star":
         if args.star is None:
-            raise UsageError("--scheme star requires a --star graph")
-        rank = args.rank if args.rank is not None else optimal_rank(args.star).rank
+            raise ValueError("--scheme star requires a --star graph")
+        # past ceil(log2 N) the base stays 2 and a rank only adds bits
+        top = max(1, ceil_log2(args.star))
+        rank = optimal_rank(args.star).rank if args.rank is None else args.rank
+        if not 1 <= rank <= top:
+            raise ValueError(f"--rank must be in 1..{top} for --star {args.star}, got {rank}")
         return star_labelling(args.star, rank)
     if args.scheme == "combined":
         if core is not None:
             return label_core_periphery(g, core)
         if args.tree is not None:
             return label_tree(g, 0)
-        if args.core is not None:  # only given with --graph
-            return label_core_periphery(g, _parse_core(args.core))
-        raise UsageError("--scheme combined requires --core-periphery, --tree, or --graph with --core")
+        raise ValueError("--scheme combined requires --core-periphery, --tree, or --graph with --core")
     # "bloom": argparse's choices admit no other scheme
     if args.m is None or args.k is None:
-        raise UsageError("--scheme bloom requires --m and --k")
+        raise ValueError("--scheme bloom requires --m and --k")
     return bloom_labelling(g, args.m, args.k, 1 if args.seed is None else args.seed)
 
 
 def _graph_and_labelling(args: argparse.Namespace):
     """The graph and labelling that verify and route act on, after the flag
     checks; the labelling is also written out if --dump-labelling asks."""
-    _reject_unused_flags(args)
+    scheme, from_file = args.scheme, args.graph is not None
+    _reject_unused_flags([
+        ("--rank", args.rank, scheme == "star", "--scheme star"),
+        ("--core", args.core, scheme == "combined" and from_file, "--graph with --scheme combined"),
+        ("--m", args.m, scheme == "bloom", "--scheme bloom"),
+        ("--k", args.k, scheme == "bloom", "--scheme bloom"),
+        ("--seed", args.seed, scheme == "bloom", "--scheme bloom"),
+    ])
     g, core = _resolve_graph(args)
     labelling = _resolve_labelling(args, g, core)
     if args.dump_labelling:
@@ -279,7 +264,7 @@ def _graph_and_labelling(args: argparse.Namespace):
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.path_cap < 1:
-        raise UsageError(f"--path-cap must be >= 1, got {args.path_cap}")
+        raise ValueError(f"--path-cap must be >= 1, got {args.path_cap}")
     g, labelling = _graph_and_labelling(args)
     report = verify_no_false_positives(g, labelling, path_cap=args.path_cap)
     print(report.summary())
@@ -295,7 +280,7 @@ def cmd_route(args: argparse.Namespace) -> int:
     g, labelling = _graph_and_labelling(args)
     for flag, vertex in (("--source", args.source), ("--dest", args.dest)):
         if not 0 <= vertex < g.vertex_count:
-            raise UsageError(
+            raise ValueError(
                 f"{flag} {vertex} is not a vertex id: the graph has {g.vertex_count} vertices, ids from 0"
             )
     try:
@@ -342,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sizes", type=int, nargs="*", default=list(BLOOM_TABLE_DEFAULT))
     p.add_argument("--at-least-one", action="store_true", help="add P(any off-path FP) column")
     p.add_argument("--empirical", action="store_true", help="add a measured-rate column")
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--trials", type=int, help="--empirical: trials per size (default: 100000)")
+    p.add_argument("--seed", type=int, help="--empirical: RNG seed (default: 1)")
     add_format(p)
     p.set_defaults(func=cmd_bloom_table)
 
@@ -368,7 +353,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

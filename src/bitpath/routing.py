@@ -163,6 +163,8 @@ def verify_no_false_positives(
     """
     if path_cap < 1:
         raise ValueError(f"path_cap must be at least 1, got {path_cap}")
+    if fp_record_cap < 0:
+        raise ValueError(f"fp_record_cap must be at least 0, got {fp_record_cap}")
     report = VerificationReport(path_cap=path_cap, fp_record_cap=fp_record_cap)
     edge_count = g.edge_count
     if labelling.edge_count != edge_count:
@@ -216,13 +218,9 @@ def verify_no_false_positives(
                     rejected |= row[p]
                 if rejected == all_edges:
                     continue
-                room = fp_record_cap - len(report.false_positives)
-                if room <= 0:
-                    report.fp_truncated = True
-                    break
-                found = bit_positions(all_edges & ~rejected)
-                report.false_positives += [(u, v, eid) for eid in found[:room]]
-                if len(found) > room:
+                report.false_positives += [(u, v, eid) for eid in bit_positions(all_edges & ~rejected)]
+                if len(report.false_positives) > fp_record_cap:
+                    del report.false_positives[fp_record_cap:]
                     report.fp_truncated = True
                     break
     return report

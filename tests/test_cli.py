@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import os
 import subprocess
 import sys
@@ -45,6 +46,14 @@ BLOOM_CSV = (
     "30,18,1.3\n"
     "40,21,0.6\n"
 )
+
+
+GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
+CLI_GOLDENS = {
+    key: golden
+    for key, golden in json.loads(GOLDENS.read_text(encoding="utf-8")).items()
+    if key.startswith("cli ")
+}
 
 
 def run(capsys, argv):
@@ -168,6 +177,12 @@ class TestTables:
         assert "too large" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key", sorted(CLI_GOLDENS))
+    def test_benchmark_golden(self, capsys, key):
+        # the benchmark's recorded CLI runs: default tables and README examples
+        code, out, err = run(capsys, key.split()[1:])
+        assert {"exit": code, "stdout": out, "stderr": err} == CLI_GOLDENS[key]
+
     def test_rejects_bad_sizes(self, capsys):
         code, _, err = run(capsys, ["star-table", "0"])
         assert code == 2
@@ -282,6 +297,19 @@ class TestVerifyCommand:
         parsed = Labelling.from_text(dump.read_text())
         assert parsed.masks == star_labelling(10, 2).masks
 
+    @pytest.mark.parametrize("rank", ["0", "5"])
+    def test_rank_outside_admissible_range(self, capsys, rank):
+        # a 10-edge star takes ranks 1..ceil(log2 10) = 1..4
+        code, out, err = run(capsys, ["verify", "--star", "10", "--scheme", "star", "--rank", rank])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --rank must be in 1..4 for --star 10, got {rank}\n"
+
+    def test_top_rank_is_accepted(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--star", "10", "--scheme", "star", "--rank", "4"])
+        assert code == 0
+        assert out.startswith("ok:")
+
 
 class TestRouteCommand:
     def test_star_route(self, capsys):
@@ -380,9 +408,12 @@ class TestArgumentErrors:
             (["route", "--star", "4", "--scheme", "star", "--k", "3", "--source", "1", "--dest", "2"], "--k"),
             (["verify", "--graph", "GRAPH", "--scheme", "combined", "--core", "0", "--m", "4"], "--m"),
             (["verify", "--star", "4", "--scheme", "star", "--seed", "5"], "--seed"),
+            (["bloom-table", "10", "--trials", "0"], "--trials"),
+            (["bloom-table", "10", "--seed", "3"], "--seed"),
         ],
         ids=["core-generated-core", "core-tree", "core-other-scheme", "rank-bit-per-vertex",
-             "rank-bloom", "k-star", "m-combined", "seed-star"],
+             "rank-bloom", "k-star", "m-combined", "seed-star", "trials-analytic-table",
+             "seed-analytic-table"],
     )
     def test_flag_the_scheme_does_not_use(self, capsys, tmp_path, argv, flag):
         # each of these used to exit 0 without reading the flag

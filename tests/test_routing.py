@@ -285,6 +285,10 @@ class TestVerify:
         with pytest.raises(ValueError, match="path_cap"):
             verify_no_false_positives(make_star(3), star_labelling(3, 2), path_cap=path_cap)
 
+    def test_rejects_negative_fp_record_cap(self):
+        with pytest.raises(ValueError, match="fp_record_cap"):
+            verify_no_false_positives(make_star(3), star_labelling(3, 2), fp_record_cap=-1)
+
     @pytest.mark.parametrize("g", [make_star(3), Graph(3, [])], ids=["star", "edgeless"])
     def test_rejects_labelling_of_another_edge_count(self, g):
         with pytest.raises(ValueError, match="does not cover"):
