@@ -42,7 +42,6 @@ from .graphs import (
     count_shortest_paths,
     emit_edge_list,
     is_connected,
-    iter_shortest_paths,
     load_edge_list,
     make_complete,
     make_core_periphery,

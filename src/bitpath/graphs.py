@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 
 class EdgeListParseError(ValueError):
@@ -28,16 +28,6 @@ class Path:
 
     def __len__(self) -> int:
         return len(self.edges)
-
-    def validate(self, g: "Graph") -> None:
-        """Check the path is simple and consistent with g's edge list."""
-        if len(self.vertices) != len(self.edges) + 1:
-            raise ValueError("path needs exactly one more vertex than edges")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("path revisits a vertex")
-        for (a, b), eid in zip(zip(self.vertices, self.vertices[1:]), self.edges):
-            if set(g.edges[eid]) != {a, b}:
-                raise ValueError(f"edge {eid} does not join vertices {a} and {b}")
 
 
 class Graph:
@@ -234,48 +224,6 @@ def _bfs(g: Graph, source: int, target: int | None = None) -> tuple[list[int], l
     return dist, via, order
 
 
-def _steps_toward_source(g: Graph, dist: Sequence[int]) -> list[list[tuple[int, int]]]:
-    """For each vertex, its (neighbour, edge id) steps one hop closer to the
-    source of the BFS that gave dist, in ascending neighbour id; empty for
-    the source and for unreached vertices."""
-    return [
-        [(x, eid) for x, eid in g.adjacency[w] if dist[x] == d - 1] if d > 0 else []
-        for w, d in enumerate(dist)
-    ]
-
-
-def _walk(
-    steps: Sequence[Sequence[tuple[int, int]]], start: int, source: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every shortest path from start to the BFS source as (vertices, edge
-    ids), lexicographic by vertex sequence, one at a time: a depth-first
-    walk down the step table, kept on an explicit stack so path length is
-    not bounded by the recursion limit."""
-    if start == source:
-        yield (start,), ()
-        return
-    vertices, edge_ids = [start], []
-    pending = [iter(steps[start])]  # pending[i]: untried steps out of vertices[i]
-    while True:
-        step = next(pending[-1], None)
-        if step is None:
-            pending.pop()
-            if not pending:
-                return
-            vertices.pop()
-            edge_ids.pop()
-            continue
-        nbr, eid = step
-        vertices.append(nbr)
-        edge_ids.append(eid)
-        if nbr == source:
-            yield tuple(vertices), tuple(edge_ids)
-            vertices.pop()
-            edge_ids.pop()
-        else:
-            pending.append(iter(steps[nbr]))
-
-
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """BFS hop counts from source; -1 marks unreachable vertices."""
     return _bfs(g, source)[0]
@@ -307,22 +255,6 @@ def shortest_path(g: Graph, u: int, v: int) -> Path:
     vertices.reverse()
     edge_ids.reverse()
     return Path(tuple(vertices), tuple(edge_ids))
-
-
-def iter_shortest_paths(g: Graph, u: int, v: int) -> Iterator[Path]:
-    """All shortest u-v paths, lexicographic by vertex sequence.
-
-    One BFS from v, then a lazy walk from u down the table of steps one hop
-    closer to v. verify_no_false_positives folds over the same BFS order and
-    tie-break instead of walking each pair.
-    """
-    if not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
-        raise ValueError("endpoint out of range")
-    dist = bfs_distances(g, v)
-    if dist[u] < 0:
-        raise NoPathError(f"no path from {u} to {v}")
-    for vertices, edge_ids in _walk(_steps_toward_source(g, dist), u, v):
-        yield Path(vertices, edge_ids)
 
 
 def count_shortest_paths(g: Graph) -> int:

@@ -47,29 +47,32 @@ class Labelling:
 
     @classmethod
     def from_text(cls, text: str) -> "Labelling":
-        """Parse the to_text format."""
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("universe "):
-            raise ValueError("line 1: expected 'universe <size>'")
+        """Parse the to_text format. Blank lines are skipped; an error names
+        its line by position in text."""
+        lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+        lineno, head = lines[0] if lines else (1, "")
+        bad_header = f"line {lineno}: expected 'universe <size>'"
+        if not head.startswith("universe ") or len(head.split()) != 2:
+            raise ValueError(bad_header)
         try:
-            width = int(lines[0].split()[1])
-        except (IndexError, ValueError):
-            raise ValueError("line 1: expected 'universe <size>'") from None
+            width = int(head.split()[1])
+        except ValueError:
+            raise ValueError(bad_header) from None
         if width < 0:
-            raise ValueError(f"line 1: universe size must be non-negative, got {width}")
+            raise ValueError(f"line {lineno}: universe size must be non-negative, got {width}")
         masks = []
-        for i, line in enumerate(lines[1:]):
-            prefix = f"edge {i}:"
+        for eid, (lineno, line) in enumerate(lines[1:]):
+            prefix = f"edge {eid}:"
             if not line.startswith(prefix):
-                raise ValueError(f"line {i + 2}: expected '{prefix} ...'")
+                raise ValueError(f"line {lineno}: expected '{prefix} ...'")
             bits = 0
             for tok in line[len(prefix) :].split():
                 try:
                     pos = int(tok)
                 except ValueError:
-                    raise ValueError(f"line {i + 2}: bit {tok!r} is not an integer") from None
+                    raise ValueError(f"line {lineno}: bit {tok!r} is not an integer") from None
                 if not 0 <= pos < width:
-                    raise ValueError(f"line {i + 2}: bit {pos} outside universe")
+                    raise ValueError(f"line {lineno}: bit {pos} outside universe")
                 bits |= 1 << pos
             masks.append(bits)
         return cls(width, masks)

@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 
-from bitpath import Graph, make_random_connected
+from bitpath import Graph, Path, make_random_connected
 
 
 def brute_force_shortest_paths(g: Graph, u: int, v: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -41,6 +41,15 @@ def brute_force_shortest_paths(g: Graph, u: int, v: int) -> list[tuple[tuple[int
         if found:
             break
     return sorted(found)
+
+
+def validate_path(g: Graph, path: Path) -> None:
+    """Assert that path is simple and that each of its edge ids joins the
+    two vertices it sits between."""
+    assert len(path.vertices) == len(path.edges) + 1, "path needs one more vertex than edges"
+    assert len(set(path.vertices)) == len(path.vertices), "path revisits a vertex"
+    for (a, b), eid in zip(zip(path.vertices, path.vertices[1:]), path.edges):
+        assert set(g.edges[eid]) == {a, b}, f"edge {eid} does not join vertices {a} and {b}"
 
 
 def brute_force_total_path_count(g: Graph) -> int:

@@ -16,7 +16,6 @@ from bitpath import (
     combine,
     contract,
     core_periphery_universe_size,
-    iter_shortest_paths,
     label_core_periphery,
     label_tree,
     make_complete,
@@ -30,6 +29,7 @@ from bitpath import (
     tree_star_levels,
     verify_no_false_positives,
 )
+from helpers import brute_force_shortest_paths
 
 
 def grow_forest(data, edges: list[tuple[int, int]], start: int, stop: int) -> Graph:
@@ -288,16 +288,16 @@ class TestPathSplittingPremise:
         core_edge_set = set(d.core_edge_map)
         for u in range(g.vertex_count):
             for v in range(u + 1, g.vertex_count):
-                for path in iter_shortest_paths(g, u, v):
+                for vertices, edges in brute_force_shortest_paths(g, u, v):
                     core_positions = [
-                        i for i, eid in enumerate(path.edges) if eid in core_edge_set
+                        i for i, eid in enumerate(edges) if eid in core_edge_set
                     ]
                     if core_positions:
                         # contiguous block of core edges
                         assert core_positions == list(
                             range(core_positions[0], core_positions[-1] + 1)
                         )
-                        block_vertices = path.vertices[
+                        block_vertices = vertices[
                             core_positions[0] : core_positions[-1] + 2
                         ]
                         a = original_to_core[block_vertices[0]]
@@ -305,7 +305,7 @@ class TestPathSplittingPremise:
                         assert len(block_vertices) - 1 == core_dist[a][b]
                     # remaining edges form a shortest path in the periphery
                     peri_vertices = []
-                    for w in path.vertices:
+                    for w in vertices:
                         mapped = (
                             CONTRACTED_VERTEX
                             if w in core
@@ -315,7 +315,7 @@ class TestPathSplittingPremise:
                             peri_vertices.append(mapped)
                     peri_edges = [
                         edge_to_peri[eid]
-                        for eid in path.edges
+                        for eid in edges
                         if eid not in core_edge_set
                     ]
                     assert len(peri_edges) == len(peri_vertices) - 1

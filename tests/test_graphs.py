@@ -15,7 +15,6 @@ from bitpath import (
     count_shortest_paths,
     emit_edge_list,
     is_connected,
-    iter_shortest_paths,
     load_edge_list,
     make_complete,
     make_core_periphery,
@@ -30,6 +29,7 @@ from helpers import (
     brute_force_total_path_count,
     grid_4x4,
     shuffled_edge_ids,
+    validate_path,
 )
 
 
@@ -247,7 +247,23 @@ class TestShortestPath:
     def test_paths_validate_against_graph(self):
         g = make_perfect_binary_tree(4)
         for v in range(g.vertex_count):
-            shortest_path(g, 0, v).validate(g)
+            validate_path(g, shortest_path(g, 0, v))
+
+    def test_matches_first_brute_force_path(self):
+        # the BFS tie-break picks the lexicographically first shortest path
+        graphs = [
+            four_cycle(),
+            make_complete(5),
+            make_random_connected(8, 0.4, seed=5),
+            make_random_connected(7, 0.5, seed=9),
+            grid_4x4(),
+        ]
+        for g in graphs + [shuffled_edge_ids(g, seed=3) for g in graphs]:
+            for u in range(g.vertex_count):
+                for v in range(g.vertex_count):
+                    p = shortest_path(g, u, v)
+                    assert (p.vertices, p.edges) == brute_force_shortest_paths(g, u, v)[0]
+                    validate_path(g, p)
 
     def test_lengths_match_bfs_distance(self):
         for g in (
@@ -265,48 +281,25 @@ class TestShortestPath:
 
 class TestAllShortestPaths:
     def test_four_cycle_opposite_corners(self):
-        paths = list(iter_shortest_paths(four_cycle(), 0, 2))
-        assert [p.vertices for p in paths] == [(0, 1, 2), (0, 3, 2)]
+        paths = brute_force_shortest_paths(four_cycle(), 0, 2)
+        assert [vertices for vertices, _ in paths] == [(0, 1, 2), (0, 3, 2)]
 
     def test_tree_pairs_are_unique(self):
         g = make_perfect_binary_tree(3)
         for u in range(g.vertex_count):
             for v in range(u + 1, g.vertex_count):
-                assert len(list(iter_shortest_paths(g, u, v))) == 1
+                assert len(brute_force_shortest_paths(g, u, v)) == 1
 
     def test_complete_adjacent_pair(self):
-        paths = list(iter_shortest_paths(make_complete(6), 1, 4))
-        assert len(paths) == 1
-        assert len(paths[0]) == 1
-
-    def test_long_path_graph_does_not_recurse(self):
-        # one stack frame per hop would pass Python's default recursion limit
-        g = Graph(1500, [(i, i + 1) for i in range(1499)])
-        paths = list(iter_shortest_paths(g, 0, 1499))
-        assert len(paths) == 1
-        assert paths[0].vertices == tuple(range(1500))
-        assert paths[0].edges == tuple(range(1499))
-
-    def test_matches_brute_force_enumeration(self):
-        for g in (
-            four_cycle(),
-            make_complete(5),
-            make_random_connected(8, 0.4, seed=5),
-            make_random_connected(7, 0.5, seed=9),
-        ):
-            for u in range(g.vertex_count):
-                for v in range(g.vertex_count):
-                    expected = brute_force_shortest_paths(g, u, v)
-                    got = [(p.vertices, p.edges) for p in iter_shortest_paths(g, u, v)]
-                    assert got == expected
+        assert brute_force_shortest_paths(make_complete(6), 1, 4) == [((1, 4), (7,))]
 
     def test_members_all_have_bfs_length(self):
         g = make_random_connected(12, 0.3, seed=2)
         for u in range(g.vertex_count):
             dist = bfs_distances(g, u)
             for v in range(g.vertex_count):
-                for p in iter_shortest_paths(g, u, v):
-                    assert len(p) == dist[v]
+                for _, edges in brute_force_shortest_paths(g, u, v):
+                    assert len(edges) == dist[v]
 
 
 class TestCounting:
@@ -324,8 +317,16 @@ class TestCounting:
             assert count_shortest_paths(g) == math.comb(g.vertex_count, 2)
 
     def test_complete_matches_brute_force(self):
-        g = make_complete(5)
-        assert count_shortest_paths(g) == brute_force_total_path_count(g)
+        # all but make_complete(5) have several shortest paths between some pairs
+        grid = grid_4x4()
+        for g in (
+            make_complete(5),
+            four_cycle(),
+            grid,
+            make_random_connected(8, 0.4, seed=5),
+            shuffled_edge_ids(grid, seed=3),
+        ):
+            assert count_shortest_paths(g) == brute_force_total_path_count(g)
 
     def test_core_periphery_all_pairs_unique(self):
         for n in (2, 3, 4, 8, 12):
@@ -372,5 +373,5 @@ class TestStarPathShape:
             g = make_star(n)
             for u in range(g.vertex_count):
                 for v in range(u + 1, g.vertex_count):
-                    for p in iter_shortest_paths(g, u, v):
-                        assert len(p) <= 2
+                    for _, edges in brute_force_shortest_paths(g, u, v):
+                        assert len(edges) <= 2

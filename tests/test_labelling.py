@@ -353,8 +353,12 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "text, message",
-        [("edges 3\n", "line 1"), ("universe -3\n", "line 1: .*non-negative")],
-        ids=["not-universe", "negative-size"],
+        [
+            ("edges 3\n", "line 1"),
+            ("universe -3\n", "line 1: .*non-negative"),
+            ("universe 4 5\n", "line 1: expected 'universe <size>'"),
+        ],
+        ids=["not-universe", "negative-size", "extra-token"],
     )
     def test_parse_rejects_bad_header(self, text, message):
         with pytest.raises(ValueError, match=message):
@@ -365,8 +369,10 @@ class TestSerialization:
         [
             ("universe 2\nedge 0: 5\n", "outside universe"),
             ("universe 4\nedge 0: 1 x\n", "line 2: .*'x'"),
+            ("universe 4\n\nedge 0: 1 x\n", "line 3: .*'x'"),
+            ("universe 4\nedge 0: 1\n\n\nedge 2: 1\n", "line 5: expected 'edge 1: ...'"),
         ],
-        ids=["out-of-range", "not-an-integer"],
+        ids=["out-of-range", "not-an-integer", "after-blank-line", "edge-gap-after-blank-lines"],
     )
     def test_parse_rejects_out_of_range_bit(self, text, message):
         with pytest.raises(ValueError, match=message):
