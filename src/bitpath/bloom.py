@@ -16,18 +16,47 @@ from .labelling import Labelling
 
 
 def _draw_masks(rng: random.Random, edge_count: int, m: int, k: int) -> list[int]:
+    """One mask per edge, each the OR of rng.sample(range(m), k), drawn with
+    exactly the getrandbits calls CPython's Random.sample makes: above its
+    set-size threshold, redraw m.bit_length() bits while the value is out of
+    range or already taken; at or below it, pool-swap over randbelow(n) for
+    n = m, m - 1, ..., m - k + 1."""
+    getrandbits = rng.getrandbits
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
     masks = []
-    for _ in range(edge_count):
-        bits = 0
-        for b in rng.sample(range(m), k):
-            bits |= 1 << b
-        masks.append(bits)
+    if m > setsize:
+        width = m.bit_length()
+        for _ in range(edge_count):
+            bits = 0
+            for _ in range(k):
+                j = getrandbits(width)
+                while j >= m or bits >> j & 1:
+                    j = getrandbits(width)
+                bits |= 1 << j
+            masks.append(bits)
+    else:
+        population = list(range(m))
+        for _ in range(edge_count):
+            pool = population[:]
+            bits = 0
+            for n in range(m, m - k, -1):
+                width = n.bit_length()
+                j = getrandbits(width)
+                while j >= n:
+                    j = getrandbits(width)
+                bits |= 1 << pool[j]
+                pool[j] = pool[n - 1]
+            masks.append(bits)
     return masks
 
 
 def bloom_labelling(g: Graph, m: int, k: int, seed: int) -> Labelling:
     """Independent uniform k-subsets of {0..m-1}, one per edge in edge-id
-    order; the same seed reproduces the labelling bit for bit."""
+    order; the same seed reproduces the labelling bit for bit. Edge e's mask
+    is the OR of the e-th Random(seed).sample(range(m), k) call, drawn with
+    CPython's sample algorithm straight from getrandbits."""
     if not 1 <= k <= m:
         raise ValueError("label weight must satisfy 1 <= k <= universe size")
     return Labelling(m, _draw_masks(random.Random(seed), g.edge_count, m, k))
@@ -113,9 +142,8 @@ def empirical_fpr(star_n: int, m: int, k: int, trials: int, seed: int) -> Empiri
         masks = _draw_masks(rng, star_n, m, k)
         e1, e2 = rng.sample(range(star_n), 2)
         not_header = ~(masks[e1] | masks[e2])
-        for gid in range(star_n):
-            if gid != e1 and gid != e2 and masks[gid] & not_header == 0:
-                hits += 1
+        # both on-path labels always lie inside the header
+        hits += sum(1 for mask in masks if mask & not_header == 0) - 2
     observations = trials * (star_n - 2)
     rate = hits / observations
     stderr = math.sqrt(rate * (1.0 - rate) / observations)

@@ -14,8 +14,16 @@ from .graphs import Graph
 
 
 def bit_positions(x: int) -> list[int]:
-    """Ascending positions of the set bits of x >= 0: the one bit iterator."""
-    return [i for i, c in enumerate(bin(x)[:1:-1]) if c == "1"]
+    """Ascending positions of the set bits of x >= 0: the one bit iterator.
+    Peels the lowest set bit off x until none is left."""
+    if x < 0:
+        raise ValueError(f"bit set must be non-negative, got {x}")
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
 
 
 class Labelling:
@@ -41,7 +49,7 @@ class Labelling:
         """Serialize as 'universe <size>' then one 'edge <id>: <positions>' line each."""
         lines = [f"universe {self.width}"]
         for eid, mask in enumerate(self.masks):
-            positions = " ".join(str(p) for p in bit_positions(mask))
+            positions = " ".join(map(str, bit_positions(mask)))
             lines.append(f"edge {eid}: {positions}")
         return "\n".join(lines) + "\n"
 

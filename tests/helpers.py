@@ -2,13 +2,15 @@
 
 Everything here is deliberately independent of the library's own algorithms:
 path enumeration is plain depth-limited DFS over adjacency, the exhaustive
-star check packs bits and compares subsets on its own, and the reference star
-labelling sets each edge's bits from its digit tuple.
+star check packs bits and compares subsets on its own, the reference star
+labelling sets each edge's bits from its digit tuple, and the reference Bloom
+draw calls Random.sample once per edge.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -104,6 +106,35 @@ def star_labelling_reference(n: int, rank: int, base: int) -> tuple[int, list[in
             bits |= 1 << ((rank + t) * k + (d[r] + d[s]) % k)
         masks.append(bits)
     return (rank + len(coordinate_pairs)) * k, masks
+
+
+def sample_draw_masks(rng: random.Random, edge_count: int, m: int, k: int) -> list[int]:
+    """Bloom masks one edge at a time: each the OR of rng.sample(range(m), k)."""
+    masks = []
+    for _ in range(edge_count):
+        bits = 0
+        for b in rng.sample(range(m), k):
+            bits |= 1 << b
+        masks.append(bits)
+    return masks
+
+
+def sample_empirical_fpr(star_n: int, m: int, k: int, trials: int, seed: int) -> tuple[float, float]:
+    """(rate, stderr) of the star experiment with sample_draw_masks: per
+    trial, count the off-path edges whose label lies inside the header of a
+    random leaf-to-leaf path, testing every edge but the two on the path."""
+    hits = 0
+    for t in range(trials):
+        rng = random.Random(f"{seed}:{t}")
+        masks = sample_draw_masks(rng, star_n, m, k)
+        e1, e2 = rng.sample(range(star_n), 2)
+        header = masks[e1] | masks[e2]
+        for gid in range(star_n):
+            if gid != e1 and gid != e2 and masks[gid] & ~header == 0:
+                hits += 1
+    observations = trials * (star_n - 2)
+    rate = hits / observations
+    return rate, math.sqrt(rate * (1.0 - rate) / observations)
 
 
 STAR_CHUNK_BYTES = 1 << 24

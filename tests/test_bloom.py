@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -15,6 +16,10 @@ from bitpath import (
     optimal_label_weight,
     optimal_label_weight_int,
 )
+from bitpath.bloom import _draw_masks
+from bitpath.cli import BLOOM_TABLE_DEFAULT
+from bitpath.labelling import optimal_rank
+from helpers import sample_draw_masks, sample_empirical_fpr
 
 LN2 = math.log(2.0)
 
@@ -55,6 +60,47 @@ class TestBloomLabelling:
             bloom_labelling(g, 10, 11, seed=0)
         with pytest.raises(ValueError):
             bloom_labelling(g, 10, 0, seed=0)
+
+
+def bloom_table_rows() -> list[tuple[int, int, int]]:
+    """(star edges, universe size, label weight) of each default bloom-table row."""
+    rows = []
+    for e in BLOOM_TABLE_DEFAULT:
+        m = optimal_rank(e).size
+        rows.append((e, m, optimal_label_weight_int(m, 2)))
+    return rows
+
+
+class TestDrawMatchesSample:
+    """_draw_masks must make the same getrandbits calls as Random.sample, so
+    every mask and the generator's state afterwards match the reference."""
+
+    @staticmethod
+    def assert_same_draw(edge_count: int, m: int, k: int, seed) -> None:
+        ours, reference = random.Random(seed), random.Random(seed)
+        assert _draw_masks(ours, edge_count, m, k) == sample_draw_masks(reference, edge_count, m, k)
+        assert ours.getstate() == reference.getstate()
+
+    def test_every_small_universe_and_weight(self):
+        # covers both of sample's branches: the pool swap (m at most its set
+        # size threshold) and redraw-until-new (m above it)
+        for m in range(1, 65):
+            for k in range(1, m + 1):
+                for seed in range(3):
+                    self.assert_same_draw(4, m, k, seed)
+
+    @pytest.mark.parametrize("m, k", [(502, 13), (68, 4), (21, 7)])
+    def test_benchmark_shapes(self, m, k):
+        self.assert_same_draw(300, m, k, 1)
+
+    @pytest.mark.parametrize("star_n, m, k", bloom_table_rows())
+    def test_bloom_table_rows(self, star_n, m, k):
+        for t in range(50):
+            self.assert_same_draw(star_n, m, k, f"7:{t}")
+
+    @pytest.mark.parametrize("star_n, m, k", bloom_table_rows())
+    def test_empirical_rate_matches_reference(self, star_n, m, k):
+        assert tuple(empirical_fpr(star_n, m, k, trials=300, seed=7)) == sample_empirical_fpr(star_n, m, k, 300, 7)
 
 
 class TestAnalytics:

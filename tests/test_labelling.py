@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -326,6 +327,22 @@ class TestLabellingType:
             rebuilt |= 1 << p
         assert rebuilt == wide
         assert Labelling(200, [wide]).to_text() == "universe 200\nedge 0: 0 63 64 130 199\n"
+
+    def test_bit_positions_rejects_negative(self):
+        for x in (-1, -0b1001, -(1 << 200)):
+            with pytest.raises(ValueError, match="non-negative"):
+                bit_positions(x)
+
+    def test_bit_positions_matches_bit_scan(self):
+        def scan(x: int) -> list[int]:
+            return [i for i in range(x.bit_length()) if x >> i & 1]
+
+        rng = random.Random(12)
+        values = [0, 1 << 64]
+        values += [rng.getrandbits(rng.randrange(1, 601)) for _ in range(200)]
+        values += [((1 << w) - 1) ^ (1 << rng.randrange(w)) for w in (2, 63, 64, 65, 600, 5000)]
+        for x in values:
+            assert bit_positions(x) == scan(x)
 
     @pytest.mark.parametrize(
         "bits, message",
