@@ -15,10 +15,10 @@ from bitpath import (
     make_star,
     optimal_label_weight,
     optimal_label_weight_int,
+    optimal_rank,
 )
 from bitpath.bloom import _draw_masks
 from bitpath.cli import BLOOM_TABLE_DEFAULT
-from bitpath.labelling import optimal_rank
 from helpers import sample_draw_masks, sample_empirical_fpr
 
 LN2 = math.log(2.0)
