@@ -143,12 +143,19 @@ def verify_no_false_positives(
     """Check [e] subset-of [S] <=> e in S for every edge e of the graph and
     every shortest path S of every unordered vertex pair.
 
-    One BFS per source u, then one fold down its order: paths[w] holds the
-    (header, edge set) ints of the first path_cap + 1 shortest w-u paths,
-    lexicographic by vertex sequence, built from paths[x] of each
-    predecessor x (ascending id) by OR-ing in the label and bit of the edge
-    x-w. Each v > u then checks the first path_cap entries of paths[v]; a
-    pair with more than path_cap shortest paths counts as a cap hit, not an
+    One BFS per source u, then one fold down its order. While each vertex w
+    has exactly one neighbour one hop nearer to u, its one shortest w-u path
+    is its BFS parent's path plus the edge via[w]: single[w] holds that
+    path's (header, edge set) ints, one OR each from the parent's. Trees and
+    the paper's core-periphery graphs never leave this parent-pointer phase.
+    At the first w with two such predecessors the fold falls back to lists
+    for the rest of the order: paths[w] holds the (header, edge set) ints
+    of the first path_cap + 1 shortest w-u paths, lexicographic by vertex
+    sequence, built from paths[x] of each predecessor x (ascending id) by
+    OR-ing in the label and bit of the edge x-w, and every vertex before w
+    starts with its single path. Each v > u then checks the first path_cap
+    entries of paths[v], or single[v] when there was no fallback; a pair
+    with more than path_cap shortest paths counts as a cap hit, not an
     error. Memory per source is at most path_cap + 1 entries per vertex.
 
     The subset tests run on an inverted index: carriers[b] is the set of
@@ -156,21 +163,21 @@ def verify_no_false_positives(
     are the union of carriers[b] over the bits b it lacks, and every other
     edge off S is recognised. That union is read byte by byte from tables
     built once per call: rejects[c][p] is the union of carriers[8c + i]
-    over the set bits i of byte p. Only edges off S can fail, since S's
-    header holds every label on S. Once the record list is full, the first
-    further false positive sets fp_truncated and later pairs are only
-    counted.
+    over the set bits i of byte p, each row built by doubling (the entries
+    with bit i set are the ones before them OR carriers[8c + i]). Only edges
+    off S can fail, since S's header holds every label on S. Once the record
+    list is full, the first further false positive sets fp_truncated and
+    later pairs are only counted.
     """
     if path_cap < 1:
         raise ValueError(f"path_cap must be at least 1, got {path_cap}")
     if fp_record_cap < 0:
         raise ValueError(f"fp_record_cap must be at least 0, got {fp_record_cap}")
-    report = VerificationReport(path_cap=path_cap, fp_record_cap=fp_record_cap)
     edge_count = g.edge_count
     if labelling.edge_count != edge_count:
         raise ValueError("labelling does not cover this graph's edges")
     if edge_count == 0:
-        return report
+        return VerificationReport(path_cap=path_cap, fp_record_cap=fp_record_cap)
     masks = labelling.masks
     width = labelling.width
     carriers = [0] * width
@@ -179,48 +186,80 @@ def verify_no_false_positives(
             carriers[b] |= 1 << eid
     rejects = []
     for base in range(0, width, 8):
-        row = [0] * (1 << min(8, width - base))
-        for p in range(1, len(row)):
-            row[p] = row[p & (p - 1)] | carriers[base + (p & -p).bit_length() - 1]
+        row = [0]
+        for c in carriers[base : base + 8]:
+            row += [r | c for r in row]
         rejects.append(row)
     byte_count = len(rejects)
     universe = (1 << width) - 1
     all_edges = (1 << edge_count) - 1
     adjacency = g.adjacency
+    ends = [a ^ b for a, b in g.edges]
+    vertex_count = g.vertex_count
 
-    for u in range(g.vertex_count):
-        dist, _, order = _bfs(g, u)
-        paths = {u: [(0, 0)]}
-        for w in order[1:]:
+    pairs = paths_checked = cap_hits = 0
+    false_positives: list[tuple[int, int, int]] = []
+    truncated = False
+    for u in range(vertex_count):
+        dist, via, order = _bfs(g, u)
+        single = [None] * vertex_count
+        single[u] = (0, 0)
+        paths = None
+        for k in range(1, len(order)):
+            w = order[k]
             d = dist[w] - 1
-            paths[w] = folded = []
-            for x, eid in adjacency[w]:
+            seen = False
+            for x, _ in adjacency[w]:
                 if dist[x] == d:
-                    mask, bit = masks[eid], 1 << eid
-                    folded += [(h | mask, s | bit) for h, s in paths[x]]
-                    if len(folded) > path_cap:
-                        del folded[path_cap + 1 :]
+                    if seen:
                         break
-        for v in range(u + 1, g.vertex_count):
+                    seen = True
+            else:
+                eid = via[w]
+                h, s = single[ends[eid] ^ w]
+                single[w] = (h | masks[eid], s | 1 << eid)
+                continue
+            # w has two predecessors: list fold from here on
+            paths = {x: [single[x]] for x in order[:k]}
+            for w in order[k:]:
+                d = dist[w] - 1
+                paths[w] = folded = []
+                for x, eid in adjacency[w]:
+                    if dist[x] == d:
+                        mask, bit = masks[eid], 1 << eid
+                        folded += [(h | mask, s | bit) for h, s in paths[x]]
+                        if len(folded) > path_cap:
+                            del folded[path_cap + 1 :]
+                            break
+            break
+        for v in range(u + 1, vertex_count):
             if dist[v] < 0:
                 continue
-            report.pairs_checked += 1
-            checked = paths[v]
+            pairs += 1
+            checked = (single[v],) if paths is None else paths[v]
             if len(checked) > path_cap:
-                report.path_cap_hits += 1
+                cap_hits += 1
                 checked = checked[:path_cap]
-            report.paths_checked += len(checked)
-            report.subset_tests += edge_count * len(checked)
-            if report.fp_truncated:
+            paths_checked += len(checked)
+            if truncated:
                 continue  # records full and truncated: later paths only add to the counts
             for header, rejected in checked:
                 for row, p in zip(rejects, (universe & ~header).to_bytes(byte_count, "little")):
                     rejected |= row[p]
                 if rejected == all_edges:
                     continue
-                report.false_positives += [(u, v, eid) for eid in bit_positions(all_edges & ~rejected)]
-                if len(report.false_positives) > fp_record_cap:
-                    del report.false_positives[fp_record_cap:]
-                    report.fp_truncated = True
+                false_positives += [(u, v, eid) for eid in bit_positions(all_edges & ~rejected)]
+                if len(false_positives) > fp_record_cap:
+                    del false_positives[fp_record_cap:]
+                    truncated = True
                     break
-    return report
+    return VerificationReport(
+        path_cap=path_cap,
+        fp_record_cap=fp_record_cap,
+        pairs_checked=pairs,
+        paths_checked=paths_checked,
+        subset_tests=edge_count * paths_checked,
+        false_positives=false_positives,
+        fp_truncated=truncated,
+        path_cap_hits=cap_hits,
+    )
