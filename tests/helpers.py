@@ -15,7 +15,7 @@ import random
 
 import numpy as np
 
-from bitpath import Graph, Path, make_random_connected
+from bitpath import Graph, Path, VerificationReport, make_random_connected
 
 
 def brute_force_shortest_paths(g: Graph, u: int, v: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -88,6 +88,45 @@ def brute_force_false_positives(
                     if eid not in edge_ids and mask & ~header == 0:
                         violations.append((u, v, eid))
     return violations, paths, cap_hits
+
+
+def connected_pair_count(g: Graph) -> int:
+    """Unordered vertex pairs joined by some path: C(size, 2) summed over
+    the components, found by a plain stack walk."""
+    seen = [False] * g.vertex_count
+    total = 0
+    for start in range(g.vertex_count):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack, size = [start], 0
+        while stack:
+            cur = stack.pop()
+            size += 1
+            for nbr, _ in g.adjacency[cur]:
+                if not seen[nbr]:
+                    seen[nbr] = True
+                    stack.append(nbr)
+        total += size * (size - 1) // 2
+    return total
+
+
+def brute_force_report(g: Graph, masks, path_cap: int, fp_record_cap: int) -> VerificationReport:
+    """The report verify_no_false_positives should return, from
+    brute_force_false_positives and connected_pair_count: the first
+    fp_record_cap violations in the reference's order, truncated when there
+    are more."""
+    violations, paths, cap_hits = brute_force_false_positives(g, masks, path_cap)
+    return VerificationReport(
+        path_cap=path_cap,
+        fp_record_cap=fp_record_cap,
+        pairs_checked=connected_pair_count(g),
+        paths_checked=paths,
+        subset_tests=g.edge_count * paths,
+        false_positives=violations[:fp_record_cap],
+        fp_truncated=len(violations) > fp_record_cap,
+        path_cap_hits=cap_hits,
+    )
 
 
 def star_labelling_reference(n: int, rank: int, base: int) -> tuple[int, list[int]]:

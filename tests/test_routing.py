@@ -10,13 +10,17 @@ from bitpath import (
     Graph,
     Labelling,
     Path,
+    bfs_distances,
     bit_per_edge,
     bit_per_vertex,
     bloom_labelling,
+    count_shortest_paths,
     encode_path,
     label_core_periphery,
+    label_tree,
     make_complete,
     make_core_periphery,
+    make_perfect_binary_tree,
     make_random_connected,
     make_star,
     next_hop,
@@ -25,10 +29,68 @@ from bitpath import (
     star_labelling,
     verify_no_false_positives,
 )
-from helpers import brute_force_false_positives, grid_4x4, random_graph_corpus, shuffled_edge_ids
+from helpers import (
+    brute_force_false_positives,
+    brute_force_report,
+    grid_4x4,
+    random_graph_corpus,
+    shuffled_edge_ids,
+)
 
 # the 4x4 grid under edge ids that are not in lexicographic order
 SHUFFLED_GRID = shuffled_edge_ids(grid_4x4(), seed=1)
+
+
+def unique_prefix_lengths(g: Graph) -> list[tuple[int, int]]:
+    """Per source, (k, r): r vertices are reached, and the first k of the BFS
+    order (ascending-id expansion) come before the first vertex with two
+    neighbours one hop nearer the source (k = r when there is none)."""
+    found = []
+    for u in range(g.vertex_count):
+        dist = bfs_distances(g, u)
+        order = [u]
+        for cur in order:
+            order += [nbr for nbr, _ in g.adjacency[cur] if dist[nbr] == dist[cur] + 1 and nbr not in order]
+        k = next(
+            (i for i, w in enumerate(order) if sum(dist[x] == dist[w] - 1 for x, _ in g.adjacency[w]) > 1),
+            len(order),
+        )
+        found.append((k, len(order)))
+    return found
+
+
+def tree_with_even_chord() -> Graph:
+    # perfect binary tree of height 4 and a chord from leaf 15 (left subtree,
+    # depth 4) to vertex 11 (right subtree, depth 3): an 8-cycle through the
+    # root, so sources on and near it meet two-path vertices partway
+    g = make_perfect_binary_tree(4)
+    return Graph(g.vertex_count, [*g.edges, (11, 15)])
+
+
+def tree_with_leaf_chord() -> Graph:
+    # a chord between leaves 15 and 30 of different subtrees closes a
+    # 9-cycle: odd, so every pair keeps one shortest path
+    g = make_perfect_binary_tree(4)
+    return Graph(g.vertex_count, [*g.edges, (15, 30)])
+
+
+def path_on_four_cycle() -> Graph:
+    # the 4-cycle 0-1-2-3 with the path 3-4-5-6 attached at 3
+    return Graph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5), (5, 6)])
+
+
+def tree_and_cycle() -> Graph:
+    # a height-2 tree on 0..6, a 6-cycle on 7..12 and the isolated vertex 13
+    tree = make_perfect_binary_tree(2)
+    return Graph(14, [*tree.edges, *((7 + i, 7 + (i + 1) % 6) for i in range(6))])
+
+
+SWITCH_GRAPHS = {
+    "tree-chord": tree_with_even_chord(),
+    "tree-chord-shuffled": shuffled_edge_ids(tree_with_even_chord(), seed=2),
+    "path-on-4-cycle": path_on_four_cycle(),
+    "path-on-4-cycle-shuffled": shuffled_edge_ids(path_on_four_cycle(), seed=3),
+}
 
 
 class TestEncodePath:
@@ -379,3 +441,81 @@ class TestVerify:
         assert report.paths_checked == paths
         assert report.path_cap_hits == cap_hits
         assert report.false_positives == expected
+
+
+class TestVerifyFoldSwitch:
+    """The fold keeps one (header, edge set) pair per vertex while every
+    vertex has one shortest path to the source, and switches to path lists
+    at the first vertex with two. These graphs make the switch fall partway
+    through a source's BFS order, and the shuffled copies make an edge id
+    say nothing about which of its ends is the BFS parent."""
+
+    @pytest.mark.parametrize("name", SWITCH_GRAPHS)
+    def test_switch_falls_partway(self, name):
+        g = SWITCH_GRAPHS[name]
+        assert any(1 < k < reached - 1 for k, reached in unique_prefix_lengths(g))
+
+    @pytest.mark.parametrize("fp_record_cap", [0, 3, 10**6])
+    @pytest.mark.parametrize("path_cap", [1, 2, 1000])
+    @pytest.mark.parametrize("name", SWITCH_GRAPHS)
+    def test_report_matches_brute_force(self, name, path_cap, fp_record_cap):
+        g = SWITCH_GRAPHS[name]
+        for seed in (1, 2):
+            lab = bloom_labelling(g, 8, 3, seed)
+            report = verify_no_false_positives(g, lab, path_cap, fp_record_cap)
+            assert report == brute_force_report(g, lab.masks, path_cap, fp_record_cap)
+            assert report.false_positives or report.fp_truncated
+            assert report.path_cap_hits or path_cap > 1
+
+    def test_odd_cycle_chord_stays_single(self):
+        g = tree_with_leaf_chord()
+        assert all(k == reached for k, reached in unique_prefix_lengths(g))
+        lab = bloom_labelling(g, 8, 3, 1)
+        report = verify_no_false_positives(g, lab, 1, 10**6)
+        assert report == brute_force_report(g, lab.masks, 1, 10**6)
+        assert report.false_positives
+
+    @pytest.mark.parametrize("shuffle", [None, 4])
+    def test_disconnected_graph_counts_connected_pairs(self, shuffle):
+        g = tree_and_cycle() if shuffle is None else shuffled_edge_ids(tree_and_cycle(), shuffle)
+        for path_cap in (1, 1000):
+            lab = bloom_labelling(g, 6, 2, seed=5)
+            report = verify_no_false_positives(g, lab, path_cap, 10**6)
+            assert report.pairs_checked == 21 + 15  # C(7, 2) tree pairs and C(6, 2) cycle pairs
+            assert report == brute_force_report(g, lab.masks, path_cap, 10**6)
+            assert report.false_positives
+            assert report.path_cap_hits == (3 if path_cap == 1 else 0)  # the 6-cycle's opposite pairs
+
+    @pytest.mark.parametrize("h", range(1, 7))
+    def test_trees_have_one_path_per_pair(self, h):
+        g = make_perfect_binary_tree(h)
+        pairs = g.vertex_count * (g.vertex_count - 1) // 2
+        assert count_shortest_paths(g) == pairs
+        report = verify_no_false_positives(g, label_tree(g, 0))
+        assert report.paths_checked == report.pairs_checked == pairs
+        assert report.ok
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_core_periphery_has_one_path_per_pair(self, n):
+        g, core = make_core_periphery(n)
+        pairs = g.vertex_count * (g.vertex_count - 1) // 2
+        assert count_shortest_paths(g) == pairs
+        report = verify_no_false_positives(g, label_core_periphery(g, core))
+        assert report.paths_checked == report.pairs_checked == pairs
+        assert report.ok
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_tree_with_chords_matches_brute_force(self, data):
+        n = data.draw(st.integers(2, 12), label="vertices")
+        edges = {(data.draw(st.integers(0, v - 1), label="parent"), v) for v in range(1, n)}
+        for _ in range(data.draw(st.integers(0, 3), label="chords")):
+            a, b = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+            edges.add((a, b))
+        g = Graph(n, data.draw(st.permutations(sorted(edges)), label="edge order"))
+        m = data.draw(st.integers(1, 10), label="m")
+        lab = bloom_labelling(g, m, data.draw(st.integers(1, m), label="k"), data.draw(st.integers(0, 2**16)))
+        path_cap = data.draw(st.sampled_from([1, 2, 1000]), label="path_cap")
+        fp_record_cap = data.draw(st.sampled_from([0, 3, 10**6]), label="fp_record_cap")
+        report = verify_no_false_positives(g, lab, path_cap, fp_record_cap)
+        assert report == brute_force_report(g, lab.masks, path_cap, fp_record_cap)
