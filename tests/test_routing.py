@@ -478,8 +478,8 @@ class TestVerifyFoldSwitch:
     @pytest.mark.parametrize("shuffle", [None, 4])
     def test_disconnected_graph_counts_connected_pairs(self, shuffle):
         g = tree_and_cycle() if shuffle is None else shuffled_edge_ids(tree_and_cycle(), shuffle)
+        lab = bloom_labelling(g, 6, 2, seed=5)
         for path_cap in (1, 1000):
-            lab = bloom_labelling(g, 6, 2, seed=5)
             report = verify_no_false_positives(g, lab, path_cap, 10**6)
             assert report.pairs_checked == 21 + 15  # C(7, 2) tree pairs and C(6, 2) cycle pairs
             assert report == brute_force_report(g, lab.masks, path_cap, 10**6)

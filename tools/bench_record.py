@@ -68,10 +68,10 @@ def cmd_run(args: argparse.Namespace) -> None:
     log = Path(args.log)
     pair = len(read_log(log))
     for _ in range(args.pairs):
-        first = SIDES[pair % 2]
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
         entry = {"pair": pair, "workload": args.workload, "seed": args.seed, "trace": args.trace}
-        entry |= {"seconds": args.seconds, "first": first}
-        for side in (first, SIDES[1 - SIDES.index(first)]):
+        entry.update(seconds=args.seconds, first=order[0])
+        for side in order:
             entry[side] = run_side(checkouts[side], args.workload, args.seed, args.seconds, args.trace)
         with log.open("a") as out:
             out.write(json.dumps(entry) + "\n")
