@@ -18,7 +18,8 @@ HOST = {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2, "machine": "x86_64"}
 
 def run_output(commit: str, work_per_s: float, pass_s: float, failed: int = 0) -> str:
     """Two lines as perfbench/run.py prints them: the report, then the result."""
-    report = {"report": {"environment": {"commit": commit, "src_sha256": commit * 2, **HOST}, "passes": 3}}
+    environment = {"commit": commit, "src_sha256": commit * 2, **HOST}
+    report = {"report": {"seconds": 35.0, "environment": environment, "passes": 3}}
     result = {
         "correct": failed == 0,
         "attempted": 40,
@@ -34,7 +35,6 @@ def pair(n: int, workload: str, parent: tuple, change: tuple, seed: int = 1) -> 
         "workload": workload,
         "seed": seed,
         "trace": 0,
-        "seconds": 35.0,
         "first": bench_record.SIDES[n % 2],
         "parent": bench_record.parse_run_output(run_output("aa", *parent)),
         "change": bench_record.parse_run_output(run_output("bb", *change)),
@@ -55,6 +55,7 @@ class TestParse:
     def test_reads_result_and_environment(self):
         result = bench_record.parse_run_output(run_output("aa", 100.0, 2.0))
         assert result["metrics"]["work_per_s"] == {"value": 100.0, "unit": "1/s"}
+        assert result["seconds"] == 35.0
         assert result["environment"]["commit"] == "aa"
         assert result["environment"]["src_sha256"] == "aaaa"
 
@@ -83,12 +84,13 @@ class TestAssemble:
     def test_record_fields(self):
         record = bench_record.assemble(RUNS, BENCHMARK, "a change", None)
         assert "claim" not in record
-        assert record["command"].endswith("--seconds 35 --trace <trace>")
+        assert record["command"] == bench_record.COMMAND
         assert record["parent"] == {"commit": "aa", "src_sha256": "aaaa"}
         assert record["change"] == {"commit": "bb", "src_sha256": "bbbb"}
         assert record["host"] == HOST
         assert [r["first"] for r in record["runs"]] == ["parent", "change", "parent", "change", "parent"]
         assert "environment" not in record["runs"][0]["parent"]
+        assert {r[side]["seconds"] for r in record["runs"] for side in bench_record.SIDES} == {35.0}
         assert record["runs"][2]["change"]["metrics"]["work_per_s"]["value"] == 80.0
 
     def test_rejects_mixed_commits(self):

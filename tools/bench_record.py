@@ -7,10 +7,11 @@ perfbench/run.py, assembled into one BENCH_<n>.json.
 
 P and C are two checkouts of the repository, each a git clone at its commit
 (each run imports the library from its own checkout's src/). `run` runs the
-pairs one run at a time, alternating which side goes first, and appends one
-JSON line per pair to the log: the pair number, workload, seed, trace flag,
-seconds, which side ran first and, for each side, the run's result line
-with the commit and src digest of the report line before it. `assemble`
+pairs one run at a time, alternating which side goes first, at run.py's own
+run length, and appends one JSON line per pair to the log: the pair number,
+workload, seed, trace flag, which side ran first and, for each side, the
+run's result line with the run length, commit and src digest of the report
+line before it. `assemble`
 reads the log and writes the record: both commits and src digests, the
 host, per (workload, seed, trace) each metric's quartiles on each side, the
 pairs the change won (ties count for neither) and the ratio of the medians,
@@ -27,6 +28,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+COMMAND = "python3 perfbench/run.py --workload <workload> --seed <seed> --trace <trace>"
 METHOD = (
     "each side run from its own git clone of the repository checked out at its commit; "
     "pairs alternate which side runs first ('first'); one run at a time; "
@@ -36,20 +38,22 @@ METHOD = (
 
 def parse_run_output(stdout: str) -> dict:
     """The result line of one perfbench/run.py run (its last stdout line),
-    with the environment of the report line before it."""
+    with the run length and environment of the report line before it."""
     lines = stdout.strip().splitlines()
     if len(lines) < 2:
         raise ValueError("run printed no report and result lines")
     result = json.loads(lines[-1])
     if not {"correct", "attempted", "failed", "metrics"} <= result.keys():
         raise ValueError(f"last line is not a result: {lines[-1][:80]}")
-    result["environment"] = json.loads(lines[-2])["report"]["environment"]
+    report = json.loads(lines[-2])["report"]
+    result["seconds"] = report["seconds"]
+    result["environment"] = report["environment"]
     return result
 
 
-def run_side(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
-    command += ["--seconds", str(seconds), "--trace", str(trace)]
+def run_side(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    command = [sys.executable, "perfbench/run.py", "--workload", workload]
+    command += ["--seed", str(seed), "--trace", str(trace)]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=True)
     return parse_run_output(done.stdout)
 
@@ -70,9 +74,9 @@ def cmd_run(args: argparse.Namespace) -> None:
     for _ in range(args.pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         entry = {"pair": pair, "workload": args.workload, "seed": args.seed, "trace": args.trace}
-        entry.update(seconds=args.seconds, first=order[0])
+        entry["first"] = order[0]
         for side in order:
-            entry[side] = run_side(checkouts[side], args.workload, args.seed, args.seconds, args.trace)
+            entry[side] = run_side(checkouts[side], args.workload, args.seed, args.trace)
         with log.open("a") as out:
             out.write(json.dumps(entry) + "\n")
         work = {side: entry[side]["metrics"].get("work_per_s", {}).get("value") for side in SIDES}
@@ -125,14 +129,10 @@ def assemble(runs: list[dict], benchmark: dict, what: str, claim: dict | None) -
     if not runs:
         raise ValueError("the log holds no pairs")
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"] + benchmark["per_layer"]}
-    seconds = {entry["seconds"] for entry in runs}
     record = {"what": what}
     if claim is not None:
         record["claim"] = claim
-    record["command"] = (
-        "python3 perfbench/run.py --workload <workload> --seed <seed> "
-        f"--seconds {format(seconds.pop(), 'g') if len(seconds) == 1 else '<seconds>'} --trace <trace>"
-    )
+    record["command"] = COMMAND
     record["method"] = METHOD
     for side in SIDES:
         record[side] = {key: one_value(runs, side, key) for key in ("commit", "src_sha256")}
@@ -164,7 +164,6 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument("--seed", type=int, required=True)
     run.add_argument("--pairs", type=int, required=True)
     run.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    run.add_argument("--seconds", type=float, default=35.0)
     run.add_argument("--log", required=True, help="JSON-lines log the pairs are appended to")
     record = commands.add_parser("assemble", help="write the record of a log")
     record.add_argument("--log", required=True)
