@@ -329,7 +329,7 @@ class TestCounting:
             assert count_shortest_paths(g) == brute_force_total_path_count(g)
 
     def test_core_periphery_all_pairs_unique(self):
-        for n in (2, 3, 4, 8, 12):
+        for n in (2, 3, 4, 5, 6, 7, 8, 12):
             g, _ = make_core_periphery(n)
             assert count_shortest_paths(g) == math.comb(n * n, 2)
 
