@@ -10,6 +10,7 @@ vertex's incident edges, exactly as a header-routed switch would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import ne
 
 from .graphs import Graph, Path, _bfs, shortest_path
 from .labelling import Labelling, bit_positions
@@ -143,31 +144,42 @@ def verify_no_false_positives(
     """Check [e] subset-of [S] <=> e in S for every edge e of the graph and
     every shortest path S of every unordered vertex pair.
 
-    One BFS per source u, then one fold down its order. While each vertex w
-    has exactly one neighbour one hop nearer to u, its one shortest w-u path
-    is its BFS parent's path plus the edge via[w]: single[w] holds that
-    path's (header, edge set) ints, one OR each from the parent's. Trees and
-    the paper's core-periphery graphs never leave this parent-pointer phase.
-    At the first w with two such predecessors the fold falls back to lists
-    for the rest of the order: paths[w] holds the (header, edge set) ints
-    of the first path_cap + 1 shortest w-u paths, lexicographic by vertex
-    sequence, built from paths[x] of each predecessor x (ascending id) by
-    OR-ing in the label and bit of the edge x-w, and every vertex before w
-    starts with its single path. Each v > u then checks the first path_cap
-    entries of paths[v], or single[v] when there was no fallback; a pair
-    with more than path_cap shortest paths counts as a cap hit, not an
-    error. Memory per source is at most path_cap + 1 entries per vertex.
+    A path is one int, header | edge_set << width: its labels' OR in the low
+    width bits and bit width + e for each edge e on it, so one OR with
+    steps[e] = masks[e] | 1 << width + e extends it by e. One BFS per source
+    u (but the last, which has no partner above it), then one fold down its
+    order. While each vertex w has exactly one neighbour one hop nearer to
+    u, its one shortest w-u path is its BFS parent's path plus the edge
+    via[w]: single[w] is single[parent] | steps[via[w]]. Every edge joins
+    two reached or two unreached vertices and spans at most one BFS level,
+    so the edges whose ends have different dist are the BFS DAG's, one per
+    predecessor of each reached vertex; when there are len(order) - 1 of
+    them no vertex has two predecessors, and the whole order folds without
+    looking at any vertex's neighbours. Trees and the paper's
+    core-periphery graphs are always such sources. Otherwise a scan finds
+    the first w with two predecessors, and from w on the fold uses lists:
+    paths[w] holds the first path_cap + 1 shortest w-u paths, lexicographic
+    by vertex sequence, built from paths[x] of each predecessor x (ascending
+    id) by OR-ing in steps[x-w], and every vertex before w starts with its
+    single path. Each v > u then checks the first path_cap entries of
+    paths[v], or single[v] when there was no switch; a pair with more than
+    path_cap shortest paths counts as a cap hit, not an error. Memory per
+    source is at most path_cap + 1 paths per vertex.
 
-    The subset tests run on an inverted index: carriers[b] is the set of
-    edges whose label has bit b, as one int, so the edges a header rejects
-    are the union of carriers[b] over the bits b it lacks, and every other
-    edge off S is recognised. That union is read byte by byte from tables
-    built once per call: rejects[c][p] is the union of carriers[8c + i]
-    over the set bits i of byte p, each row built by doubling (the entries
-    with bit i set are the ones before them OR carriers[8c + i]). Only edges
-    off S can fail, since S's header holds every label on S. Once the record
-    list is full, the first further false positive sets fp_truncated and
-    later pairs are only counted.
+    The subset tests run on an inverted index: carriers[b] holds, shifted
+    like a path's edge set, the edges whose label has bit b, so the edges a
+    header rejects are the union of carriers[b] over the bits b it lacks,
+    and every other edge off S is recognised. That union is read byte by
+    byte from tables built once per call: rejects[c][p] is the union of
+    carriers[8c + i] over the set bits i of byte p, each row built by
+    doubling (the entries with bit i set are the ones before them OR
+    carriers[8c + i]). OR-ing them into the path int leaves its header bits
+    alone and sets the bit of every rejected edge next to S's own, so the
+    path is clean iff p | universe has every bit, and its false positives
+    are the edges whose bits are still clear. Only edges off S can fail,
+    since S's header holds every label on S. Once the record list is full,
+    the first further false positive sets fp_truncated and later pairs are
+    only counted.
     """
     if path_cap < 1:
         raise ValueError(f"path_cap must be at least 1, got {path_cap}")
@@ -180,10 +192,11 @@ def verify_no_false_positives(
         return VerificationReport(path_cap=path_cap, fp_record_cap=fp_record_cap)
     masks = labelling.masks
     width = labelling.width
+    steps = [mask | 1 << width + eid for eid, mask in enumerate(masks)]
     carriers = [0] * width
     for eid, mask in enumerate(masks):
         for b in bit_positions(mask):
-            carriers[b] |= 1 << eid
+            carriers[b] |= 1 << width + eid
     rejects = []
     for base in range(0, width, 8):
         row = [0]
@@ -192,67 +205,74 @@ def verify_no_false_positives(
         rejects.append(row)
     byte_count = len(rejects)
     universe = (1 << width) - 1
-    all_edges = (1 << edge_count) - 1
+    everything = (1 << width + edge_count) - 1
     adjacency = g.adjacency
     ends = [a ^ b for a, b in g.edges]
+    lows, highs = zip(*g.edges)
     vertex_count = g.vertex_count
 
     pairs = paths_checked = cap_hits = 0
     false_positives: list[tuple[int, int, int]] = []
     truncated = False
-    for u in range(vertex_count):
+    for u in range(vertex_count - 1):
         dist, via, order = _bfs(g, u)
-        single = [None] * vertex_count
-        single[u] = (0, 0)
+        k = reached = len(order)
+        if sum(map(ne, map(dist.__getitem__, lows), map(dist.__getitem__, highs))) >= reached:
+            for k in range(1, reached):
+                w = order[k]
+                d = dist[w] - 1
+                seen = False
+                for x, _ in adjacency[w]:
+                    if dist[x] == d:
+                        if seen:
+                            break
+                        seen = True
+                else:
+                    continue
+                break
+        single = [0] * vertex_count
+        for w in order[1:k]:
+            eid = via[w]
+            single[w] = single[ends[eid] ^ w] | steps[eid]
         paths = None
-        for k in range(1, len(order)):
-            w = order[k]
-            d = dist[w] - 1
-            seen = False
-            for x, _ in adjacency[w]:
-                if dist[x] == d:
-                    if seen:
-                        break
-                    seen = True
-            else:
-                eid = via[w]
-                h, s = single[ends[eid] ^ w]
-                single[w] = (h | masks[eid], s | 1 << eid)
-                continue
-            # w has two predecessors: list fold from here on
-            paths = {x: [single[x]] for x in order[:k]}
+        if k < reached:
+            # w = order[k] has two predecessors: list fold from here on
+            paths = [[p] for p in single]
             for w in order[k:]:
                 d = dist[w] - 1
                 paths[w] = folded = []
                 for x, eid in adjacency[w]:
                     if dist[x] == d:
-                        mask, bit = masks[eid], 1 << eid
-                        folded += [(h | mask, s | bit) for h, s in paths[x]]
+                        folded += map(steps[eid].__or__, paths[x])
                         if len(folded) > path_cap:
                             del folded[path_cap + 1 :]
                             break
-            break
-        for v in range(u + 1, vertex_count):
-            if dist[v] < 0:
+        owners = [v for v in range(u + 1, vertex_count) if dist[v] >= 0]
+        pairs += len(owners)
+        if paths is None:
+            checked = list(map(single.__getitem__, owners))
+        else:
+            checked = []
+            for v in owners:
+                found = paths[v]
+                if len(found) > path_cap:
+                    cap_hits += 1
+                    del found[path_cap:]
+                checked += found
+            owners = [v for v in owners for _ in paths[v]]
+        paths_checked += len(checked)
+        if truncated:
+            continue  # records full and truncated: later paths only add to the counts
+        for v, p in zip(owners, checked):
+            for row, b in zip(rejects, (universe & ~p).to_bytes(byte_count, "little")):
+                p |= row[b]
+            if p | universe == everything:
                 continue
-            pairs += 1
-            checked = (single[v],) if paths is None else paths[v]
-            if len(checked) > path_cap:
-                cap_hits += 1
-                checked = checked[:path_cap]
-            paths_checked += len(checked)
-            if truncated:
-                continue  # records full and truncated: later paths only add to the counts
-            for header, rejected in checked:
-                for row, p in zip(rejects, (universe & ~header).to_bytes(byte_count, "little")):
-                    rejected |= row[p]
-                if rejected == all_edges:
-                    continue
-                false_positives += [(u, v, eid) for eid in bit_positions(all_edges & ~rejected)]
-                if len(false_positives) > fp_record_cap:
-                    del false_positives[fp_record_cap:]
-                    truncated = True
-                    break
+            false_positives += [(u, v, eid) for eid in bit_positions((everything & ~p) >> width)]
+            if len(false_positives) > fp_record_cap:
+                del false_positives[fp_record_cap:]
+                truncated = True
+                break
     return VerificationReport(
         path_cap=path_cap,
         fp_record_cap=fp_record_cap,

@@ -92,6 +92,49 @@ SWITCH_GRAPHS = {
 }
 
 
+def cycle(n: int) -> Graph:
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def petersen() -> Graph:
+    # the outer 5-cycle 0..4, the inner pentagram 5..9 and the spokes i-(i+5)
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, [*outer, *inner, *((i, i + 5) for i in range(5))])
+
+
+# Edge cases of the oracle's whole-source tree test: the 11-cycle and the
+# Petersen graph are geodetic (every pair has one shortest path), so every
+# source's BFS DAG is a tree; in the 12-cycle each source's antipode, last
+# in its BFS order, has two predecessors, the only extra DAG edge.
+TREE_TEST_GRAPHS = {
+    "cycle11": cycle(11),
+    "cycle11-shuffled": shuffled_edge_ids(cycle(11), seed=5),
+    "cycle12": cycle(12),
+    "cycle12-shuffled": shuffled_edge_ids(cycle(12), seed=6),
+    "petersen": petersen(),
+    "petersen-shuffled": shuffled_edge_ids(petersen(), seed=7),
+}
+
+
+def named_graph(name: str) -> Graph:
+    if name in SWITCH_GRAPHS:
+        return SWITCH_GRAPHS[name]
+    if name in TREE_TEST_GRAPHS:
+        return TREE_TEST_GRAPHS[name]
+    if name == "grid4x4":
+        return grid_4x4()
+    if name == "grid4x4-shuffled":
+        return SHUFFLED_GRID
+    if name == "cube5":
+        return Graph(32, [(v, v | 1 << i) for v in range(32) for i in range(5) if not v >> i & 1])
+    if name == "leaf-chord":
+        return tree_with_leaf_chord()
+    if name == "tree-and-cycle":
+        return tree_and_cycle()
+    return random_graph_corpus()[int(name[len("corpus") :])]
+
+
 class TestEncodePath:
     def test_empty_path_is_all_zero(self):
         lab = bit_per_edge(make_star(4))
@@ -401,30 +444,26 @@ class TestVerify:
 
     @pytest.mark.parametrize("path_cap", [1, 2, 1000])
     @pytest.mark.parametrize(
-        "name", ["corpus5", "corpus24", "corpus62", "grid4x4", "grid4x4-shuffled", "cube5", *SWITCH_GRAPHS]
+        "name",
+        ["corpus5", "corpus24", "corpus62", "grid4x4", "grid4x4-shuffled", "cube5", *SWITCH_GRAPHS, *TREE_TEST_GRAPHS],
     )
     def test_capped_report_matches_brute_force(self, name, path_cap):
-        # graphs with pairs of more shortest paths than the cap, and the
-        # graphs where the oracle's fold switches to path lists partway
-        # through a source's BFS order; the reference checks the same paths
-        # in the same order, so the records match in order too, also when
-        # edge ids are not in lexicographic order
-        if name in SWITCH_GRAPHS:
-            g = SWITCH_GRAPHS[name]
-        elif name == "grid4x4":
-            g = grid_4x4()
-        elif name == "grid4x4-shuffled":
-            g = SHUFFLED_GRID
-        elif name == "cube5":
-            g = Graph(32, [(v, v | 1 << i) for v in range(32) for i in range(5) if not v >> i & 1])
-        else:
-            g = random_graph_corpus()[int(name[len("corpus") :])]
+        # graphs with pairs of more shortest paths than the cap, the graphs
+        # where the oracle's fold switches to path lists partway through a
+        # source's BFS order, and the edge cases of its whole-source tree
+        # test; the reference checks the same paths in the same order, so
+        # the records match in order too, also when edge ids are not in
+        # lexicographic order
+        g = named_graph(name)
         lab = bloom_labelling(g, g.vertex_count // 2, 3, seed=7)
         expected, _, cap_hits = brute_force_false_positives(g, lab.masks, path_cap)
-        # no pair of corpus graph 5 or of a switch graph has three shortest
-        # paths; every graph has more violations than the record cap of 3
-        at_most_two = name == "corpus5" or name in SWITCH_GRAPHS
-        assert bool(cap_hits) == (path_cap == 1 or path_cap == 2 and not at_most_two)
+        # no pair of corpus graph 5, a switch graph or a tree-test graph has
+        # three shortest paths, and no pair of the 11-cycle or the Petersen
+        # graph has two; every graph has more violations than the record cap
+        # of 3
+        at_most_two = name == "corpus5" or name in SWITCH_GRAPHS or name in TREE_TEST_GRAPHS
+        geodetic = name.startswith(("cycle11", "petersen"))
+        assert bool(cap_hits) == (path_cap == 1 and not geodetic or path_cap == 2 and not at_most_two)
         assert len(expected) > 3
         for fp_record_cap in (0, 3, 10**6):
             report = verify_no_false_positives(g, lab, path_cap=path_cap, fp_record_cap=fp_record_cap)
@@ -449,18 +488,36 @@ class TestVerify:
 
 
 class TestVerifyFoldSwitch:
-    """The fold keeps one (header, edge set) pair per vertex while every
-    vertex has one shortest path to the source, and switches to path lists
-    at the first vertex with two. These graphs make the switch fall partway
-    through a source's BFS order, and the shuffled copies make an edge id
-    say nothing about which of its ends is the BFS parent;
-    TestVerify.test_capped_report_matches_brute_force compares their
-    reports with the reference."""
+    """The fold keeps one path int (header | edge set << width) per vertex
+    while every vertex has one shortest path to the source, and switches to
+    path lists at the first vertex with two; a source whose BFS DAG is a
+    tree never switches and skips the search for that vertex. The switch
+    graphs make the switch fall partway through a source's BFS order, and
+    the shuffled copies make an edge id say nothing about which of its ends
+    is the BFS parent; TestVerify.test_capped_report_matches_brute_force
+    compares their reports with the reference."""
 
     @pytest.mark.parametrize("name", SWITCH_GRAPHS)
     def test_switch_falls_partway(self, name):
         g = SWITCH_GRAPHS[name]
         assert any(1 < k < reached - 1 for k, reached in unique_prefix_lengths(g))
+
+    @pytest.mark.parametrize(
+        "name",
+        [*SWITCH_GRAPHS, "leaf-chord", "tree-and-cycle", *TREE_TEST_GRAPHS, "corpus5", "corpus24", "corpus62", "corpus80"],
+    )
+    def test_dag_edge_count_finds_tree_sources(self, name):
+        # the oracle skips the predecessor scan of a source when its BFS DAG
+        # (the edges between consecutive levels) has one edge per reached
+        # vertex but the source; that holds exactly when no vertex has two
+        # predecessors, i.e. when the parent-pointer phase covers the whole
+        # BFS order
+        g = named_graph(name)
+        for u, (k, reached) in enumerate(unique_prefix_lengths(g)):
+            dist = bfs_distances(g, u)
+            dag_edges = sum(dist[a] != dist[b] for a, b in g.edges)
+            assert dag_edges >= reached - 1
+            assert (dag_edges == reached - 1) == (k == reached)
 
     def test_odd_cycle_chord_stays_single(self):
         g = tree_with_leaf_chord()
