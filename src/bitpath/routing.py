@@ -10,7 +10,9 @@ vertex's incident edges, exactly as a header-routed switch would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import ne
+from functools import reduce
+from itertools import compress
+from operator import xor
 
 from .graphs import Graph, Path, _bfs, shortest_path
 from .labelling import Labelling, bit_positions
@@ -202,24 +204,24 @@ def verify_no_false_positives(
         row = [0]
         for c in carriers[base : base + 8]:
             row += [r | c for r in row]
-        rejects.append(row)
+        rejects.append(row[::-1])
     byte_count = len(rejects)
     universe = (1 << width) - 1
     everything = (1 << width + edge_count) - 1
     adjacency = g.adjacency
     ends = [a ^ b for a, b in g.edges]
-    lows, highs = zip(*g.edges)
+    incident = [sum(1 << eid for _, eid in nbrs) for nbrs in adjacency]
     vertex_count = g.vertex_count
 
     pairs = paths_checked = cap_hits = 0
     false_positives: list[tuple[int, int, int]] = []
     truncated = False
+    paths = None
     for u in range(vertex_count - 1):
         dist, via, order = _bfs(g, u)
         k = reached = len(order)
-        if sum(map(ne, map(dist.__getitem__, lows), map(dist.__getitem__, highs))) >= reached:
-            for k in range(1, reached):
-                w = order[k]
+        if paths is not None or reduce(xor, compress(incident, map((1).__and__, dist)), 0).bit_count() >= reached:
+            for k, w in enumerate(order):
                 d = dist[w] - 1
                 seen = False
                 for x, _ in adjacency[w]:
@@ -230,23 +232,22 @@ def verify_no_false_positives(
                 else:
                     continue
                 break
+            else:
+                k = reached
         single = [0] * vertex_count
         for w in order[1:k]:
             eid = via[w]
             single[w] = single[ends[eid] ^ w] | steps[eid]
-        paths = None
-        if k < reached:
-            # w = order[k] has two predecessors: list fold from here on
-            paths = [[p] for p in single]
-            for w in order[k:]:
-                d = dist[w] - 1
-                paths[w] = folded = []
-                for x, eid in adjacency[w]:
-                    if dist[x] == d:
-                        folded += map(steps[eid].__or__, paths[x])
-                        if len(folded) > path_cap:
-                            del folded[path_cap + 1 :]
-                            break
+        paths = [[p] for p in single] if k < reached else None
+        for w in order[k:]:
+            d = dist[w] - 1
+            paths[w] = folded = []
+            for x, eid in adjacency[w]:
+                if dist[x] == d:
+                    folded += map(steps[eid].__or__, paths[x])
+                    if len(folded) > path_cap:
+                        del folded[path_cap + 1 :]
+                        break
         owners = [v for v in range(u + 1, vertex_count) if dist[v] >= 0]
         pairs += len(owners)
         if paths is None:
@@ -264,7 +265,7 @@ def verify_no_false_positives(
         if truncated:
             continue  # records full and truncated: later paths only add to the counts
         for v, p in zip(owners, checked):
-            for row, b in zip(rejects, (universe & ~p).to_bytes(byte_count, "little")):
+            for row, b in zip(rejects, (p & universe).to_bytes(byte_count, "little")):
                 p |= row[b]
             if p | universe == everything:
                 continue
