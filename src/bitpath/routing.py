@@ -152,36 +152,42 @@ def verify_no_false_positives(
     u (but the last, which has no partner above it), then one fold down its
     order. While each vertex w has exactly one neighbour one hop nearer to
     u, its one shortest w-u path is its BFS parent's path plus the edge
-    via[w]: single[w] is single[parent] | steps[via[w]]. Every edge joins
-    two reached or two unreached vertices and spans at most one BFS level,
-    so the edges whose ends have different dist are the BFS DAG's, one per
-    predecessor of each reached vertex; when there are len(order) - 1 of
-    them no vertex has two predecessors, and the whole order folds without
-    looking at any vertex's neighbours. Trees and the paper's
-    core-periphery graphs are always such sources. Otherwise a scan finds
-    the first w with two predecessors, and from w on the fold uses lists:
-    paths[w] holds the first path_cap + 1 shortest w-u paths, lexicographic
-    by vertex sequence, built from paths[x] of each predecessor x (ascending
-    id) by OR-ing in steps[x-w], and every vertex before w starts with its
-    single path. Each v > u then checks the first path_cap entries of
-    paths[v], or single[v] when there was no switch; a pair with more than
-    path_cap shortest paths counts as a cap hit, not an error. Memory per
-    source is at most path_cap + 1 paths per vertex.
+    via[w]: single[w] is single[parent] | steps[via[w]]. At the first w
+    with two such predecessors the fold switches to lists: paths[w] holds
+    the first path_cap + 1 shortest w-u paths, lexicographic by vertex
+    sequence, built from paths[x] of each predecessor x (ascending id) by
+    OR-ing in steps[x-w], and every vertex before w starts with its single
+    path. Each v > u then checks the first path_cap entries of paths[v], or
+    single[v] when there was no switch; a pair with more than path_cap
+    shortest paths counts as a cap hit, not an error. Memory per source is
+    at most path_cap + 1 paths per vertex.
+
+    A scan of each vertex's neighbours finds the switch point, but a source
+    whose BFS DAG is a tree skips it. Every edge joins two reached or two
+    unreached vertices and spans at most one BFS level, so the DAG's edges,
+    one per predecessor of each reached vertex, are the edges with exactly
+    one end at odd dist: the XOR of those vertices' incident edge sets. When
+    it has len(order) - 1 edges no vertex has two predecessors, and the
+    whole order folds without the scan. Trees and the paper's
+    core-periphery graphs are always such sources, and where one source is
+    not, most are not: the count is taken only after a source without a
+    switch (paths is None), the first source included.
 
     The subset tests run on an inverted index: carriers[b] holds, shifted
     like a path's edge set, the edges whose label has bit b, so the edges a
     header rejects are the union of carriers[b] over the bits b it lacks,
     and every other edge off S is recognised. That union is read byte by
-    byte from tables built once per call: rejects[c][p] is the union of
-    carriers[8c + i] over the set bits i of byte p, each row built by
-    doubling (the entries with bit i set are the ones before them OR
-    carriers[8c + i]). OR-ing them into the path int leaves its header bits
-    alone and sets the bit of every rejected edge next to S's own, so the
-    path is clean iff p | universe has every bit, and its false positives
-    are the edges whose bits are still clear. Only edges off S can fail,
-    since S's header holds every label on S. Once the record list is full,
-    the first further false positive sets fp_truncated and later pairs are
-    only counted.
+    byte from tables built once per call: rejects[c][h] is the union of
+    carriers[8c + i] over the bits i clear in the header byte h, each row
+    built by doubling over the carriers (the entries with bit i set are the
+    ones before them OR carriers[8c + i]) and then reversed, which
+    complements the index. OR-ing them into the path int leaves its header
+    bits alone and sets the bit of every rejected edge next to S's own, so
+    the path is clean iff p | universe has every bit, and its false
+    positives are the edges whose bits are still clear. Only edges off S
+    can fail, since S's header holds every label on S. Once the record list
+    is full, the first further false positive sets fp_truncated and later
+    pairs are only counted.
     """
     if path_cap < 1:
         raise ValueError(f"path_cap must be at least 1, got {path_cap}")

@@ -511,11 +511,13 @@ class TestVerifyFoldSwitch:
         # (the edges between consecutive levels) has one edge per reached
         # vertex but the source; that holds exactly when no vertex has two
         # predecessors, i.e. when the parent-pointer phase covers the whole
-        # BFS order
+        # BFS order. It counts the DAG's edges as the edges with exactly one
+        # end at odd distance (unreached vertices have distance -1).
         g = named_graph(name)
         for u, (k, reached) in enumerate(unique_prefix_lengths(g)):
             dist = bfs_distances(g, u)
             dag_edges = sum(dist[a] != dist[b] for a, b in g.edges)
+            assert dag_edges == sum((dist[a] ^ dist[b]) & 1 for a, b in g.edges)
             assert dag_edges >= reached - 1
             assert (dag_edges == reached - 1) == (k == reached)
 
