@@ -149,29 +149,22 @@ def verify_no_false_positives(
     A path is one int, header | edge_set << width: its labels' OR in the low
     width bits and bit width + e for each edge e on it, so one OR with
     steps[e] = masks[e] | 1 << width + e extends it by e. One BFS per source
-    u (but the last, which has no partner above it), then one fold down its
-    order. While each vertex w has exactly one neighbour one hop nearer to
-    u, its one shortest w-u path is its BFS parent's path plus the edge
-    via[w]: single[w] is single[parent] | steps[via[w]]. At the first w
-    with two such predecessors the fold switches to lists: paths[w] holds
-    the first path_cap + 1 shortest w-u paths, lexicographic by vertex
-    sequence, built from paths[x] of each predecessor x (ascending id) by
-    OR-ing in steps[x-w], and every vertex before w starts with its single
-    path. Each v > u then checks the first path_cap entries of paths[v], or
-    single[v] when there was no switch; a pair with more than path_cap
-    shortest paths counts as a cap hit, not an error. Memory per source is
-    at most path_cap + 1 paths per vertex.
-
-    A scan of each vertex's neighbours finds the switch point, but a source
-    whose BFS DAG is a tree skips it. Every edge joins two reached or two
-    unreached vertices and spans at most one BFS level, so the DAG's edges,
-    one per predecessor of each reached vertex, are the edges with exactly
-    one end at odd dist: the XOR of those vertices' incident edge sets. When
-    it has len(order) - 1 edges no vertex has two predecessors, and the
-    whole order folds without the scan. Trees and the paper's
-    core-periphery graphs are always such sources, and where one source is
-    not, most are not: the count is taken only after a source without a
-    switch (paths is None), the first source included.
+    u (but the last, which has no partner above it), then one of two folds
+    down its whole order, chosen by the number of edges in its BFS DAG.
+    Every edge joins two reached or two unreached vertices and spans at most
+    one BFS level, so the DAG's edges, one per predecessor of each reached
+    vertex, are the edges with exactly one end at odd dist: the XOR of those
+    vertices' incident edge sets. With fewer than len(order) of them no
+    vertex has two predecessors, as from every source of a tree or of the
+    paper's core-periphery graphs, and the parent-pointer fold keeps each
+    vertex's one shortest w-u path: single[w] is single[parent] |
+    steps[via[w]].
+    Otherwise the list fold sets paths[w] to the first path_cap + 1 shortest
+    w-u paths, lexicographic by vertex sequence, built from paths[x] of each
+    predecessor x (ascending id) by OR-ing in steps[x-w]. Each v > u then
+    checks single[v], or the first path_cap entries of paths[v]; a pair with
+    more than path_cap shortest paths counts as a cap hit, not an error.
+    Memory per source is at most path_cap + 1 paths per vertex.
 
     The subset tests run on an inverted index: carriers[b] holds, shifted
     like a path's edge set, the edges whose label has bit b, so the edges a
@@ -196,8 +189,6 @@ def verify_no_false_positives(
     edge_count = g.edge_count
     if labelling.edge_count != edge_count:
         raise ValueError("labelling does not cover this graph's edges")
-    if edge_count == 0:
-        return VerificationReport(path_cap=path_cap, fp_record_cap=fp_record_cap)
     masks = labelling.masks
     width = labelling.width
     steps = [mask | 1 << width + eid for eid, mask in enumerate(masks)]
@@ -222,43 +213,28 @@ def verify_no_false_positives(
     pairs = paths_checked = cap_hits = 0
     false_positives: list[tuple[int, int, int]] = []
     truncated = False
-    paths = None
     for u in range(vertex_count - 1):
         dist, via, order = _bfs(g, u)
-        k = reached = len(order)
-        if paths is not None or reduce(xor, compress(incident, map((1).__and__, dist)), 0).bit_count() >= reached:
-            for k, w in enumerate(order):
-                d = dist[w] - 1
-                seen = False
-                for x, _ in adjacency[w]:
-                    if dist[x] == d:
-                        if seen:
-                            break
-                        seen = True
-                else:
-                    continue
-                break
-            else:
-                k = reached
-        single = [0] * vertex_count
-        for w in order[1:k]:
-            eid = via[w]
-            single[w] = single[ends[eid] ^ w] | steps[eid]
-        paths = [[p] for p in single] if k < reached else None
-        for w in order[k:]:
-            d = dist[w] - 1
-            paths[w] = folded = []
-            for x, eid in adjacency[w]:
-                if dist[x] == d:
-                    folded += map(steps[eid].__or__, paths[x])
-                    if len(folded) > path_cap:
-                        del folded[path_cap + 1 :]
-                        break
         owners = [v for v in range(u + 1, vertex_count) if dist[v] >= 0]
         pairs += len(owners)
-        if paths is None:
+        if reduce(xor, compress(incident, map((1).__and__, dist)), 0).bit_count() < len(order):
+            single = [0] * vertex_count
+            for w in order[1:]:
+                eid = via[w]
+                single[w] = single[ends[eid] ^ w] | steps[eid]
             checked = list(map(single.__getitem__, owners))
         else:
+            paths = [None] * vertex_count
+            paths[u] = [0]
+            for w in order[1:]:
+                d = dist[w] - 1
+                paths[w] = folded = []
+                for x, eid in adjacency[w]:
+                    if dist[x] == d:
+                        folded += map(steps[eid].__or__, paths[x])
+                        if len(folded) > path_cap:
+                            del folded[path_cap + 1 :]
+                            break
             checked = []
             for v in owners:
                 found = paths[v]

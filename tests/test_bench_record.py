@@ -16,17 +16,24 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 HOST = {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2, "machine": "x86_64"}
 
 
-def run_output(commit: str, work_per_s: float, pass_s: float, failed: int = 0) -> str:
+def printed(commit: str, metrics: dict, failed: int = 0) -> str:
     """Two lines as perfbench/run.py prints them: the report, then the result."""
     environment = {"commit": commit, "src_sha256": commit * 2, **HOST}
     report = {"report": {"seconds": 35.0, "environment": environment, "passes": 3}}
-    result = {
-        "correct": failed == 0,
-        "attempted": 40,
-        "failed": failed,
-        "metrics": {"work_per_s": {"value": work_per_s, "unit": "1/s"}, "pass_s": {"value": pass_s, "unit": "s"}},
-    }
+    result = {"correct": failed == 0, "attempted": 40, "failed": failed, "metrics": metrics}
     return f"progress\n{json.dumps(report)}\n{json.dumps(result)}\n"
+
+
+def run_output(commit: str, work_per_s: float, pass_s: float, failed: int = 0) -> str:
+    metrics = {"work_per_s": {"value": work_per_s, "unit": "1/s"}, "pass_s": {"value": pass_s, "unit": "s"}}
+    return printed(commit, metrics, failed)
+
+
+def fake_checkout(root: Path, script: str) -> Path:
+    """A directory whose perfbench/run.py is the given script."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(script)
+    return root
 
 
 def pair(n: int, workload: str, parent: tuple, change: tuple, seed: int = 1) -> dict:
@@ -63,6 +70,10 @@ class TestParse:
     def test_rejects_output_without_a_result(self, stdout):
         with pytest.raises(ValueError):
             bench_record.parse_run_output(stdout)
+
+    def test_rejects_a_run_with_wrong_outputs(self):
+        with pytest.raises(ValueError, match="not correct: 2 of 40 operations failed"):
+            bench_record.parse_run_output(run_output("aa", 100.0, 2.0, failed=2))
 
 
 class TestAssemble:
@@ -129,3 +140,23 @@ class TestMain:
         argv = ["run", "--parent", str(tmp_path), "--change", str(ROOT), "--workload", "oracle"]
         assert bench_record.main([*argv, "--seed", "1", "--pairs", "1", "--log", str(tmp_path / "l")]) == 2
         assert "--parent" in capsys.readouterr().err
+
+    def test_failed_run_shows_the_end_of_its_stderr(self, tmp_path, capsys):
+        stderr = "".join(f"line {i}\n" for i in range(8))
+        checkout = fake_checkout(tmp_path / "co", f"import sys\nsys.stderr.write({stderr!r})\nsys.exit(1)\n")
+        argv = ["run", "--parent", str(checkout), "--change", str(checkout), "--workload", "oracle"]
+        assert bench_record.main([*argv, "--seed", "1", "--pairs", "1", "--log", str(tmp_path / "l")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: perfbench/run.py --workload oracle --seed 1 --trace 0 in ")
+        assert err.endswith(" exited 1:\nline 3\nline 4\nline 5\nline 6\nline 7\n")
+        assert not (tmp_path / "l").exists()
+
+    def test_traced_pair_prints_routing_self_s(self, tmp_path, capsys):
+        checkouts = []
+        for side, seconds in (("parent", 1.25), ("change", 0.75)):
+            output = printed(side, {"routing.self_s": {"value": seconds, "unit": "s"}})
+            checkouts += ["--" + side, str(fake_checkout(tmp_path / side, f"print({output!r}, end='')\n"))]
+        argv = ["run", *checkouts, "--workload", "oracle", "--seed", "1", "--pairs", "1", "--trace", "1"]
+        assert bench_record.main([*argv, "--log", str(tmp_path / "l")]) == 0
+        assert capsys.readouterr().out == "pair 0 oracle seed 1: routing.self_s {'parent': 1.25, 'change': 0.75}\n"
+        assert bench_record.read_log(tmp_path / "l")[0]["change"]["metrics"]["routing.self_s"]["value"] == 0.75

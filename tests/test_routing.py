@@ -40,28 +40,21 @@ from helpers import (
 SHUFFLED_GRID = shuffled_edge_ids(grid_4x4(), seed=1)
 
 
-def unique_prefix_lengths(g: Graph) -> list[tuple[int, int]]:
-    """Per source, (k, r): r vertices are reached, and the first k of the BFS
-    order (ascending-id expansion) come before the first vertex with two
-    neighbours one hop nearer the source (k = r when there is none)."""
+def two_predecessor_sources(g: Graph) -> list[bool]:
+    """Per source u, whether some vertex has two neighbours one hop nearer
+    to u: the sources whose BFS DAG is not a tree."""
     found = []
     for u in range(g.vertex_count):
         dist = bfs_distances(g, u)
-        order = [u]
-        for cur in order:
-            order += [nbr for nbr, _ in g.adjacency[cur] if dist[nbr] == dist[cur] + 1 and nbr not in order]
-        k = next(
-            (i for i, w in enumerate(order) if sum(dist[x] == dist[w] - 1 for x, _ in g.adjacency[w]) > 1),
-            len(order),
-        )
-        found.append((k, len(order)))
+        found.append(any(sum(dist[x] == d - 1 for x, _ in nbrs) > 1 for nbrs, d in zip(g.adjacency, dist) if d > 0))
     return found
 
 
 def tree_with_even_chord() -> Graph:
     # perfect binary tree of height 4 and a chord from leaf 15 (left subtree,
     # depth 4) to vertex 11 (right subtree, depth 3): an 8-cycle through the
-    # root, so sources on and near it meet two-path vertices partway
+    # root, so every source meets two-path vertices, most of them late in
+    # its BFS order
     g = make_perfect_binary_tree(4)
     return Graph(g.vertex_count, [*g.edges, (11, 15)])
 
@@ -84,7 +77,9 @@ def tree_and_cycle() -> Graph:
     return Graph(14, [*tree.edges, *((7 + i, 7 + (i + 1) % 6) for i in range(6))])
 
 
-SWITCH_GRAPHS = {
+# Graphs with an even cycle: every source's BFS DAG has a vertex with two
+# predecessors, and many vertices with one before it.
+EVEN_CYCLE_GRAPHS = {
     "tree-chord": tree_with_even_chord(),
     "tree-chord-shuffled": shuffled_edge_ids(tree_with_even_chord(), seed=2),
     "path-on-4-cycle": path_on_four_cycle(),
@@ -118,8 +113,8 @@ TREE_TEST_GRAPHS = {
 
 
 def named_graph(name: str) -> Graph:
-    if name in SWITCH_GRAPHS:
-        return SWITCH_GRAPHS[name]
+    if name in EVEN_CYCLE_GRAPHS:
+        return EVEN_CYCLE_GRAPHS[name]
     if name in TREE_TEST_GRAPHS:
         return TREE_TEST_GRAPHS[name]
     if name == "grid4x4":
@@ -398,6 +393,15 @@ class TestVerify:
         with pytest.raises(ValueError, match="does not cover"):
             verify_no_false_positives(g, bit_per_edge(make_star(5)))
 
+    @pytest.mark.parametrize("width", [0, 3, 9])
+    @pytest.mark.parametrize("vertex_count", [0, 1, 2, 5])
+    def test_edgeless_graph_has_no_pairs(self, vertex_count, width):
+        g = Graph(vertex_count, [])
+        report = verify_no_false_positives(g, Labelling(width, []))
+        assert report == brute_force_report(g, [], 1000, 1000)
+        assert report.pairs_checked == 0
+        assert report.ok
+
     def test_path_cap_is_reported_not_raised(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         report = verify_no_false_positives(g, bit_per_edge(g), path_cap=1)
@@ -445,23 +449,27 @@ class TestVerify:
     @pytest.mark.parametrize("path_cap", [1, 2, 1000])
     @pytest.mark.parametrize(
         "name",
-        ["corpus5", "corpus24", "corpus62", "grid4x4", "grid4x4-shuffled", "cube5", *SWITCH_GRAPHS, *TREE_TEST_GRAPHS],
+        [
+            *("corpus5", "corpus24", "corpus62", "grid4x4", "grid4x4-shuffled", "cube5"),
+            *EVEN_CYCLE_GRAPHS,
+            *TREE_TEST_GRAPHS,
+        ],
     )
     def test_capped_report_matches_brute_force(self, name, path_cap):
-        # graphs with pairs of more shortest paths than the cap, the graphs
-        # where the oracle's fold switches to path lists partway through a
-        # source's BFS order, and the edge cases of its whole-source tree
+        # graphs with pairs of more shortest paths than the cap, graphs
+        # whose sources reach many one-path vertices before their first
+        # two-path one, and the edge cases of the oracle's per-source tree
         # test; the reference checks the same paths in the same order, so
         # the records match in order too, also when edge ids are not in
         # lexicographic order
         g = named_graph(name)
         lab = bloom_labelling(g, g.vertex_count // 2, 3, seed=7)
         expected, _, cap_hits = brute_force_false_positives(g, lab.masks, path_cap)
-        # no pair of corpus graph 5, a switch graph or a tree-test graph has
-        # three shortest paths, and no pair of the 11-cycle or the Petersen
-        # graph has two; every graph has more violations than the record cap
-        # of 3
-        at_most_two = name == "corpus5" or name in SWITCH_GRAPHS or name in TREE_TEST_GRAPHS
+        # no pair of corpus graph 5, an even-cycle graph or a tree-test
+        # graph has three shortest paths, and no pair of the 11-cycle or the
+        # Petersen graph has two; every graph has more violations than the
+        # record cap of 3
+        at_most_two = name == "corpus5" or name in EVEN_CYCLE_GRAPHS or name in TREE_TEST_GRAPHS
         geodetic = name.startswith(("cycle11", "petersen"))
         assert bool(cap_hits) == (path_cap == 1 and not geodetic or path_cap == 2 and not at_most_two)
         assert len(expected) > 3
@@ -488,42 +496,47 @@ class TestVerify:
 
 
 class TestVerifyFoldSwitch:
-    """The fold keeps one path int (header | edge set << width) per vertex
-    while every vertex has one shortest path to the source, and switches to
-    path lists at the first vertex with two; a source whose BFS DAG is a
-    tree never switches and skips the search for that vertex. The switch
-    graphs make the switch fall partway through a source's BFS order, and
-    the shuffled copies make an edge id say nothing about which of its ends
-    is the BFS parent; TestVerify.test_capped_report_matches_brute_force
-    compares their reports with the reference."""
+    """Each source picks one of two folds by the edge count of its BFS DAG:
+    a tree-shaped source keeps one path int (header | edge set << width)
+    per vertex, taken from its BFS parent, and every other source keeps
+    path lists. The shuffled copies of the even-cycle and tree-test graphs
+    make an edge id say nothing about which of its ends is the BFS parent;
+    TestVerify.test_capped_report_matches_brute_force compares their
+    reports with the reference."""
 
-    @pytest.mark.parametrize("name", SWITCH_GRAPHS)
-    def test_switch_falls_partway(self, name):
-        g = SWITCH_GRAPHS[name]
-        assert any(1 < k < reached - 1 for k, reached in unique_prefix_lengths(g))
+    @pytest.mark.parametrize("name", ["corpus5", "tree-and-cycle"])
+    def test_one_call_runs_both_folds(self, name):
+        # the oracle runs no BFS from the last vertex
+        two_predecessors = two_predecessor_sources(named_graph(name))[:-1]
+        assert True in two_predecessors and False in two_predecessors
 
     @pytest.mark.parametrize(
         "name",
-        [*SWITCH_GRAPHS, "leaf-chord", "tree-and-cycle", *TREE_TEST_GRAPHS, "corpus5", "corpus24", "corpus62", "corpus80"],
+        [
+            *EVEN_CYCLE_GRAPHS,
+            *("leaf-chord", "tree-and-cycle"),
+            *TREE_TEST_GRAPHS,
+            *("corpus5", "corpus24", "corpus62", "corpus80"),
+        ],
     )
     def test_dag_edge_count_finds_tree_sources(self, name):
-        # the oracle skips the predecessor scan of a source when its BFS DAG
-        # (the edges between consecutive levels) has one edge per reached
-        # vertex but the source; that holds exactly when no vertex has two
-        # predecessors, i.e. when the parent-pointer phase covers the whole
-        # BFS order. It counts the DAG's edges as the edges with exactly one
-        # end at odd distance (unreached vertices have distance -1).
+        # the oracle runs the parent-pointer fold from a source when its BFS
+        # DAG (the edges between consecutive levels) has fewer edges than
+        # reached vertices; that holds exactly when no vertex has two
+        # predecessors. It counts the DAG's edges as the edges with exactly
+        # one end at odd distance (unreached vertices have distance -1).
         g = named_graph(name)
-        for u, (k, reached) in enumerate(unique_prefix_lengths(g)):
+        for u, two_predecessors in enumerate(two_predecessor_sources(g)):
             dist = bfs_distances(g, u)
+            reached = sum(d >= 0 for d in dist)
             dag_edges = sum(dist[a] != dist[b] for a, b in g.edges)
             assert dag_edges == sum((dist[a] ^ dist[b]) & 1 for a, b in g.edges)
             assert dag_edges >= reached - 1
-            assert (dag_edges == reached - 1) == (k == reached)
+            assert (dag_edges < reached) == (not two_predecessors)
 
     def test_odd_cycle_chord_stays_single(self):
         g = tree_with_leaf_chord()
-        assert all(k == reached for k, reached in unique_prefix_lengths(g))
+        assert not any(two_predecessor_sources(g))
         lab = bloom_labelling(g, 8, 3, 1)
         report = verify_no_false_positives(g, lab, 1, 10**6)
         assert report == brute_force_report(g, lab.masks, 1, 10**6)

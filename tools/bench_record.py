@@ -11,11 +11,13 @@ pairs one run at a time, alternating which side goes first, at run.py's own
 run length, and appends one JSON line per pair to the log: the pair number,
 workload, seed, trace flag, which side ran first and, for each side, the
 run's result line with the run length, commit and src digest of the report
-line before it. `assemble`
-reads the log and writes the record: both commits and src digests, the
-host, per (workload, seed, trace) each metric's quartiles on each side, the
-pairs the change won (ties count for neither) and the ratio of the medians,
-and every pair as it was logged. Standard library only.
+line before it. A run that exits non-zero (the
+error ends with its last stderr lines) or reports a wrong output stops
+`run`; the pairs logged before it stay. `assemble` reads the log and writes
+the record: both commits and src digests, the host, per (workload, seed,
+trace) each metric's quartiles on each side, the pairs the change won (ties
+count for neither) and the ratio of the medians, and every pair as it was
+logged. Standard library only.
 """
 
 from __future__ import annotations
@@ -34,17 +36,22 @@ METHOD = (
     "pairs alternate which side runs first ('first'); one run at a time; "
     "quartiles by statistics.quantiles(method='inclusive')"
 )
+# the last lines of a failed run's stderr that its error repeats
+STDERR_LINES = 5
 
 
 def parse_run_output(stdout: str) -> dict:
     """The result line of one perfbench/run.py run (its last stdout line),
-    with the run length and environment of the report line before it."""
+    with the run length and environment of the report line before it. A run
+    whose outputs were not all correct is an error, not a measurement."""
     lines = stdout.strip().splitlines()
     if len(lines) < 2:
         raise ValueError("run printed no report and result lines")
     result = json.loads(lines[-1])
     if not {"correct", "attempted", "failed", "metrics"} <= result.keys():
         raise ValueError(f"last line is not a result: {lines[-1][:80]}")
+    if not result["correct"]:
+        raise ValueError(f"run was not correct: {result['failed']} of {result['attempted']} operations failed")
     report = json.loads(lines[-2])["report"]
     result["seconds"] = report["seconds"]
     result["environment"] = report["environment"]
@@ -54,7 +61,10 @@ def parse_run_output(stdout: str) -> dict:
 def run_side(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     command = [sys.executable, "perfbench/run.py", "--workload", workload]
     command += ["--seed", str(seed), "--trace", str(trace)]
-    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=True)
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        tail = "\n".join(done.stderr.strip().splitlines()[-STDERR_LINES:])
+        raise RuntimeError(f"{' '.join(command[1:])} in {checkout} exited {done.returncode}:\n{tail}")
     return parse_run_output(done.stdout)
 
 
@@ -79,8 +89,9 @@ def cmd_run(args: argparse.Namespace) -> None:
             entry[side] = run_side(checkouts[side], args.workload, args.seed, args.trace)
         with log.open("a") as out:
             out.write(json.dumps(entry) + "\n")
-        work = {side: entry[side]["metrics"].get("work_per_s", {}).get("value") for side in SIDES}
-        print(f"pair {pair} {args.workload} seed {args.seed}: work_per_s {work}")
+        metric = "routing.self_s" if args.trace else "work_per_s"
+        values = {side: entry[side]["metrics"][metric]["value"] for side in SIDES}
+        print(f"pair {pair} {args.workload} seed {args.seed}: {metric} {values}")
         pair += 1
 
 
@@ -174,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         (cmd_run if args.command == "run" else cmd_assemble)(args)
-    except (OSError, ValueError, subprocess.CalledProcessError) as exc:
+    except (OSError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
