@@ -1,17 +1,20 @@
 """Core/periphery contraction, tree level decomposition, and combined labellings.
 
-A decomposition splits a graph into an induced core and the graph obtained by
-contracting the core to a single vertex; disjoint per-part universes are then
-concatenated into one labelling of the original graph.
+A combined labelling is one combine over a flat list of parts of the graph's
+edges, each over its own universe: bit-per-vertex on an induced core, then a
+star labelling per periphery level, the level stars left by contracting the
+core to one vertex. The parts are found in the original graph's edge ids by
+one BFS from every core vertex; contract builds the contracted graphs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, bfs_distances, is_connected
-from .labelling import Labelling, bit_per_vertex, optimal_rank_float, star_labelling
+from .graphs import Graph, _bfs
+from .labelling import Labelling, optimal_rank_float, star_labelling
 
 CONTRACTED_VERTEX = 0  # id of the merged core inside every periphery graph
 
@@ -42,13 +45,10 @@ class Decomposition:
     edge_map: tuple[int, ...]
 
 
-def contract(g: Graph, core_vertices) -> Decomposition:
-    """Contract the induced core to one vertex.
-
-    The induced core must be connected, and no non-core vertex may have two
-    core neighbors (that would create parallel edges, which are rejected
-    rather than merged so edge_map stays a bijection).
-    """
+def _split_core(g: Graph, core_vertices) -> tuple[list[int], list[int]]:
+    """Ascending core ids and ids of the edges inside the core, once the core
+    is a non-empty proper subset, no outside vertex has two core neighbours
+    and the induced core is connected, checked in that order."""
     core_set = frozenset(core_vertices)
     if not core_set:
         raise DecompositionError("core must be non-empty")
@@ -56,46 +56,70 @@ def contract(g: Graph, core_vertices) -> Decomposition:
         raise DecompositionError("core contains out-of-range vertex ids")
     if len(core_set) >= g.vertex_count:
         raise DecompositionError("core must be a proper subset of the vertices")
-
     core_ids = sorted(core_set)
-    core_index = {orig: i for i, orig in enumerate(core_ids)}
-    outside = [v for v in range(g.vertex_count) if v not in core_set]
-    periphery_index = {orig: i + 1 for i, orig in enumerate(outside)}
-
-    core_edges: list[tuple[int, int]] = []
-    core_edge_map: list[int] = []
-    periphery_edges: list[tuple[int, int]] = []
-    edge_map: list[int] = []
-    seen: set[tuple[int, int]] = set()
+    core_edges: list[int] = []
+    attached: set[int] = set()  # outside vertices with a core neighbour so far
     for eid, (u, v) in enumerate(g.edges):
-        u_in, v_in = u in core_set, v in core_set
-        if u_in and v_in:
-            core_edges.append((core_index[u], core_index[v]))
-            core_edge_map.append(eid)
-            continue
-        pu = CONTRACTED_VERTEX if u_in else periphery_index[u]
-        pv = CONTRACTED_VERTEX if v_in else periphery_index[v]
-        pair = (pu, pv) if pu < pv else (pv, pu)
-        if pair in seen:
-            raise DecompositionError(
-                f"contraction creates parallel edges at periphery vertex {max(pair)}"
-            )
-        seen.add(pair)
-        periphery_edges.append(pair)
-        edge_map.append(eid)
-
-    core = Graph(len(core_ids), core_edges)
-    if not is_connected(core):
+        if u in core_set and v in core_set:
+            core_edges.append(eid)
+        elif u in core_set or v in core_set:
+            w = v if u in core_set else u
+            if w in attached:
+                # w's periphery vertex id: 1 plus the outside vertices below it
+                raise DecompositionError(
+                    f"contraction creates parallel edges at periphery vertex {w + 1 - bisect_left(core_ids, w)}"
+                )
+            attached.add(w)
+    unreached = set(core_ids[1:])
+    stack = core_ids[:1]
+    for cur in stack:
+        for nbr, _ in g.adjacency[cur]:
+            if nbr in unreached:
+                unreached.remove(nbr)
+                stack.append(nbr)
+    if unreached:
         raise DecompositionError("induced core is disconnected")
-    periphery = Graph(len(outside) + 1, periphery_edges)
+    return core_ids, core_edges
+
+
+def contract(g: Graph, core_vertices) -> Decomposition:
+    """Contract the induced core to one vertex.
+
+    The induced core must be connected, and no non-core vertex may have two
+    core neighbors (that would create parallel edges, which are rejected
+    rather than merged so edge_map stays a bijection).
+    """
+    core_ids, core_edge_map = _split_core(g, core_vertices)
+    core_index = {orig: i for i, orig in enumerate(core_ids)}
+    outside = [v for v in range(g.vertex_count) if v not in core_index]
+    periphery_index = dict.fromkeys(core_ids, CONTRACTED_VERTEX) | {v: i for i, v in enumerate(outside, 1)}
+    edge_map = sorted(set(range(g.edge_count)).difference(core_edge_map))
+    core_edges = [(core_index[u], core_index[v]) for u, v in map(g.edges.__getitem__, core_edge_map)]
+    periphery_edges = [(periphery_index[u], periphery_index[v]) for u, v in map(g.edges.__getitem__, edge_map)]
     return Decomposition(
-        core=core,
+        core=Graph(len(core_ids), core_edges),
         core_vertex_map=tuple(core_ids),
         core_edge_map=tuple(core_edge_map),
-        periphery=periphery,
+        periphery=Graph(len(outside) + 1, periphery_edges),
         periphery_vertex_map=(None, *outside),
         edge_map=tuple(edge_map),
     )
+
+
+def _star_levels(g: Graph, sources: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Level stars of g with the distinct vertices sources contracted to one
+    center, by one multi-source BFS: entry i holds the ascending ids of the
+    edges joining distances i and i+1. Raises NotATreeError unless the
+    contracted graph is a tree."""
+    dist, _, order = _bfs(g, sources)
+    buckets: list[list[int]] = [[] for _ in range(dist[order[-1]])]
+    for eid, (u, v) in enumerate(g.edges):
+        d = dist[u] if dist[u] > dist[v] else dist[v]
+        if d > 0:
+            buckets[d - 1].append(eid)
+    if len(order) < g.vertex_count or sum(map(len, buckets)) != g.vertex_count - len(sources):
+        raise NotATreeError("input is not a connected acyclic graph")
+    return tuple(map(tuple, buckets))
 
 
 def tree_star_levels(tree: Graph, center: int) -> tuple[tuple[int, ...], ...]:
@@ -104,14 +128,7 @@ def tree_star_levels(tree: Graph, center: int) -> tuple[tuple[int, ...], ...]:
     ascending ids of the edges joining distances i and i+1 from it."""
     if not 0 <= center < tree.vertex_count:
         raise ValueError("center out of range")
-    dist = bfs_distances(tree, center)
-    if any(d < 0 for d in dist) or tree.edge_count != tree.vertex_count - 1:
-        raise NotATreeError("input is not a connected acyclic graph")
-    depth = max(dist)
-    buckets: list[list[int]] = [[] for _ in range(depth)]
-    for eid, (u, v) in enumerate(tree.edges):
-        buckets[max(dist[u], dist[v]) - 1].append(eid)
-    return tuple(tuple(ids) for ids in buckets)
+    return _star_levels(tree, (center,))
 
 
 def combine(edge_count: int, parts: Sequence[tuple[Labelling, Sequence[int]]]) -> Labelling:
@@ -143,29 +160,34 @@ def combine(edge_count: int, parts: Sequence[tuple[Labelling, Sequence[int]]]) -
     return Labelling(offset, masks)
 
 
-def label_tree(tree: Graph, center: int) -> Labelling:
-    """Star-label each level of the tree and combine, center-most level first.
-
-    Per-level ranks (and bases) come from optimal_rank_float, the selection
-    the tree sizing tables are defined by, so the built width always equals
-    perfect_tree_universe_size on perfect trees.
-    """
+def _star_parts(levels: Sequence[Sequence[int]]) -> list[tuple[Labelling, Sequence[int]]]:
+    """A star labelling per level, of the rank and base optimal_rank_float
+    picks, so built widths equal the sizing formulas below."""
     parts = []
-    for edge_ids in tree_star_levels(tree, center):
+    for edge_ids in levels:
         choice = optimal_rank_float(len(edge_ids))
         parts.append((star_labelling(len(edge_ids), choice.rank, base=choice.base), edge_ids))
-    return combine(tree.edge_count, parts)
+    return parts
+
+
+def label_tree(tree: Graph, center: int) -> Labelling:
+    """Star-label each level of the tree and combine, center-most level first."""
+    return combine(tree.edge_count, _star_parts(tree_star_levels(tree, center)))
 
 
 def label_core_periphery(g: Graph, core_vertices) -> Labelling:
-    """Bit-per-vertex on the core, level stars on the contracted periphery,
-    concatenated core-first."""
-    d = contract(g, core_vertices)
-    if d.periphery.edge_count != d.periphery.vertex_count - 1 or not is_connected(d.periphery):
-        raise DecompositionError("periphery after contraction is not a tree")
-    core_part = bit_per_vertex(d.core)
-    periphery_part = label_tree(d.periphery, CONTRACTED_VERTEX)
-    return combine(g.edge_count, [(core_part, d.core_edge_map), (periphery_part, d.edge_map)])
+    """Combine flat parts of g's edges: bit-per-vertex on the core (bit i for
+    the i-th smallest core id), then a star labelling per periphery level.
+    Rejects what contract rejects, then a periphery that is not a tree after
+    contraction; builds no contracted graph."""
+    core_ids, core_edges = _split_core(g, core_vertices)
+    try:
+        levels = _star_levels(g, core_ids)
+    except NotATreeError:
+        raise DecompositionError("periphery after contraction is not a tree") from None
+    bit = {orig: 1 << i for i, orig in enumerate(core_ids)}
+    core_part = Labelling(len(core_ids), [bit[u] | bit[v] for u, v in map(g.edges.__getitem__, core_edges)])
+    return combine(g.edge_count, [(core_part, core_edges), *_star_parts(levels)])
 
 
 # ---------------------------------------------------------------------------

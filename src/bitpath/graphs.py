@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class EdgeListParseError(ValueError):
@@ -198,19 +198,22 @@ def emit_edge_list(g: Graph) -> str:
 # shortest paths
 
 
-def _bfs(g: Graph, source: int, target: int | None = None) -> tuple[list[int], list[int], list[int]]:
-    """Breadth-first search from source, expanding neighbours in ascending
-    vertex id: the one BFS every shortest-path function here reads from.
+def _bfs(g: Graph, sources: Sequence[int], target: int | None = None) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first search from the distinct vertices sources, expanding
+    neighbours in ascending vertex id: the one BFS every shortest-path and
+    tree-level function reads from.
 
-    Returns (dist, via, order): hop counts (-1 unreached), the id of the edge
-    that first reached each vertex (-1 for the source and unreached ones),
-    and the vertices in the order they were reached. Stops once target is
-    dequeued, when every vertex up to target's distance has its final dist.
+    Returns (dist, via, order): hops to the nearest source (-1 unreached),
+    the id of the edge that first reached each vertex (-1 for sources and
+    unreached ones), and the vertices in the order they were reached, sources
+    first. Stops once target is dequeued, when every vertex up to target's
+    distance has its final dist.
     """
     dist = [-1] * g.vertex_count
     via = [-1] * g.vertex_count
-    dist[source] = 0
-    order = [source]
+    for source in sources:
+        dist[source] = 0
+    order = list(sources)
     adjacency = g.adjacency
     for cur in order:
         if cur == target:
@@ -226,13 +229,13 @@ def _bfs(g: Graph, source: int, target: int | None = None) -> tuple[list[int], l
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """BFS hop counts from source; -1 marks unreachable vertices."""
-    return _bfs(g, source)[0]
+    return _bfs(g, (source,))[0]
 
 
 def is_connected(g: Graph) -> bool:
     if g.vertex_count == 0:
         return True
-    return len(_bfs(g, 0)[2]) == g.vertex_count
+    return len(_bfs(g, (0,))[2]) == g.vertex_count
 
 
 def shortest_path(g: Graph, u: int, v: int) -> Path:
@@ -240,7 +243,7 @@ def shortest_path(g: Graph, u: int, v: int) -> Path:
     ascending vertex id, parent = first discoverer."""
     if not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
         raise ValueError("endpoint out of range")
-    dist, via, _ = _bfs(g, u, v)
+    dist, via, _ = _bfs(g, (u,), v)
     if dist[v] < 0:
         raise NoPathError(f"no path from {u} to {v}")
     vertices = [v]
@@ -265,7 +268,7 @@ def count_shortest_paths(g: Graph) -> int:
     adjacency = g.adjacency
     total = 0
     for u in range(g.vertex_count):
-        dist, _, order = _bfs(g, u)
+        dist, _, order = _bfs(g, (u,))
         if len(order) < g.vertex_count:
             raise ValueError("graph is disconnected")
         ways = [0] * g.vertex_count

@@ -33,13 +33,16 @@ class Labelling:
     def __init__(self, width: int, masks: Sequence[int]):
         if width < 0:
             raise ValueError(f"universe width must be non-negative, got {width}")
-        for eid, mask in enumerate(masks):
-            if mask <= 0:
-                raise ValueError(f"edge {eid}: label must set at least one bit")
-            if mask >> width:
-                raise ValueError(f"edge {eid}: label exceeds universe width")
+        masks = tuple(masks)
+        # min and max check every mask; a failure walks them to name the first bad edge
+        if masks and (min(masks) <= 0 or max(masks) >> width):
+            for eid, mask in enumerate(masks):
+                if mask <= 0:
+                    raise ValueError(f"edge {eid}: label must set at least one bit")
+                if mask >> width:
+                    raise ValueError(f"edge {eid}: label exceeds universe width")
         self.width = width
-        self.masks = tuple(masks)
+        self.masks = masks
 
     @property
     def edge_count(self) -> int:

@@ -214,7 +214,7 @@ def verify_no_false_positives(
     false_positives: list[tuple[int, int, int]] = []
     truncated = False
     for u in range(vertex_count - 1):
-        dist, via, order = _bfs(g, u)
+        dist, via, order = _bfs(g, (u,))
         owners = [v for v in range(u + 1, vertex_count) if dist[v] >= 0]
         pairs += len(owners)
         if reduce(xor, compress(incident, map((1).__and__, dist)), 0).bit_count() < len(order):

@@ -4,7 +4,9 @@ Everything here is deliberately independent of the library's own algorithms:
 path enumeration is plain depth-limited DFS over adjacency, the exhaustive
 star check packs bits and compares subsets on its own, the reference star
 labelling sets each edge's bits from its digit tuple, and the reference Bloom
-draw calls Random.sample once per edge.
+draw calls Random.sample once per edge. The contraction reference builds the
+combined labelling through contract's two graphs and a nested combine, and
+the level reference buckets edges by single-source BFS distance.
 """
 
 from __future__ import annotations
@@ -15,7 +17,21 @@ import random
 
 import numpy as np
 
-from bitpath import Graph, Path, VerificationReport, make_random_connected
+from bitpath import (
+    CONTRACTED_VERTEX,
+    DecompositionError,
+    Graph,
+    Labelling,
+    Path,
+    VerificationReport,
+    bfs_distances,
+    bit_per_vertex,
+    combine,
+    contract,
+    is_connected,
+    label_tree,
+    make_random_connected,
+)
 
 
 def brute_force_shortest_paths(g: Graph, u: int, v: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -145,6 +161,28 @@ def star_labelling_reference(n: int, rank: int, base: int) -> tuple[int, list[in
             bits |= 1 << ((rank + t) * k + (d[r] + d[s]) % k)
         masks.append(bits)
     return (rank + len(coordinate_pairs)) * k, masks
+
+
+def label_core_periphery_by_contraction(g: Graph, core_vertices) -> Labelling:
+    """The combined labelling composed through contracted graphs: contract,
+    bit_per_vertex on the core graph, label_tree on the periphery around the
+    merged core, then one combine of the two through contract's edge maps."""
+    d = contract(g, core_vertices)
+    if d.periphery.edge_count != d.periphery.vertex_count - 1 or not is_connected(d.periphery):
+        raise DecompositionError("periphery after contraction is not a tree")
+    core_part = bit_per_vertex(d.core)
+    periphery_part = label_tree(d.periphery, CONTRACTED_VERTEX)
+    return combine(g.edge_count, [(core_part, d.core_edge_map), (periphery_part, d.edge_map)])
+
+
+def tree_star_levels_reference(tree: Graph, center: int) -> tuple[tuple[int, ...], ...]:
+    """A tree's level stars from single-source BFS distances: edge {u, v}
+    joins level max(dist[u], dist[v]), and each level lists ascending ids."""
+    dist = bfs_distances(tree, center)
+    levels: list[list[int]] = [[] for _ in range(max(dist))]
+    for eid, (u, v) in enumerate(tree.edges):
+        levels[max(dist[u], dist[v]) - 1].append(eid)
+    return tuple(map(tuple, levels))
 
 
 def sample_draw_masks(rng: random.Random, edge_count: int, m: int, k: int) -> list[int]:

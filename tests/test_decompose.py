@@ -16,6 +16,7 @@ from bitpath import (
     combine,
     contract,
     core_periphery_universe_size,
+    emit_edge_list,
     label_core_periphery,
     label_tree,
     make_complete,
@@ -29,7 +30,13 @@ from bitpath import (
     tree_star_levels,
     verify_no_false_positives,
 )
-from helpers import brute_force_shortest_paths
+from bitpath.cli import main
+from helpers import (
+    brute_force_shortest_paths,
+    label_core_periphery_by_contraction,
+    shuffled_edge_ids,
+    tree_star_levels_reference,
+)
 
 
 def grow_forest(data, edges: list[tuple[int, int]], start: int, stop: int) -> Graph:
@@ -38,6 +45,44 @@ def grow_forest(data, edges: list[tuple[int, int]], start: int, stop: int) -> Gr
     for v in range(start, stop):
         edges.append((data.draw(st.integers(0, v - 1), label=f"parent of {v}"), v))
     return Graph(stop, edges)
+
+
+def draw_core_plus_forest(data) -> tuple[Graph, int]:
+    """A complete or random connected core on vertices 0..c-1 plus a random
+    forest hanging off it; returns (graph, c)."""
+    c = data.draw(st.integers(2, 8), label="core vertices")
+    if data.draw(st.booleans(), label="complete core"):
+        core = make_complete(c)
+    else:
+        p = data.draw(st.floats(0.2, 0.9), label="edge probability")
+        core = make_random_connected(c, p, data.draw(st.integers(0, 2**16), label="core seed"))
+    n = c + data.draw(st.integers(1, 22), label="forest vertices")
+    return grow_forest(data, list(core.edges), c, n), c
+
+
+def labelling_or_error(build, g: Graph, core):
+    """(width, masks) of build(g, core), or the DecompositionError message."""
+    try:
+        lab = build(g, core)
+    except DecompositionError as exc:
+        return str(exc)
+    return lab.width, lab.masks
+
+
+FOUR_CYCLE = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+PATH_0123 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+# (graph, core, message): one input per check, in the order they run
+CORE_ERRORS = [
+    (PATH_0123, set(), "core must be non-empty"),
+    (PATH_0123, {9}, "core contains out-of-range vertex ids"),
+    (PATH_0123, {0, 1, 2, 3}, "core must be a proper subset of the vertices"),
+    # vertex 1 touches both core vertices; the core {0, 2} is also
+    # disconnected, and the parallel edges are reported first
+    (FOUR_CYCLE, {0, 2}, "contraction creates parallel edges at periphery vertex 1"),
+    (PATH_0123, {0, 3}, "induced core is disconnected"),
+    (FOUR_CYCLE, {0}, "periphery after contraction is not a tree"),
+]
+CORE_ERROR_IDS = ["empty", "out-of-range", "not-proper", "parallel", "disconnected", "not-a-tree"]
 
 
 class TestContract:
@@ -363,12 +408,88 @@ class TestNoFalsePositivesOnRandomShapes:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.data())
     def test_label_core_periphery_on_core_plus_forest(self, data):
-        c = data.draw(st.integers(2, 8), label="core vertices")
-        if data.draw(st.booleans(), label="complete core"):
-            core = make_complete(c)
-        else:
-            p = data.draw(st.floats(0.2, 0.9), label="edge probability")
-            core = make_random_connected(c, p, data.draw(st.integers(0, 2**16), label="core seed"))
-        n = c + data.draw(st.integers(1, 22), label="forest vertices")
-        g = grow_forest(data, list(core.edges), c, n)
+        g, c = draw_core_plus_forest(data)
         assert verify_no_false_positives(g, label_core_periphery(g, range(c))).ok
+
+
+class TestFlatPartsMatchContraction:
+    """label_core_periphery builds its parts on the original graph; the
+    references in tests/helpers build them through contracted graphs and
+    single-source BFS distances. Widths, masks and errors must agree."""
+
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_core_periphery_graphs(self, n):
+        g, core = make_core_periphery(n)
+        for graph in (g, shuffled_edge_ids(g, n)):
+            lab = label_core_periphery(graph, core)
+            reference = label_core_periphery_by_contraction(graph, core)
+            assert (lab.width, lab.masks) == (reference.width, reference.masks)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_core_plus_forest(self, data):
+        g, c = draw_core_plus_forest(data)
+        shuffled = shuffled_edge_ids(g, data.draw(st.integers(0, 2**16), label="shuffle seed"))
+        for graph in (g, shuffled):
+            lab = label_core_periphery(graph, range(c))
+            reference = label_core_periphery_by_contraction(graph, range(c))
+            assert (lab.width, lab.masks) == (reference.width, reference.masks)
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_random_graphs_and_cores(self, data):
+        """Small graphs of any shape, cores of any size, one id out of range
+        allowed: the same labelling or the same error message."""
+        n = data.draw(st.integers(1, 8), label="vertices")
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges") if pairs else []
+        g = Graph(n, edges)
+        core = data.draw(st.sets(st.integers(0, n), max_size=n), label="core")
+        assert labelling_or_error(label_core_periphery, g, core) == labelling_or_error(
+            label_core_periphery_by_contraction, g, core
+        )
+
+    @pytest.mark.parametrize("h", range(1, 13))
+    def test_tree_levels_on_perfect_trees(self, h):
+        tree = make_perfect_binary_tree(h)
+        # the root, the last leaf and the first vertex at depth ceil(h/2)
+        for center in (0, tree.vertex_count - 1, 2 ** ((h + 1) // 2) - 1):
+            assert tree_star_levels(tree, center) == tree_star_levels_reference(tree, center)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_tree_levels_on_random_trees(self, data):
+        n = data.draw(st.integers(1, 40), label="vertices")
+        tree = grow_forest(data, [], 1, n)
+        center = data.draw(st.integers(0, n - 1), label="center")
+        shuffled = shuffled_edge_ids(tree, data.draw(st.integers(0, 2**16), label="shuffle seed"))
+        for graph in (tree, shuffled):
+            assert tree_star_levels(graph, center) == tree_star_levels_reference(graph, center)
+
+
+class TestCoreErrors:
+    """Each rejected core gives one exact message, from label_core_periphery,
+    from contract (which has no tree check) and from verify's --core."""
+
+    @pytest.mark.parametrize("g, core, message", CORE_ERRORS, ids=CORE_ERROR_IDS)
+    def test_label_core_periphery_message(self, g, core, message):
+        with pytest.raises(DecompositionError) as exc:
+            label_core_periphery(g, core)
+        assert str(exc.value) == message
+        assert labelling_or_error(label_core_periphery_by_contraction, g, core) == message
+
+    @pytest.mark.parametrize("g, core, message", CORE_ERRORS[:-1], ids=CORE_ERROR_IDS[:-1])
+    def test_contract_message(self, g, core, message):
+        with pytest.raises(DecompositionError) as exc:
+            contract(g, core)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("g, core, message", CORE_ERRORS[1:], ids=CORE_ERROR_IDS[1:])
+    def test_cli_message(self, capsys, tmp_path, g, core, message):
+        path = tmp_path / "g.txt"
+        path.write_text(emit_edge_list(g))
+        argv = ["verify", "--graph", str(path), "--scheme", "combined", "--core", ",".join(map(str, sorted(core)))]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"

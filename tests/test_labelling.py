@@ -314,6 +314,23 @@ class TestLabellingType:
         with pytest.raises(ValueError, match="non-negative"):
             Labelling(-1, [])
 
+    @pytest.mark.parametrize(
+        "masks, message",
+        [
+            ([1, 1 << 4, 0], "edge 1: label exceeds universe width"),
+            ([1, 0, 1 << 4], "edge 1: label must set at least one bit"),
+        ],
+        ids=["too-wide-first", "empty-first"],
+    )
+    def test_names_first_bad_edge(self, masks, message):
+        with pytest.raises(ValueError) as exc:
+            Labelling(4, masks)
+        assert str(exc.value) == message
+
+    def test_accepts_empty_labelling(self):
+        lab = Labelling(0, [])
+        assert (lab.width, lab.masks) == (0, ())
+
     def test_edge_label_positions(self):
         label = 0b1001
         assert label.bit_count() == 2
