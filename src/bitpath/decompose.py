@@ -135,28 +135,23 @@ def combine(edge_count: int, parts: Sequence[tuple[Labelling, Sequence[int]]]) -
     """Concatenate part labellings whose edge maps partition 0..edge_count-1.
 
     Part j's bits are shifted by the total width of the parts before it, so
-    part universes stay disjoint and |W| is the sum of the part sizes.
+    part universes stay disjoint and |W| is the sum of the part sizes. One
+    walk per part checks its edge ids and places their masks.
     """
-    owner = [-1] * edge_count
+    masks = [0] * edge_count
+    offset = 0
     for j, (part, edge_map) in enumerate(parts):
         if len(edge_map) != part.edge_count:
             raise DecompositionError(f"part {j}: edge map size differs from labelling")
-        for ge in edge_map:
+        for ge, mask in zip(edge_map, part.masks):
             if not 0 <= ge < edge_count:
                 raise DecompositionError(f"part {j}: edge id {ge} out of range")
-            if owner[ge] != -1:
+            if masks[ge]:
                 raise DecompositionError(f"edge {ge} covered by two parts")
-            owner[ge] = j
-    for ge, j in enumerate(owner):
-        if j == -1:
-            raise DecompositionError(f"edge {ge} not covered by any part")
-
-    masks = [0] * edge_count
-    offset = 0
-    for part, edge_map in parts:
-        for pe, ge in enumerate(edge_map):
-            masks[ge] = part.masks[pe] << offset
+            masks[ge] = mask << offset
         offset += part.width
+    if 0 in masks:
+        raise DecompositionError(f"edge {masks.index(0)} not covered by any part")
     return Labelling(offset, masks)
 
 

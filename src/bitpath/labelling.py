@@ -85,6 +85,8 @@ class Labelling:
                 if not 0 <= pos < width:
                     raise ValueError(f"line {lineno}: bit {pos} outside universe")
                 bits |= 1 << pos
+            if not bits:
+                raise ValueError(f"line {lineno}: label must set at least one bit")
             masks.append(bits)
         return cls(width, masks)
 

@@ -37,7 +37,7 @@ def fake_checkout(root: Path, script: str) -> Path:
 
 
 def pair(n: int, workload: str, parent: tuple, change: tuple, seed: int = 1) -> dict:
-    return {
+    entry = {
         "pair": n,
         "workload": workload,
         "seed": seed,
@@ -46,6 +46,10 @@ def pair(n: int, workload: str, parent: tuple, change: tuple, seed: int = 1) -> 
         "parent": bench_record.parse_run_output(run_output("aa", *parent)),
         "change": bench_record.parse_run_output(run_output("bb", *change)),
     }
+    for side, result in (("parent", parent), ("change", change)):
+        # as run_side adds it: a peak RSS and CPU seconds that differ per pair
+        entry[side]["process_tree"] = {"max_rss_mb": 30.0 + n, "cpu_s": 2 * result[1]}
+    return entry
 
 
 # oracle: the change wins work_per_s in 3 of 4 pairs and pass_s in 2 (one tie)
@@ -91,6 +95,22 @@ class TestAssemble:
         assert (forward["seed"], forward["pairs"]) == (2, 1)
         assert forward["metrics"]["work_per_s"]["parent"] == {"median": 50.0}
         assert forward["metrics"]["work_per_s"]["change_wins"] == "0/1"
+
+    def test_summary_holds_median_process_tree_usage(self):
+        oracle, forward = bench_record.assemble(RUNS, BENCHMARK, "a change", None)["summary"]
+        assert oracle["process_tree"] == {
+            "parent": {"max_rss_mb": 31.5, "cpu_s": 4.0},
+            "change": {"max_rss_mb": 31.5, "cpu_s": pytest.approx(3.6)},
+        }
+        assert forward["process_tree"]["change"] == {"max_rss_mb": 34.0, "cpu_s": 2.2}
+        assert "process_tree" not in oracle["metrics"]
+
+    def test_logs_without_process_tree_usage_still_assemble(self):
+        runs = json.loads(json.dumps(RUNS))
+        del runs[1]["change"]["process_tree"]
+        oracle, forward = bench_record.assemble(runs, BENCHMARK, "a change", None)["summary"]
+        assert "process_tree" not in oracle
+        assert "process_tree" in forward
 
     def test_record_fields(self):
         record = bench_record.assemble(RUNS, BENCHMARK, "a change", None)
@@ -160,3 +180,31 @@ class TestMain:
         assert bench_record.main([*argv, "--log", str(tmp_path / "l")]) == 0
         assert capsys.readouterr().out == "pair 0 oracle seed 1: routing.self_s {'parent': 1.25, 'change': 0.75}\n"
         assert bench_record.read_log(tmp_path / "l")[0]["change"]["metrics"]["routing.self_s"]["value"] == 0.75
+
+
+# A run.py that forks a worker, which touches 40 MB and spins for 0.3 s of
+# CPU, reaps it, then prints its report and result lines; the run itself
+# stays far below 40 MB and idles while it waits.
+FORKING_RUN = """
+import os, sys, time
+pid = os.fork()
+if pid == 0:
+    block = bytearray(40 << 20)
+    end = time.process_time() + 0.3
+    while time.process_time() < end:
+        pass
+    os._exit(0)
+os.waitpid(pid, 0)
+sys.stdout.write(OUTPUT)
+"""
+
+
+class TestProcessTree:
+    def test_run_side_counts_reaped_workers(self, tmp_path):
+        output = run_output("aa", 100.0, 2.0)
+        checkout = fake_checkout(tmp_path / "co", f"OUTPUT = {output!r}\n{FORKING_RUN}")
+        result = bench_record.run_side(checkout, "oracle", 1, 0)
+        assert result["metrics"] == bench_record.parse_run_output(output)["metrics"]
+        usage = result["process_tree"]
+        assert usage["max_rss_mb"] >= 40
+        assert usage["cpu_s"] >= 0.3

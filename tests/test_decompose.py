@@ -240,6 +240,30 @@ class TestCombine:
         with pytest.raises(DecompositionError, match="size"):
             combine(3, [(lab, [0, 1])])
 
+    @pytest.mark.parametrize("edge_id", [3, -1])
+    def test_rejects_out_of_range_edge_id(self, edge_id):
+        with pytest.raises(DecompositionError, match=f"^part 0: edge id {edge_id} out of range$"):
+            combine(3, [(star_labelling(3, 1), [0, 1, edge_id])])
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            # size first, then each part's ids in order, then the first uncovered edge
+            ([([0, 1, 2], 3), ([3], 2)], "part 1: edge map size differs from labelling"),
+            ([([0, 7, 1], 3), ([3], 2)], "part 0: edge id 7 out of range"),
+            ([([0, 0, 7], 3)], "edge 0 covered by two parts"),
+            ([([0, 7, 0], 3)], "part 0: edge id 7 out of range"),
+            ([([1, 2], 2), ([2, 9], 2)], "edge 2 covered by two parts"),
+            ([([1, 2], 2), ([9, 2], 2)], "part 1: edge id 9 out of range"),
+            ([([3, 1], 2), ([2], 1)], "edge 0 not covered by any part"),
+            ([([4], 1), ([1, 2], 2)], "edge 0 not covered by any part"),
+        ],
+    )
+    def test_errors_come_in_part_order(self, parts, message):
+        labelled = [(star_labelling(n, 1), edge_map) for edge_map, n in parts]
+        with pytest.raises(DecompositionError, match=f"^{message}$"):
+            combine(5, labelled)
+
 
 class TestLabelTree:
     def test_height_five_width(self):

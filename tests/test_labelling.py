@@ -405,8 +405,9 @@ class TestSerialization:
             ("universe 4\nedge 0: 1 x\n", "line 2: .*'x'"),
             ("universe 4\n\nedge 0: 1 x\n", "line 3: .*'x'"),
             ("universe 4\nedge 0: 1\n\n\nedge 2: 1\n", "line 5: expected 'edge 1: ...'"),
+            ("universe 4\nedge 0: 1\nedge 1:\n", "^line 3: label must set at least one bit$"),
         ],
-        ids=["out-of-range", "not-an-integer", "after-blank-line", "edge-gap-after-blank-lines"],
+        ids=["out-of-range", "not-an-integer", "after-blank-line", "edge-gap-after-blank-lines", "empty-label"],
     )
     def test_parse_rejects_out_of_range_bit(self, text, message):
         with pytest.raises(ValueError, match=message):

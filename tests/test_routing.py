@@ -1,6 +1,11 @@
 """Headers, subset recognition, forwarding simulation, and the FP oracle."""
 
+import multiprocessing
+import os
 import random
+import signal
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +33,7 @@ from bitpath import (
     star_labelling,
     verify_no_false_positives,
 )
+from bitpath import routing
 from helpers import (
     brute_force_false_positives,
     brute_force_report,
@@ -584,3 +590,181 @@ class TestVerifyFoldSwitch:
         fp_record_cap = data.draw(st.sampled_from([0, 3, 10**6]), label="fp_record_cap")
         report = verify_no_false_positives(g, lab, path_cap, fp_record_cap)
         assert report == brute_force_report(g, lab.masks, path_cap, fp_record_cap)
+
+
+def shard_reports(g: Graph, lab: Labelling, shards: int, path_cap: int, fp_record_cap: int) -> list:
+    """The reports of the oracle's shards, each checked in this process."""
+    tables = routing._tables(g, lab)
+    ranges = routing._shard_ranges(g.vertex_count, shards)
+    assert len(ranges) == shards
+    assert [u for sources in ranges for u in sources] == list(range(g.vertex_count - 1))
+    return [routing._check_sources(g, tables, sources, path_cap, fp_record_cap) for sources in ranges]
+
+
+def combined_inputs() -> list:
+    inputs = []
+    for n in range(3, 9):
+        g, core = make_core_periphery(n)
+        inputs.append((g, label_core_periphery(g, core)))
+    for h in range(2, 6):
+        g = make_perfect_binary_tree(h)
+        inputs.append((g, label_tree(g, 0)))
+    return inputs
+
+
+def bit_per_vertex_inputs() -> list:
+    graphs = [make_random_connected(n, p, seed) for n, p, seed in [(9, 0.3, 1), (15, 0.2, 2), (24, 0.15, 3)]]
+    return [(g, bit_per_vertex(g)) for g in graphs]
+
+
+def bloom_inputs() -> list:
+    # dense labels, with many violations from every source, and sparse ones
+    graphs = [make_star(12), random_graph_corpus()[5], random_graph_corpus()[24], tree_and_cycle()]
+    return [(g, bloom_labelling(g, m, 3, seed=3)) for g in graphs for m in (g.vertex_count // 2, 2 * g.vertex_count)]
+
+
+def small_inputs() -> list:
+    return [(Graph(0, []), Labelling(2, [])), (Graph(1, []), Labelling(2, [])), (make_star(1), bit_per_edge(make_star(1)))]
+
+
+# a graph whose sources the oracle splits across CPUs: 11,325 pairs, above the cutoff
+SHARDED_STAR = make_star(150)
+
+
+class TestVerifyShards:
+    """verify_no_false_positives checks contiguous ranges of sources and
+    merges their reports; every split gives the one-call report, records
+    and their order included."""
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 7])
+    @pytest.mark.parametrize(
+        "inputs", [combined_inputs, bit_per_vertex_inputs, small_inputs], ids=["combined", "bit-per-vertex", "small"]
+    )
+    def test_merged_report_equals_one_call(self, inputs, shards):
+        for g, lab in inputs():
+            whole = verify_no_false_positives(g, lab)
+            assert routing._merge(shard_reports(g, lab, shards, 1000, 1000), 1000, 1000) == whole
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 7])
+    def test_merge_keeps_the_first_records(self, shards):
+        truncated = set()  # whether whole reports and the reports of one split truncate
+        for g, lab in bloom_inputs():
+            for fp_record_cap in (0, 1, 2, 5):
+                whole = verify_no_false_positives(g, lab, fp_record_cap=fp_record_cap)
+                reports = shard_reports(g, lab, shards, 1000, fp_record_cap)
+                assert routing._merge(reports, 1000, fp_record_cap) == whole
+                truncated.add((whole.fp_truncated, frozenset(r.fp_truncated for r in reports)))
+        assert (False, frozenset([False])) in truncated
+        assert (True, frozenset([True])) in truncated
+        # some shards truncate and some do not; no shard truncates, but
+        # together they hold more records than the cap
+        assert (shards > 1) == ((True, frozenset([False, True])) in truncated)
+        assert (shards > 1) == ((True, frozenset([False])) in truncated)
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 7])
+    def test_merge_adds_path_cap_hits_and_disconnected_pairs(self, shards):
+        for g, path_cap in ((grid_4x4(), 2), (tree_and_cycle(), 1), (tree_and_cycle(), 1000)):
+            lab = bit_per_edge(g)
+            whole = verify_no_false_positives(g, lab, path_cap)
+            assert routing._merge(shard_reports(g, lab, shards, path_cap, 1000), path_cap, 1000) == whole
+        assert verify_no_false_positives(grid_4x4(), bit_per_edge(grid_4x4()), 2).path_cap_hits > 0
+
+    def test_ranges_balance_estimated_work(self):
+        # sources near 0 check more pairs, so the first range is the shortest
+        first, second = routing._shard_ranges(400, 2)
+        assert (first, second) == (range(0, 152), range(152, 399))
+
+    def test_above_the_cutoff_reports_what_one_shard_reports(self):
+        g, core = make_core_periphery(20)
+        lab = label_core_periphery(g, core)
+        assert g.vertex_count * (g.vertex_count - 1) // 2 >= routing._SHARD_PAIRS
+        (one,) = shard_reports(g, lab, 1, 1000, 1000)
+        assert verify_no_false_positives(g, lab) == one
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the oracle forks workers only where the fork start method and os.sched_getaffinity exist",
+)
+class TestVerifyWorkers:
+    """Forked workers end with the call, whether it returns or raises."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """Turn a call that hangs into a failure after 60 s."""
+
+        def expire(signum, frame):
+            raise TimeoutError("the oracle call did not return within 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    @pytest.fixture
+    def failing_shard(self, monkeypatch):
+        """Make the shard of the given first source raise; a forked worker
+        inherits the patch."""
+        check = routing._check_sources
+
+        def fail_at(start):
+            def patched(g, tables, sources, *caps):
+                if sources.start == start:
+                    raise ValueError(f"shard at {start} failed")
+                return check(g, tables, sources, *caps)
+
+            monkeypatch.setattr(routing, "_check_sources", patched)
+
+        return fail_at
+
+    def test_no_worker_outlives_the_call(self, two_cpus):
+        g = SHARDED_STAR
+        report = verify_no_false_positives(g, star_labelling(150, 2))
+        assert report.ok and report.pairs_checked == 150 * 151 // 2
+        assert multiprocessing.active_children() == []
+
+    def test_failing_worker_raises(self, two_cpus, failing_shard):
+        failing_shard(routing._shard_ranges(SHARDED_STAR.vertex_count, 2)[1].start)
+        with pytest.raises(RuntimeError, match="oracle worker .* exited without a report"):
+            verify_no_false_positives(SHARDED_STAR, star_labelling(150, 2))
+        assert multiprocessing.active_children() == []
+
+    def test_failing_first_shard_stops_the_workers(self, monkeypatch, two_cpus):
+        def patched(g, tables, sources, *caps):
+            if sources.start == 0:
+                raise ValueError("shard at 0 failed")
+            time.sleep(30)  # a long shard in the worker: the call stops it rather than wait
+
+        monkeypatch.setattr(routing, "_check_sources", patched)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="shard at 0 failed"):
+            verify_no_false_positives(SHARDED_STAR, star_labelling(150, 2))
+        assert time.monotonic() - start < 10
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fallback", ["one-cpu", "no-fork", "below-cutoff", "threads"])
+    def test_one_shard_runs_in_process(self, monkeypatch, two_cpus, failing_shard, fallback):
+        # a second shard would raise, so the call succeeds only as one shard
+        g = SHARDED_STAR if fallback != "below-cutoff" else make_star(140)
+        failing_shard(routing._shard_ranges(g.vertex_count, 2)[1].start)
+        if fallback == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif fallback == "no-fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        release = threading.Event()
+        waiting = threading.Thread(target=release.wait, args=(60,))
+        if fallback == "threads":
+            waiting.start()
+        try:
+            assert verify_no_false_positives(g, star_labelling(g.edge_count, 2)).ok
+        finally:
+            release.set()
+            if fallback == "threads":
+                waiting.join(60)
+                assert not waiting.is_alive()

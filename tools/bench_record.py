@@ -11,22 +11,27 @@ pairs one run at a time, alternating which side goes first, at run.py's own
 run length, and appends one JSON line per pair to the log: the pair number,
 workload, seed, trace flag, which side ran first and, for each side, the
 run's result line with the run length, commit and src digest of the report
-line before it. A run that exits non-zero (the
-error ends with its last stderr lines) or reports a wrong output stops
-`run`; the pairs logged before it stay. `assemble` reads the log and writes
-the record: both commits and src digests, the host, per (workload, seed,
-trace) each metric's quartiles on each side, the pairs the change won (ties
-count for neither) and the ratio of the medians, and every pair as it was
-logged. Standard library only.
+line before it, and its process tree's usage from os.wait4: the peak RSS of
+its largest process and the CPU seconds of all of them, worker processes
+included (run.py's own peak_rss_mb sees only its process). A run that exits
+non-zero (the error ends with its last stderr lines) or reports a wrong
+output stops `run`; the pairs logged before it stay. `assemble` reads the
+log and writes the record: both commits and src digests, the host, per
+(workload, seed, trace) each metric's quartiles on each side, the pairs the
+change won (ties count for neither) and the ratio of the medians, each
+side's median process-tree usage, and every pair as it was logged.
+Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -38,6 +43,8 @@ METHOD = (
 )
 # the last lines of a failed run's stderr that its error repeats
 STDERR_LINES = 5
+# a run's process-tree usage, kept beside its metrics
+TREE_USAGE = ("max_rss_mb", "cpu_s")
 
 
 def parse_run_output(stdout: str) -> dict:
@@ -59,13 +66,23 @@ def parse_run_output(stdout: str) -> dict:
 
 
 def run_side(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    """One run's result, with its process tree's usage under "process_tree":
+    os.wait4 reaps the run and reports the largest peak RSS of it and the
+    descendants it waited for, and their CPU time."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload]
     command += ["--seed", str(seed), "--trace", str(trace)]
-    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
-    if done.returncode != 0:
-        tail = "\n".join(done.stderr.strip().splitlines()[-STDERR_LINES:])
-        raise RuntimeError(f"{' '.join(command[1:])} in {checkout} exited {done.returncode}:\n{tail}")
-    return parse_run_output(done.stdout)
+    with tempfile.TemporaryFile("w+") as stdout, tempfile.TemporaryFile("w+") as stderr:
+        run = subprocess.Popen(command, cwd=checkout, stdout=stdout, stderr=stderr, text=True)
+        _, status, usage = os.wait4(run.pid, 0)
+        run.returncode = os.waitstatus_to_exitcode(status)
+        stdout.seek(0)
+        stderr.seek(0)
+        if run.returncode != 0:
+            tail = "\n".join(stderr.read().strip().splitlines()[-STDERR_LINES:])
+            raise RuntimeError(f"{' '.join(command[1:])} in {checkout} exited {run.returncode}:\n{tail}")
+        result = parse_run_output(stdout.read())
+    result["process_tree"] = {"max_rss_mb": usage.ru_maxrss / 1024, "cpu_s": usage.ru_utime + usage.ru_stime}
+    return result
 
 
 def read_log(path: Path) -> list[dict]:
@@ -105,7 +122,8 @@ def spread(values: list[float]) -> dict:
 def summarise(runs: list[dict], better: dict[str, str]) -> list[dict]:
     """Per (workload, seed, trace), in order of first appearance: each
     metric's spread on both sides, the pairs the change won and the ratio
-    of the change's median over the parent's."""
+    of the change's median over the parent's, and each side's median
+    process-tree usage when every run of the group has it."""
     groups: dict[tuple, list[dict]] = {}
     for entry in runs:
         groups.setdefault((entry["workload"], entry["seed"], entry["trace"]), []).append(entry)
@@ -124,7 +142,13 @@ def summarise(runs: list[dict], better: dict[str, str]) -> list[dict]:
             metrics[name]["ratio_change_over_parent"] = (
                 statistics.median(values["change"]) / statistics.median(values["parent"])
             )
-        summary.append({"workload": workload, "seed": seed, "trace": trace, "pairs": len(entries), "metrics": metrics})
+        group = {"workload": workload, "seed": seed, "trace": trace, "pairs": len(entries), "metrics": metrics}
+        if all("process_tree" in e[side] for e in entries for side in SIDES):
+            group["process_tree"] = {
+                side: {key: statistics.median(e[side]["process_tree"][key] for e in entries) for key in TREE_USAGE}
+                for side in SIDES
+            }
+        summary.append(group)
     return summary
 
 
