@@ -38,11 +38,11 @@ def _draw_masks(rng: random.Random, edge_count: int, m: int, k: int) -> list[int
             masks.append(bits)
     else:
         population = list(range(m))
+        draws = [(n, n.bit_length()) for n in range(m, m - k, -1)]
         for _ in range(edge_count):
             pool = population[:]
             bits = 0
-            for n in range(m, m - k, -1):
-                width = n.bit_length()
+            for n, width in draws:
                 j = getrandbits(width)
                 while j >= n:
                     j = getrandbits(width)

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import os
 import threading
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import accumulate, compress
-from operator import xor
+from itertools import compress
+from operator import itemgetter, xor
 
 from .graphs import Graph, Path, _bfs, shortest_path
 from .labelling import Labelling, bit_positions
@@ -191,16 +190,18 @@ def verify_no_false_positives(
     is full, the first further false positive sets fp_truncated and later
     pairs are only counted.
 
-    The sources are checked in contiguous shards whose reports merge
-    exactly: the counts add up, and the records are the shards' records in
-    source order, cut to fp_record_cap and truncated if a shard was or the
-    cut dropped any, since a shard's records are a prefix of its full list.
-    From _SHARD_PAIRS vertex pairs, in a single-threaded process where the
-    fork start method and os.sched_getaffinity exist, there is one shard per
-    usable CPU, split by estimated work: the first runs in this process, the
-    others in forked children that inherit the tables, send back their
-    report and are joined (terminated first on error) before the call
-    returns. Otherwise the call is one shard, run in this process.
+    The sources are checked in shards, shard i of s taking every s-th source
+    from i. The shards' reports merge exactly: the counts add up, and the
+    records, stably sorted by source, are cut to fp_record_cap and truncated
+    if a shard was or the cut dropped any, since each source's records come
+    from one shard, in its order, and a shard's records are a prefix of its
+    full list. From _SHARD_PAIRS vertex pairs, in a single-threaded process
+    where the fork start method and os.sched_getaffinity exist, there is one
+    shard per usable CPU: the first runs in this process, the others in
+    forked children that inherit the tables and send back their report or
+    the exception that stopped them, which the call raises. Children are
+    joined (terminated first on error) before the call returns. Otherwise
+    the call is one shard, run in this process.
     """
     if path_cap < 1:
         raise ValueError(f"path_cap must be at least 1, got {path_cap}")
@@ -218,7 +219,7 @@ def verify_no_false_positives(
 
         if "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon:
             shards = len(os.sched_getaffinity(0))
-    first, *others = _shard_ranges(n, shards)
+    first, *others = (range(i, n - 1, shards) for i in range(shards))
     workers = []
     try:
         for sources in others:
@@ -234,6 +235,8 @@ def verify_no_false_positives(
                 reports.append(receiver.recv())
             except EOFError:
                 raise RuntimeError(f"oracle worker {worker.pid} exited without a report") from None
+            if isinstance(reports[-1], Exception):
+                raise reports[-1]
     except BaseException:
         for worker, _ in workers:
             worker.terminate()
@@ -265,19 +268,19 @@ def _tables(g: Graph, labelling: Labelling) -> tuple:
     return width, steps, rejects, ends, incident
 
 
-def _shard_ranges(vertex_count: int, shards: int) -> list[range]:
-    """The sources 0..vertex_count-2 in shards contiguous ranges of about
-    equal work: a source's BFS and fold cost about as much as vertex_count / 2
-    pair checks (core-periphery n=20, tree h=8), plus one per vertex above it."""
-    cost = list(accumulate(vertex_count // 2 + vertex_count - 1 - u for u in range(vertex_count - 1)))
-    total = cost[-1] if cost else 0
-    bounds = [0, *(bisect_left(cost, total * i // shards) for i in range(1, shards)), len(cost)]
-    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
 def _send_report(sender, *args) -> None:
-    """A forked worker's body: send the report of one shard."""
-    sender.send(_check_sources(*args))
+    """A forked worker's body: send its shard's report, or the exception that
+    stopped it (a RuntimeError naming it if it does not survive pickling)."""
+    try:
+        report = _check_sources(*args)
+    except Exception as exc:
+        import pickle  # already loaded by multiprocessing in a worker
+
+        try:
+            report = pickle.loads(pickle.dumps(exc))
+        except Exception:
+            report = RuntimeError(f"oracle worker raised {type(exc).__name__}: {exc}")
+    sender.send(report)
 
 
 def _check_sources(g: Graph, tables: tuple, sources: range, path_cap: int, fp_record_cap: int) -> VerificationReport:
@@ -337,20 +340,13 @@ def _check_sources(g: Graph, tables: tuple, sources: range, path_cap: int, fp_re
                 truncated = True
                 break
     return VerificationReport(
-        path_cap=path_cap,
-        fp_record_cap=fp_record_cap,
-        pairs_checked=pairs,
-        paths_checked=paths_checked,
-        subset_tests=edge_count * paths_checked,
-        false_positives=false_positives,
-        fp_truncated=truncated,
-        path_cap_hits=cap_hits,
+        path_cap, fp_record_cap, pairs, paths_checked, edge_count * paths_checked, false_positives, truncated, cap_hits
     )
 
 
 def _merge(reports: list[VerificationReport], path_cap: int, fp_record_cap: int) -> VerificationReport:
-    """One report of the shard reports of consecutive source ranges."""
-    records = [fp for report in reports for fp in report.false_positives]
+    """One report of the shard reports of disjoint source sets."""
+    records = sorted((fp for report in reports for fp in report.false_positives), key=itemgetter(0))
     merged = VerificationReport(path_cap, fp_record_cap, false_positives=records[:fp_record_cap])
     merged.fp_truncated = len(records) > fp_record_cap or any(report.fp_truncated for report in reports)
     for name in ("pairs_checked", "paths_checked", "subset_tests", "path_cap_hits"):

@@ -16,10 +16,10 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 HOST = {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2, "machine": "x86_64"}
 
 
-def printed(commit: str, metrics: dict, failed: int = 0) -> str:
+def printed(commit: str, metrics: dict, failed: int = 0, passes: int = 3) -> str:
     """Two lines as perfbench/run.py prints them: the report, then the result."""
     environment = {"commit": commit, "src_sha256": commit * 2, **HOST}
-    report = {"report": {"seconds": 35.0, "environment": environment, "passes": 3}}
+    report = {"report": {"seconds": 35.0, "environment": environment, "passes": passes}}
     result = {"correct": failed == 0, "attempted": 40, "failed": failed, "metrics": metrics}
     return f"progress\n{json.dumps(report)}\n{json.dumps(result)}\n"
 
@@ -67,8 +67,14 @@ class TestParse:
         result = bench_record.parse_run_output(run_output("aa", 100.0, 2.0))
         assert result["metrics"]["work_per_s"] == {"value": 100.0, "unit": "1/s"}
         assert result["seconds"] == 35.0
+        assert result["passes"] == 3
         assert result["environment"]["commit"] == "aa"
         assert result["environment"]["src_sha256"] == "aaaa"
+
+    def test_keeps_the_pass_count_beside_peak_rss(self):
+        metrics = {"peak_rss_mb": {"value": 47.0, "unit": "MB"}}
+        result = bench_record.parse_run_output(printed("aa", metrics, passes=29))
+        assert (result["passes"], result["metrics"]["peak_rss_mb"]["value"]) == (29, 47.0)
 
     @pytest.mark.parametrize("stdout", ["", '{"report": {}}\n', 'x\n{"report": {}}\n{"metrics": {}}\n'])
     def test_rejects_output_without_a_result(self, stdout):
@@ -122,6 +128,7 @@ class TestAssemble:
         assert [r["first"] for r in record["runs"]] == ["parent", "change", "parent", "change", "parent"]
         assert "environment" not in record["runs"][0]["parent"]
         assert {r[side]["seconds"] for r in record["runs"] for side in bench_record.SIDES} == {35.0}
+        assert {r[side]["passes"] for r in record["runs"] for side in bench_record.SIDES} == {3}
         assert record["runs"][2]["change"]["metrics"]["work_per_s"]["value"] == 80.0
 
     def test_rejects_mixed_commits(self):

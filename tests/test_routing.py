@@ -593,11 +593,10 @@ class TestVerifyFoldSwitch:
 
 
 def shard_reports(g: Graph, lab: Labelling, shards: int, path_cap: int, fp_record_cap: int) -> list:
-    """The reports of the oracle's shards, each checked in this process."""
+    """The reports of the oracle's shards, shard i taking every shards-th
+    source from i, each checked in this process."""
     tables = routing._tables(g, lab)
-    ranges = routing._shard_ranges(g.vertex_count, shards)
-    assert len(ranges) == shards
-    assert [u for sources in ranges for u in sources] == list(range(g.vertex_count - 1))
+    ranges = [range(i, g.vertex_count - 1, shards) for i in range(shards)]
     return [routing._check_sources(g, tables, sources, path_cap, fp_record_cap) for sources in ranges]
 
 
@@ -631,9 +630,16 @@ def small_inputs() -> list:
 SHARDED_STAR = make_star(150)
 
 
+class TwoPartError(Exception):
+    """Pickles, but does not unpickle: loading calls it with one argument."""
+
+    def __init__(self, left, right):
+        super().__init__(f"{left} and {right}")
+
+
 class TestVerifyShards:
-    """verify_no_false_positives checks contiguous ranges of sources and
-    merges their reports; every split gives the one-call report, records
+    """verify_no_false_positives checks every shards-th source in each shard
+    and merges their reports; every split gives the one-call report, records
     and their order included."""
 
     @pytest.mark.parametrize("shards", [1, 2, 3, 7])
@@ -648,12 +654,17 @@ class TestVerifyShards:
     @pytest.mark.parametrize("shards", [1, 2, 3, 7])
     def test_merge_keeps_the_first_records(self, shards):
         truncated = set()  # whether whole reports and the reports of one split truncate
+        kept_shards = set()  # how many shards the records of a truncated report came from
         for g, lab in bloom_inputs():
             for fp_record_cap in (0, 1, 2, 5):
                 whole = verify_no_false_positives(g, lab, fp_record_cap=fp_record_cap)
                 reports = shard_reports(g, lab, shards, 1000, fp_record_cap)
                 assert routing._merge(reports, 1000, fp_record_cap) == whole
                 truncated.add((whole.fp_truncated, frozenset(r.fp_truncated for r in reports)))
+                if whole.fp_truncated:
+                    kept_shards.add(len({u % shards for u, _, _ in whole.false_positives}))
+        # the cap cuts records of several shards, interleaved by source
+        assert (shards > 1) == (max(kept_shards) > 1)
         assert (False, frozenset([False])) in truncated
         assert (True, frozenset([True])) in truncated
         # some shards truncate and some do not; no shard truncates, but
@@ -668,11 +679,6 @@ class TestVerifyShards:
             whole = verify_no_false_positives(g, lab, path_cap)
             assert routing._merge(shard_reports(g, lab, shards, path_cap, 1000), path_cap, 1000) == whole
         assert verify_no_false_positives(grid_4x4(), bit_per_edge(grid_4x4()), 2).path_cap_hits > 0
-
-    def test_ranges_balance_estimated_work(self):
-        # sources near 0 check more pairs, so the first range is the shortest
-        first, second = routing._shard_ranges(400, 2)
-        assert (first, second) == (range(0, 152), range(152, 399))
 
     def test_above_the_cutoff_reports_what_one_shard_reports(self):
         g, core = make_core_periphery(20)
@@ -709,13 +715,15 @@ class TestVerifyWorkers:
 
     @pytest.fixture
     def failing_shard(self, monkeypatch):
-        """Make the shard of the given first source raise; a forked worker
-        inherits the patch."""
+        """Make the shard of the given first source raise, by default a
+        ValueError, or call fail; a forked worker inherits the patch."""
         check = routing._check_sources
 
-        def fail_at(start):
+        def fail_at(start, fail=None):
             def patched(g, tables, sources, *caps):
                 if sources.start == start:
+                    if fail is not None:
+                        fail()
                     raise ValueError(f"shard at {start} failed")
                 return check(g, tables, sources, *caps)
 
@@ -729,9 +737,46 @@ class TestVerifyWorkers:
         assert report.ok and report.pairs_checked == 150 * 151 // 2
         assert multiprocessing.active_children() == []
 
+    def test_shards_take_every_other_source(self, monkeypatch, two_cpus):
+        check, merge = routing._check_sources, routing._merge
+        shards = []  # each shard's sources, in the order the call merges them
+
+        def tagged(g, tables, sources, *caps):
+            return sources, check(g, tables, sources, *caps)
+
+        def untag(reports, *caps):
+            shards.extend(sources for sources, _ in reports)
+            return merge([report for _, report in reports], *caps)
+
+        monkeypatch.setattr(routing, "_check_sources", tagged)
+        monkeypatch.setattr(routing, "_merge", untag)
+        assert verify_no_false_positives(SHARDED_STAR, star_labelling(150, 2)).ok
+        assert shards == [range(0, 150, 2), range(1, 150, 2)]
+
     def test_failing_worker_raises(self, two_cpus, failing_shard):
-        failing_shard(routing._shard_ranges(SHARDED_STAR.vertex_count, 2)[1].start)
+        failing_shard(1)
+        with pytest.raises(ValueError, match="shard at 1 failed"):
+            verify_no_false_positives(SHARDED_STAR, star_labelling(150, 2))
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exiting_without_a_report_raises(self, two_cpus, failing_shard):
+        failing_shard(1, lambda: os._exit(3))
         with pytest.raises(RuntimeError, match="oracle worker .* exited without a report"):
+            verify_no_false_positives(SHARDED_STAR, star_labelling(150, 2))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("where", ["module", "local"])
+    def test_unpicklable_worker_exception_is_named(self, two_cpus, failing_shard, where):
+        class LocalError(Exception):
+            """Not found by name, so it does not pickle."""
+
+        error = TwoPartError("left", "right") if where == "module" else LocalError("left and right")
+
+        def fail():
+            raise error
+
+        failing_shard(1, fail)
+        with pytest.raises(RuntimeError, match=f"oracle worker raised {type(error).__name__}: left and right"):
             verify_no_false_positives(SHARDED_STAR, star_labelling(150, 2))
         assert multiprocessing.active_children() == []
 
@@ -752,7 +797,7 @@ class TestVerifyWorkers:
     def test_one_shard_runs_in_process(self, monkeypatch, two_cpus, failing_shard, fallback):
         # a second shard would raise, so the call succeeds only as one shard
         g = SHARDED_STAR if fallback != "below-cutoff" else make_star(140)
-        failing_shard(routing._shard_ranges(g.vertex_count, 2)[1].start)
+        failing_shard(1)
         if fallback == "one-cpu":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         elif fallback == "no-fork":

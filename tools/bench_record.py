@@ -10,8 +10,8 @@ P and C are two checkouts of the repository, each a git clone at its commit
 pairs one run at a time, alternating which side goes first, at run.py's own
 run length, and appends one JSON line per pair to the log: the pair number,
 workload, seed, trace flag, which side ran first and, for each side, the
-run's result line with the run length, commit and src digest of the report
-line before it, and its process tree's usage from os.wait4: the peak RSS of
+run's result line with the run length, pass count, commit and src digest of
+the report line before it, and its process tree's usage from os.wait4: the peak RSS of
 its largest process and the CPU seconds of all of them, worker processes
 included (run.py's own peak_rss_mb sees only its process). A run that exits
 non-zero (the error ends with its last stderr lines) or reports a wrong
@@ -49,8 +49,10 @@ TREE_USAGE = ("max_rss_mb", "cpu_s")
 
 def parse_run_output(stdout: str) -> dict:
     """The result line of one perfbench/run.py run (its last stdout line),
-    with the run length and environment of the report line before it. A run
-    whose outputs were not all correct is an error, not a measurement."""
+    with the run length, pass count and environment of the report line
+    before it: a run's peak_rss_mb grows with its passes, so each is read
+    against its count. A run whose outputs were not all correct is an
+    error, not a measurement."""
     lines = stdout.strip().splitlines()
     if len(lines) < 2:
         raise ValueError("run printed no report and result lines")
@@ -61,6 +63,7 @@ def parse_run_output(stdout: str) -> dict:
         raise ValueError(f"run was not correct: {result['failed']} of {result['attempted']} operations failed")
     report = json.loads(lines[-2])["report"]
     result["seconds"] = report["seconds"]
+    result["passes"] = report["passes"]
     result["environment"] = report["environment"]
     return result
 
