@@ -274,8 +274,9 @@ def _send_report(sender, *args) -> None:
     try:
         report = _check_sources(*args)
     except Exception as exc:
-        import pickle  # already loaded by multiprocessing in a worker
+        import pickle, traceback  # here, since only a failing worker needs them
 
+        traceback.print_exc()  # the exception sent back has no traceback
         try:
             report = pickle.loads(pickle.dumps(exc))
         except Exception:

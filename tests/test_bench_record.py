@@ -16,10 +16,10 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 HOST = {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2, "machine": "x86_64"}
 
 
-def printed(commit: str, metrics: dict, failed: int = 0, passes: int = 3) -> str:
+def printed(commit: str, metrics: dict, failed: int = 0) -> str:
     """Two lines as perfbench/run.py prints them: the report, then the result."""
     environment = {"commit": commit, "src_sha256": commit * 2, **HOST}
-    report = {"report": {"seconds": 35.0, "environment": environment, "passes": passes}}
+    report = {"report": {"seconds": 35.0, "environment": environment, "passes": 3}}
     result = {"correct": failed == 0, "attempted": 40, "failed": failed, "metrics": metrics}
     return f"progress\n{json.dumps(report)}\n{json.dumps(result)}\n"
 
@@ -70,11 +70,6 @@ class TestParse:
         assert result["passes"] == 3
         assert result["environment"]["commit"] == "aa"
         assert result["environment"]["src_sha256"] == "aaaa"
-
-    def test_keeps_the_pass_count_beside_peak_rss(self):
-        metrics = {"peak_rss_mb": {"value": 47.0, "unit": "MB"}}
-        result = bench_record.parse_run_output(printed("aa", metrics, passes=29))
-        assert (result["passes"], result["metrics"]["peak_rss_mb"]["value"]) == (29, 47.0)
 
     @pytest.mark.parametrize("stdout", ["", '{"report": {}}\n', 'x\n{"report": {}}\n{"metrics": {}}\n'])
     def test_rejects_output_without_a_result(self, stdout):

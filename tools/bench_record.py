@@ -11,12 +11,12 @@ pairs one run at a time, alternating which side goes first, at run.py's own
 run length, and appends one JSON line per pair to the log: the pair number,
 workload, seed, trace flag, which side ran first and, for each side, the
 run's result line with the run length, pass count, commit and src digest of
-the report line before it, and its process tree's usage from os.wait4: the peak RSS of
-its largest process and the CPU seconds of all of them, worker processes
-included (run.py's own peak_rss_mb sees only its process). A run that exits
-non-zero (the error ends with its last stderr lines) or reports a wrong
-output stops `run`; the pairs logged before it stay. `assemble` reads the
-log and writes the record: both commits and src digests, the host, per
+the report line before it, and its process tree's usage from os.wait4: the
+peak RSS of its largest process and the CPU seconds of all of them, worker
+processes included (run.py's own peak_rss_mb sees only its process). A run
+that exits non-zero (the error ends with its last stderr lines) or reports a
+wrong output stops `run`; the pairs logged before it stay. `assemble` reads
+the log and writes the record: both commits and src digests, the host, per
 (workload, seed, trace) each metric's quartiles on each side, the pairs the
 change won (ties count for neither) and the ratio of the medians, each
 side's median process-tree usage, and every pair as it was logged.
