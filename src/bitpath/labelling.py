@@ -144,17 +144,20 @@ def star_labelling(n: int, rank: int, base: int | None = None) -> Labelling:
     k, most significant first, where k is base or, by default, the smallest
     k with k**rank >= n.
 
-    The masks are built by a depth-first walk over digit prefixes in
-    lexicographic order, which is edge-id order, keeping one prefix state
-    per coordinate. A prefix d[0..i-1] carries the bits it has fixed (its
-    pair bits and the triple bits of coordinate pairs inside it) and, for
-    each later coordinate s, a row: the k-bit groups of pair (s) and of
-    every triple (r, s) with r < i, each holding the one bit that digit
-    d[s] = 0 would select. Appending digit d at coordinate i rotates every
-    group of row i left by d, which moves each bit to (d[r] + d) mod k, and
-    ORs it in; each later row s gains bit d of its group (i, s). A rotation
-    is two shifts and two ANDs with masks precomputed per (coordinate,
-    digit), so a leaf edge costs six big-int operations.
+    The masks are built one coordinate at a time, over every digit prefix
+    in lexicographic order, which is edge-id order. masks[j] holds the bits
+    the j-th prefix d[0..i-1] has fixed (its pair bits and the triple bits
+    of coordinate pairs inside it) and rows[s - i][j], for each later
+    coordinate s, its row: the k-bit groups of pair (s) and of every triple
+    (r, s) with r < i, each holding the one bit that digit d[s] = 0 would
+    select. Appending digit d at coordinate i rotates every group of
+    rows[0][j] left by d, which moves each bit to (d[r] + d) mod k, and ORs
+    it into masks[j]; each later row s gains bit d of its group (i, s). A
+    rotation is two shifts and two ANDs with masks precomputed per digit,
+    so a last digit costs six big-int operations. After coordinate i only
+    the first p = ceil(n / k**(rank-1-i)) prefixes, those of edges below n,
+    are kept; p < k means one prefix, extended by digits 0..p-1 only. The
+    prefixes live in flat lists of ints, which the cyclic GC does not track.
     """
     if n < 1 or rank < 1:
         raise ValueError("need n >= 1 and rank >= 1")
@@ -165,35 +168,20 @@ def star_labelling(n: int, rank: int, base: int | None = None) -> Labelling:
     # triple group per coordinate pair (r, s), r < s, in lexicographic order
     coordinate_pairs = [(r, s) for r in range(rank) for s in range(r + 1, rank)]
     triple_group = {pair: rank + t for t, pair in enumerate(coordinate_pairs)}
-    # levels[i] = (rotate, units) of coordinate i. rotate[d] = (d, keep,
-    # k - d, wrap): rotating each group of row i left by d is
-    # (row << d) & keep | (row >> (k - d)) & wrap. units: the digit-0 bit of
-    # group (i, s) for every s > i.
-    levels = []
+    masks = [0]
+    rows = [[1 << (s * k)] for s in range(rank)]
     for i in range(rank):
+        prefixes = -(-n // k ** (rank - 1 - i))
+        # rotate[d] = (d, keep, k - d, wrap): rotating each group of row i
+        # left by d is (row << d) & keep | (row >> (k - d)) & wrap
         ones = sum(1 << (g * k) for g in [i] + [triple_group[r, i] for r in range(i)])
-        rotate = [(d, ones * ((1 << k) - (1 << d)), k - d, ones * ((1 << d) - 1)) for d in range(k)]
-        units = [1 << (triple_group[i, s] * k) for s in range(i + 1, rank)]
-        levels.append((rotate, units))
-    masks: list[int] = []
-    _walk_star_prefixes(masks, n, levels, 0, [1 << (s * k) for s in range(rank)])
+        rotate = [(d, ones * ((1 << k) - (1 << d)), k - d, ones * ((1 << d) - 1)) for d in range(k)[:prefixes]]
+        units = [[1 << (triple_group[i, s] * k + d) for d in range(k)[:prefixes]] for s in range(i + 1, rank)]
+        masks = [bits | r << d & keep | r >> e & wrap for bits, r in zip(masks, rows[0]) for d, keep, e, wrap in rotate]
+        rows = [[r | unit for r in column for unit in digit_units] for column, digit_units in zip(rows[1:], units)]
+        for column in (masks, *rows):
+            del column[prefixes:]
     return Labelling((rank + len(coordinate_pairs)) * k, masks)
-
-
-def _walk_star_prefixes(masks: list[int], n: int, levels: list, bits: int, rows: list[int]) -> None:
-    """Append to masks, until it holds n, the star labels of every edge under
-    one digit prefix: bits and rows are the prefix's state and levels the
-    tables of the coordinates after it, as built by star_labelling."""
-    row = rows[0]
-    rotate, units = levels[0]
-    if len(rows) == 1:
-        masks.extend([bits | row << d & keep | row >> e & wrap for d, keep, e, wrap in rotate[: n - len(masks)]])
-        return
-    for d, keep, e, wrap in rotate:
-        if len(masks) == n:
-            return
-        later_rows = [r | u << d for r, u in zip(rows[1:], units)]
-        _walk_star_prefixes(masks, n, levels[1:], bits | row << d & keep | row >> e & wrap, later_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,9 @@ def next_hop(
     edges except the one the message arrived on, in the order of
     g.adjacency (ascending neighbour id). One candidate forwards, none
     terminates, several is ambiguous."""
+    _check_cover(g, labelling)
+    if not 0 <= current < g.vertex_count:
+        raise ValueError(f"current vertex {current} outside a {g.vertex_count}-vertex graph")
     if header < 0 or header >> labelling.width:
         raise ValueError(f"header {header:#x} outside a {labelling.width}-bit universe")
     not_header = ~header
@@ -48,6 +51,12 @@ def next_hop(
         for _, eid in g.adjacency[current]
         if eid != incoming and masks[eid] & not_header == 0
     )
+
+
+def _check_cover(g: Graph, labelling: Labelling) -> None:
+    """Raise ValueError unless the labelling has one label per edge of g."""
+    if labelling.edge_count != g.edge_count:
+        raise ValueError("labelling does not cover this graph's edges")
 
 
 @dataclass(frozen=True)
@@ -83,6 +92,7 @@ def simulate_delivery(g: Graph, labelling: Labelling, source: int, destination: 
     anywhere else. The walk never revisits a vertex: the edge back to it
     would have been a second candidate at the first visit.
     """
+    _check_cover(g, labelling)
     header = encode_path(labelling, shortest_path(g, source, destination))
     visited = [source]
     counts: list[int] = []
@@ -207,8 +217,7 @@ def verify_no_false_positives(
         raise ValueError(f"path_cap must be at least 1, got {path_cap}")
     if fp_record_cap < 0:
         raise ValueError(f"fp_record_cap must be at least 0, got {fp_record_cap}")
-    if labelling.edge_count != g.edge_count:
-        raise ValueError("labelling does not cover this graph's edges")
+    _check_cover(g, labelling)
     tables = _tables(g, labelling)
     n = g.vertex_count
     shards = 1
@@ -270,17 +279,19 @@ def _tables(g: Graph, labelling: Labelling) -> tuple:
 
 def _send_report(sender, *args) -> None:
     """A forked worker's body: send its shard's report, or the exception that
-    stopped it (a RuntimeError naming it if it does not survive pickling)."""
+    stopped it (a RuntimeError naming it if it does not survive pickling)
+    with the worker's traceback appended to its __notes__. Prints nothing."""
     try:
         report = _check_sources(*args)
     except Exception as exc:
         import pickle, traceback  # here, since only a failing worker needs them
 
-        traceback.print_exc()  # the exception sent back has no traceback
+        note = f"raised in oracle worker {os.getpid()}:\n{traceback.format_exc()}".rstrip()
         try:
             report = pickle.loads(pickle.dumps(exc))
         except Exception:
             report = RuntimeError(f"oracle worker raised {type(exc).__name__}: {exc}")
+        report.__notes__ = [*getattr(report, "__notes__", ()), note]  # as add_note, which is 3.11+
     sender.send(report)
 
 

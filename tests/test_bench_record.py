@@ -97,6 +97,29 @@ class TestAssemble:
         assert forward["metrics"]["work_per_s"]["parent"] == {"median": 50.0}
         assert forward["metrics"]["work_per_s"]["change_wins"] == "0/1"
 
+    def test_end_to_end_metrics_are_read_against_their_bounds(self):
+        oracle, forward = bench_record.assemble(RUNS, BENCHMARK, "a change", None)["summary"]
+        # better work_per_s reads as negative; forward's pass_s is 10% worse,
+        # within its bound of 25%
+        assert oracle["metrics"]["work_per_s"]["worse_by"] == pytest.approx(-20 / 102.5)
+        assert oracle["metrics"]["work_per_s"]["within_bound"] is True
+        assert forward["metrics"]["pass_s"]["worse_by"] == pytest.approx(0.1)
+        assert forward["metrics"]["pass_s"]["within_bound"] is True
+        # 100 -> 70 per second is 30% worse, outside the bound
+        (build,) = bench_record.assemble([pair(0, "build", (100.0, 1.0), (70.0, 1.0))], BENCHMARK, "w", None)["summary"]
+        assert build["metrics"]["work_per_s"]["worse_by"] == pytest.approx(0.3)
+        assert build["metrics"]["work_per_s"]["within_bound"] is False
+        assert build["metrics"]["pass_s"]["worse_by"] == 0.0
+
+    def test_per_layer_metrics_have_no_bound(self):
+        entry = pair(0, "oracle", (1.0, 1.0), (1.0, 1.0))
+        for side, seconds in (("parent", 1.0), ("change", 2.0)):
+            entry[side]["metrics"]["routing.self_s"] = {"value": seconds, "unit": "s"}
+        (oracle,) = bench_record.assemble([entry], BENCHMARK, "w", None)["summary"]
+        assert oracle["metrics"]["routing.self_s"]["ratio_change_over_parent"] == 2.0
+        assert not {"worse_by", "within_bound"} & oracle["metrics"]["routing.self_s"].keys()
+        assert "worse_by" in oracle["metrics"]["pass_s"]
+
     def test_summary_holds_median_process_tree_usage(self):
         oracle, forward = bench_record.assemble(RUNS, BENCHMARK, "a change", None)["summary"]
         assert oracle["process_tree"] == {

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -233,7 +234,7 @@ class TestStarLabelling:
 
 
 class TestStarLabellingAgainstReference:
-    """The prefix walk builds the same masks as the per-edge digit loop."""
+    """The coordinate loop builds the same masks as the per-edge digit loop."""
 
     def test_every_small_star_at_every_rank(self):
         for n in range(1, 301):
@@ -250,6 +251,26 @@ class TestStarLabellingAgainstReference:
         for n, rank, base in sorted(seen):
             lab = star_labelling(n, rank, base=base)
             assert (lab.width, list(lab.masks)) == star_labelling_reference(n, rank, base), (n, rank, base)
+
+    @pytest.mark.parametrize(
+        "n, rank, base", [(5, 40, None), (2, 64, None), (3, 120, None), (7, 3, 4), (30, 2, 30), (100, 3, 7), (1, 4, 1)]
+    )
+    def test_high_ranks_and_base_overrides(self, n, rank, base):
+        lab = star_labelling(n, rank, base=base)
+        k = brute_root(n, rank) if base is None else base
+        assert (lab.width, list(lab.masks)) == star_labelling_reference(n, rank, k)
+
+    def test_high_rank_memory_stays_small(self):
+        # rank 200 has 20,100 groups of base 2, so each row is a 40,200-bit
+        # int; the loop keeps one row per later coordinate of the one live
+        # prefix, where a walk keeping every depth's rows peaked at 110 MiB
+        tracemalloc.start()
+        try:
+            star_labelling(5, 200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
     @pytest.mark.parametrize(
         "rank, digest",

@@ -253,6 +253,15 @@ class TestNextHop:
         assert next_hop(g, lab, (1 << lab.width) - 1, 5) == (5, 19, 23, 3)
         assert next_hop(g, lab, (1 << lab.width) - 1, 5, incoming=19) == (5, 23, 3)
 
+    def test_labelling_of_another_edge_count_raises(self):
+        with pytest.raises(ValueError, match="labelling does not cover this graph's edges"):
+            next_hop(make_star(5), star_labelling(6, 2), 0, 0)
+
+    @pytest.mark.parametrize("current", [6, 9, -1])
+    def test_current_out_of_range_raises(self, current):
+        with pytest.raises(ValueError, match=f"current vertex {current} outside a 6-vertex graph"):
+            next_hop(make_star(5), star_labelling(5, 2), 0, current)
+
     def test_width_mismatch_raises(self):
         # the header must be a bit set of the labelling's universe
         g = make_star(3)
@@ -321,6 +330,15 @@ class TestSimulateDelivery:
         assert trace.at == 3
         assert trace.visited == (0, 1, 2, 3)
 
+    def test_labelling_of_a_larger_star_raises(self):
+        # its labels would make a delivered trace from another graph's headers
+        with pytest.raises(ValueError, match="labelling does not cover this graph's edges"):
+            simulate_delivery(make_star(5), star_labelling(10, 2), 1, 2)
+
+    def test_labelling_of_a_smaller_star_raises(self):
+        with pytest.raises(ValueError, match="labelling does not cover this graph's edges"):
+            simulate_delivery(make_star(10), star_labelling(5, 2), 1, 9)
+
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.data())
     def test_walk_never_revisits_a_vertex(self, data):
@@ -345,6 +363,43 @@ class TestSimulateDelivery:
                 assert trace.outcome in ("delivered", "ambiguous", "dead-end")
                 assert (trace.outcome == "ambiguous") == (last > 1)
                 assert trace.delivered == (last == 0 and trace.at == v)
+
+
+class TestFailedDeliveriesHaveOracleRecords:
+    """Every on-path edge is recognised, so a walk follows its encoded path
+    until a recognised off-path edge makes a second candidate before the
+    destination, or the only one at it; that edge is a false positive of the
+    pair, incident to the last path vertex the walk reached."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("j", [4, 9, 14, 23])
+    def test_on_the_oracle_workloads_bloom_corpus(self, j, seed):
+        g = random_graph_corpus()[j]
+        lab = bloom_labelling(g, g.vertex_count // 2, 3, seed * 1000 + j)
+        report = verify_no_false_positives(g, lab, fp_record_cap=10**6)
+        assert report.path_cap_hits == 0 and not report.fp_truncated
+        records = set(report.false_positives)
+        stops = {"delivered": 0, "on the path": 0, "past the destination": 0}
+        for s in range(g.vertex_count):
+            for d in range(g.vertex_count):
+                if s == d:
+                    continue
+                path = shortest_path(g, s, d)
+                trace = simulate_delivery(g, lab, s, d)
+                if trace.delivered:
+                    assert trace.visited == path.vertices
+                    stops["delivered"] += 1
+                    continue
+                followed = 0
+                while followed + 1 < min(len(trace.visited), len(path.vertices)):
+                    if trace.visited[followed + 1] != path.vertices[followed + 1]:
+                        break
+                    followed += 1
+                last = path.vertices[followed]
+                off_path = [eid for _, eid in g.adjacency[last] if eid not in path.edges]
+                assert any((min(s, d), max(s, d), eid) in records for eid in off_path), (s, d, trace)
+                stops["on the path" if last != d else "past the destination"] += 1
+        assert all(stops.values()), stops
 
 
 class TestVerify:
@@ -753,11 +808,16 @@ class TestVerifyWorkers:
         assert verify_no_false_positives(SHARDED_STAR, star_labelling(150, 2)).ok
         assert shards == [range(0, 150, 2), range(1, 150, 2)]
 
-    def test_failing_worker_raises(self, two_cpus, failing_shard):
+    def test_failing_worker_raises(self, two_cpus, failing_shard, capfd):
         failing_shard(1)
-        with pytest.raises(ValueError, match="shard at 1 failed"):
+        with pytest.raises(ValueError, match="shard at 1 failed") as raised:
             verify_no_false_positives(SHARDED_STAR, star_labelling(150, 2))
         assert multiprocessing.active_children() == []
+        # the worker's traceback comes back as the one note, and nothing is printed
+        (note,) = raised.value.__notes__
+        assert note.startswith("raised in oracle worker ")
+        assert ", in patched\n" in note and note.endswith("ValueError: shard at 1 failed")
+        assert capfd.readouterr() == ("", "")
 
     def test_worker_exiting_without_a_report_raises(self, two_cpus, failing_shard):
         failing_shard(1, lambda: os._exit(3))
@@ -766,7 +826,7 @@ class TestVerifyWorkers:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("where", ["module", "local"])
-    def test_unpicklable_worker_exception_is_named(self, two_cpus, failing_shard, where):
+    def test_unpicklable_worker_exception_is_named(self, two_cpus, failing_shard, where, capfd):
         class LocalError(Exception):
             """Not found by name, so it does not pickle."""
 
@@ -776,9 +836,14 @@ class TestVerifyWorkers:
             raise error
 
         failing_shard(1, fail)
-        with pytest.raises(RuntimeError, match=f"oracle worker raised {type(error).__name__}: left and right"):
+        message = f"oracle worker raised {type(error).__name__}: left and right"
+        with pytest.raises(RuntimeError, match=message) as raised:
             verify_no_false_positives(SHARDED_STAR, star_labelling(150, 2))
         assert multiprocessing.active_children() == []
+        (note,) = raised.value.__notes__
+        assert ", in patched\n" in note and ", in fail\n" in note
+        assert note.endswith(f"{type(error).__name__}: left and right")
+        assert capfd.readouterr() == ("", "")
 
     def test_failing_first_shard_stops_the_workers(self, monkeypatch, two_cpus):
         def patched(g, tables, sources, *caps):

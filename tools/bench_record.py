@@ -18,8 +18,10 @@ that exits non-zero (the error ends with its last stderr lines) or reports a
 wrong output stops `run`; the pairs logged before it stay. `assemble` reads
 the log and writes the record: both commits and src digests, the host, per
 (workload, seed, trace) each metric's quartiles on each side, the pairs the
-change won (ties count for neither) and the ratio of the medians, each
-side's median process-tree usage, and every pair as it was logged.
+change won (ties count for neither) and the ratio of the medians, for each
+end-to-end metric how much worse the change's median is than the parent's
+and whether that is within the metric's bound in the benchmark declaration,
+each side's median process-tree usage, and every pair as it was logged.
 Standard library only.
 """
 
@@ -122,11 +124,15 @@ def spread(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarise(runs: list[dict], better: dict[str, str]) -> list[dict]:
+def summarise(runs: list[dict], declared: dict[str, dict]) -> list[dict]:
     """Per (workload, seed, trace), in order of first appearance: each
     metric's spread on both sides, the pairs the change won and the ratio
     of the change's median over the parent's, and each side's median
-    process-tree usage when every run of the group has it."""
+    process-tree usage when every run of the group has it. A metric
+    declared with a bound (the end-to-end ones) also gets worse_by, how much
+    worse the change's median is than the parent's as a fraction of the
+    parent's (negative when better), and within_bound, whether worse_by is
+    at most the bound."""
     groups: dict[tuple, list[dict]] = {}
     for entry in runs:
         groups.setdefault((entry["workload"], entry["seed"], entry["trace"]), []).append(entry)
@@ -134,17 +140,20 @@ def summarise(runs: list[dict], better: dict[str, str]) -> list[dict]:
     for (workload, seed, trace), entries in groups.items():
         metrics = {}
         for name, first in entries[0]["parent"]["metrics"].items():
-            if name not in better:
+            if name not in declared:
                 raise ValueError(f"metric {name} is not listed in the benchmark declaration")
+            better = declared[name]["better"]
             values = {side: [e[side]["metrics"][name]["value"] for e in entries] for side in SIDES}
-            sign = 1 if better[name] == "higher" else -1
+            sign = 1 if better == "higher" else -1
             wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
-            metrics[name] = {"unit": first["unit"], "better": better[name]}
+            metrics[name] = {"unit": first["unit"], "better": better}
             metrics[name] |= {side: spread(values[side]) for side in SIDES}
             metrics[name]["change_wins"] = f"{wins}/{len(entries)}"
-            metrics[name]["ratio_change_over_parent"] = (
-                statistics.median(values["change"]) / statistics.median(values["parent"])
-            )
+            parent, change = (statistics.median(values[side]) for side in SIDES)
+            metrics[name]["ratio_change_over_parent"] = change / parent
+            if "bound" in declared[name]:
+                metrics[name]["worse_by"] = sign * (parent - change) / parent
+                metrics[name]["within_bound"] = metrics[name]["worse_by"] <= declared[name]["bound"]
         group = {"workload": workload, "seed": seed, "trace": trace, "pairs": len(entries), "metrics": metrics}
         if all("process_tree" in e[side] for e in entries for side in SIDES):
             group["process_tree"] = {
@@ -166,7 +175,7 @@ def assemble(runs: list[dict], benchmark: dict, what: str, claim: dict | None) -
     """The BENCH_<n>.json record of the logged pairs."""
     if not runs:
         raise ValueError("the log holds no pairs")
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"] + benchmark["per_layer"]}
+    declared = {m["name"]: m for m in benchmark["end_to_end"] + benchmark["per_layer"]}
     record = {"what": what}
     if claim is not None:
         record["claim"] = claim
@@ -175,7 +184,7 @@ def assemble(runs: list[dict], benchmark: dict, what: str, claim: dict | None) -
     for side in SIDES:
         record[side] = {key: one_value(runs, side, key) for key in ("commit", "src_sha256")}
     record["host"] = {key: one_value(runs, "change", key) for key in ("python", "numpy", "nproc", "machine")}
-    record["summary"] = summarise(runs, better)
+    record["summary"] = summarise(runs, declared)
     record["runs"] = [
         {**entry, **{side: {k: v for k, v in entry[side].items() if k != "environment"} for side in SIDES}}
         for entry in runs
