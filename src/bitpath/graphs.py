@@ -206,24 +206,28 @@ def _bfs(g: Graph, sources: Sequence[int], target: int | None = None) -> tuple[l
     Returns (dist, via, order): hops to the nearest source (-1 unreached),
     the id of the edge that first reached each vertex (-1 for sources and
     unreached ones), and the vertices in the order they were reached, sources
-    first. Stops once target is dequeued, when every vertex up to target's
-    distance has its final dist.
+    first. Stops once target is discovered, at once if it is a source: then
+    order holds the vertices reached so far, their dist and via entries are
+    final, every other entry reads -1, and every vertex on target's via chain
+    but target itself has been expanded.
     """
     dist = [-1] * g.vertex_count
     via = [-1] * g.vertex_count
     for source in sources:
         dist[source] = 0
     order = list(sources)
+    if target in sources:
+        return dist, via, order
     adjacency = g.adjacency
     for cur in order:
-        if cur == target:
-            break
         d = dist[cur] + 1
         for nbr, eid in adjacency[cur]:
             if dist[nbr] < 0:
                 dist[nbr] = d
                 via[nbr] = eid
                 order.append(nbr)
+                if nbr == target:
+                    return dist, via, order
     return dist, via, order
 
 
@@ -240,7 +244,8 @@ def is_connected(g: Graph) -> bool:
 
 def shortest_path(g: Graph, u: int, v: int) -> Path:
     """One shortest u-v path; ties broken by BFS expanding neighbors in
-    ascending vertex id, parent = first discoverer."""
+    ascending vertex id, parent = first discoverer. The BFS stops as soon as
+    it discovers v, whose via chain back to u is then final."""
     if not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
         raise ValueError("endpoint out of range")
     dist, via, _ = _bfs(g, (u,), v)

@@ -44,13 +44,15 @@ def next_hop(
         raise ValueError(f"current vertex {current} outside a {g.vertex_count}-vertex graph")
     if header < 0 or header >> labelling.width:
         raise ValueError(f"header {header:#x} outside a {labelling.width}-bit universe")
-    not_header = ~header
-    masks = labelling.masks
-    return tuple(
-        eid
-        for _, eid in g.adjacency[current]
-        if eid != incoming and masks[eid] & not_header == 0
-    )
+    return _candidates(g.adjacency[current], labelling.masks, ~header, incoming)
+
+
+def _candidates(incident, masks, not_header: int, incoming: int | None) -> tuple[int, ...]:
+    """next_hop's decision without its checks: the edge ids of incident, a
+    vertex's (neighbour, edge id) pairs, whose masks have no bit of
+    not_header (the header's complement), except incoming. simulate_delivery
+    calls it at every hop, having checked its inputs once."""
+    return tuple(eid for _, eid in incident if eid != incoming and masks[eid] & not_header == 0)
 
 
 def _check_cover(g: Graph, labelling: Labelling) -> None:
@@ -93,17 +95,18 @@ def simulate_delivery(g: Graph, labelling: Labelling, source: int, destination: 
     would have been a second candidate at the first visit.
     """
     _check_cover(g, labelling)
-    header = encode_path(labelling, shortest_path(g, source, destination))
+    not_header = ~encode_path(labelling, shortest_path(g, source, destination))
+    adjacency, edges, masks = g.adjacency, g.edges, labelling.masks
     visited = [source]
     counts: list[int] = []
     current, incoming = source, None
     while True:
-        candidates = next_hop(g, labelling, header, current, incoming)
+        candidates = _candidates(adjacency[current], masks, not_header, incoming)
         counts.append(len(candidates))
         if len(candidates) != 1:
             break
         (incoming,) = candidates
-        u, v = g.edges[incoming]
+        u, v = edges[incoming]
         current = v if current == u else u
         visited.append(current)
     outcome = "ambiguous" if candidates else "delivered" if current == destination else "dead-end"

@@ -10,6 +10,7 @@ from bitpath import (
     EdgeListParseError,
     Graph,
     NoPathError,
+    Path,
     bfs_distances,
     ceil_log2,
     count_shortest_paths,
@@ -24,10 +25,12 @@ from bitpath import (
     shortest_path,
     theoretical_smallest_size,
 )
+from bitpath.graphs import _bfs
 from helpers import (
     brute_force_shortest_paths,
     brute_force_total_path_count,
     grid_4x4,
+    random_graph_corpus,
     shuffled_edge_ids,
     validate_path,
 )
@@ -264,6 +267,33 @@ class TestShortestPath:
                     p = shortest_path(g, u, v)
                     assert (p.vertices, p.edges) == brute_force_shortest_paths(g, u, v)[0]
                     validate_path(g, p)
+
+    def test_stopping_at_discovery_matches_the_full_bfs(self):
+        # the targeted BFS stops once v is discovered; its path must be the
+        # via chain of a BFS that runs to the end
+        corpus = random_graph_corpus()
+        graphs = [
+            make_complete(6),
+            make_star(7),
+            make_core_periphery(4)[0],
+            make_perfect_binary_tree(4),
+            grid_4x4(),
+            *corpus[::20],
+        ]
+        for g in graphs + [shuffled_edge_ids(g, seed=4) for g in graphs]:
+            for u in range(g.vertex_count):
+                _, via, _ = _bfs(g, (u,))
+                for v in range(g.vertex_count):
+                    vertices, edge_ids = [v], []
+                    while vertices[-1] != u:
+                        edge_ids.append(via[vertices[-1]])
+                        a, b = g.edges[edge_ids[-1]]
+                        vertices.append(a + b - vertices[-1])
+                    assert shortest_path(g, u, v) == Path(tuple(vertices[::-1]), tuple(edge_ids[::-1]))
+                dist, via, order = _bfs(g, (u,), u)
+                assert order == [u]
+                assert dist == [0 if w == u else -1 for w in range(g.vertex_count)]
+                assert via == [-1] * g.vertex_count
 
     def test_lengths_match_bfs_distance(self):
         for g in (

@@ -364,6 +364,27 @@ class TestSimulateDelivery:
                 assert (trace.outcome == "ambiguous") == (last > 1)
                 assert trace.delivered == (last == 0 and trace.at == v)
 
+    @pytest.mark.parametrize("scheme", ["bloom", "combined"])
+    def test_walk_replays_with_the_public_next_hop(self, scheme):
+        # the delivery loop skips next_hop's checks; a walk driven by
+        # next_hop itself must see the same candidates at every hop
+        g, core = make_core_periphery(6)
+        lab = bloom_labelling(g, 16, 3, 1) if scheme == "bloom" else label_core_periphery(g, core)
+        pairs = random.Random(0).sample([(s, d) for s in range(g.vertex_count) for d in range(g.vertex_count)], 200)
+        outcomes = set()
+        for s, d in pairs:
+            trace = simulate_delivery(g, lab, s, d)
+            header = encode_path(lab, shortest_path(g, s, d))
+            incoming = None
+            for i, current in enumerate(trace.visited):
+                candidates = next_hop(g, lab, header, current, incoming)
+                assert len(candidates) == trace.candidate_counts[i]
+                if i + 1 < len(trace.visited):
+                    (incoming,) = candidates
+                    assert set(g.edges[incoming]) == {current, trace.visited[i + 1]}
+            outcomes.add(trace.outcome)
+        assert outcomes == ({"delivered", "ambiguous", "dead-end"} if scheme == "bloom" else {"delivered"})
+
 
 class TestFailedDeliveriesHaveOracleRecords:
     """Every on-path edge is recognised, so a walk follows its encoded path

@@ -21,7 +21,8 @@ the log and writes the record: both commits and src digests, the host, per
 change won (ties count for neither) and the ratio of the medians, for each
 end-to-end metric how much worse the change's median is than the parent's
 and whether that is within the metric's bound in the benchmark declaration,
-each side's median process-tree usage, and every pair as it was logged.
+each side's median pass count and process-tree usage, and every pair as it
+was logged.
 Standard library only.
 """
 
@@ -127,8 +128,10 @@ def spread(values: list[float]) -> dict:
 def summarise(runs: list[dict], declared: dict[str, dict]) -> list[dict]:
     """Per (workload, seed, trace), in order of first appearance: each
     metric's spread on both sides, the pairs the change won and the ratio
-    of the change's median over the parent's, and each side's median
-    process-tree usage when every run of the group has it. A metric
+    of the change's median over the parent's, and each side's median pass
+    count and process-tree usage when every run of the group has them (a
+    run's peak_rss_mb grows with its passes, so a faster change that fits
+    more passes reads larger). A metric
     declared with a bound (the end-to-end ones) also gets worse_by, how much
     worse the change's median is than the parent's as a fraction of the
     parent's (negative when better), and within_bound, whether worse_by is
@@ -155,6 +158,8 @@ def summarise(runs: list[dict], declared: dict[str, dict]) -> list[dict]:
                 metrics[name]["worse_by"] = sign * (parent - change) / parent
                 metrics[name]["within_bound"] = metrics[name]["worse_by"] <= declared[name]["bound"]
         group = {"workload": workload, "seed": seed, "trace": trace, "pairs": len(entries), "metrics": metrics}
+        if all("passes" in e[side] for e in entries for side in SIDES):
+            group["passes"] = {side: statistics.median(e[side]["passes"] for e in entries) for side in SIDES}
         if all("process_tree" in e[side] for e in entries for side in SIDES):
             group["process_tree"] = {
                 side: {key: statistics.median(e[side]["process_tree"][key] for e in entries) for key in TREE_USAGE}
