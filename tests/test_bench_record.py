@@ -36,7 +36,7 @@ def fake_checkout(root: Path, script: str) -> Path:
     return root
 
 
-def pair(n: int, workload: str, parent: tuple, change: tuple, seed: int = 1, passes: tuple = (3, 3)) -> dict:
+def pair(n: int, workload: str, parent: tuple, change: tuple, seed: int = 1) -> dict:
     entry = {
         "pair": n,
         "workload": workload,
@@ -46,10 +46,9 @@ def pair(n: int, workload: str, parent: tuple, change: tuple, seed: int = 1, pas
         "parent": bench_record.parse_run_output(run_output("aa", *parent)),
         "change": bench_record.parse_run_output(run_output("bb", *change)),
     }
-    for side, result, count in (("parent", parent, passes[0]), ("change", change, passes[1])):
+    for side, result in (("parent", parent), ("change", change)):
         # as run_side adds it: a peak RSS and CPU seconds that differ per pair
         entry[side]["process_tree"] = {"max_rss_mb": 30.0 + n, "cpu_s": 2 * result[1]}
-        entry[side]["passes"] = count
     return entry
 
 
@@ -132,7 +131,9 @@ class TestAssemble:
 
     def test_summary_holds_median_pass_counts(self):
         # peak_rss_mb grows with a run's passes, so each group shows them
-        runs = [pair(i, "forward", (50.0, 1.0), (60.0, 0.8), passes=(27 + i, 36 - i)) for i in range(4)]
+        runs = [pair(i, "forward", (50.0, 1.0), (60.0, 0.8)) for i in range(4)]
+        for i, entry in enumerate(runs):
+            entry["parent"]["passes"], entry["change"]["passes"] = 27 + i, 36 - i
         (forward,) = bench_record.assemble(runs, BENCHMARK, "a change", None)["summary"]
         assert forward["passes"] == {"parent": 28.5, "change": 34.5}
         assert "passes" not in forward["metrics"]

@@ -271,14 +271,13 @@ class TestShortestPath:
     def test_stopping_at_discovery_matches_the_full_bfs(self):
         # the targeted BFS stops once v is discovered; its path must be the
         # via chain of a BFS that runs to the end
-        corpus = random_graph_corpus()
         graphs = [
             make_complete(6),
             make_star(7),
             make_core_periphery(4)[0],
             make_perfect_binary_tree(4),
             grid_4x4(),
-            *corpus[::20],
+            *random_graph_corpus()[::20],
         ]
         for g in graphs + [shuffled_edge_ids(g, seed=4) for g in graphs]:
             for u in range(g.vertex_count):

@@ -131,11 +131,10 @@ def summarise(runs: list[dict], declared: dict[str, dict]) -> list[dict]:
     of the change's median over the parent's, and each side's median pass
     count and process-tree usage when every run of the group has them (a
     run's peak_rss_mb grows with its passes, so a faster change that fits
-    more passes reads larger). A metric
-    declared with a bound (the end-to-end ones) also gets worse_by, how much
-    worse the change's median is than the parent's as a fraction of the
-    parent's (negative when better), and within_bound, whether worse_by is
-    at most the bound."""
+    more passes reads larger). A metric declared with a bound (the
+    end-to-end ones) also gets worse_by, how much worse the change's median
+    is than the parent's as a fraction of the parent's (negative when
+    better), and within_bound, whether worse_by is at most the bound."""
     groups: dict[tuple, list[dict]] = {}
     for entry in runs:
         groups.setdefault((entry["workload"], entry["seed"], entry["trace"]), []).append(entry)
