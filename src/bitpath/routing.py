@@ -152,9 +152,8 @@ class VerificationReport:
         )
 
 
-# One fork worker took a median 4.6-5.8 ms and at most 22 ms to start, report
-# and join, in runs of 60 and 200 (2-CPU host, Python 3.11.7). At the oracle's
-# fastest, about 3 us a pair, a second CPU saves 15 ms from 10,000 pairs on.
+# At the oracle's fastest, about 3 us a pair, a second CPU saves 15 ms from
+# 10,000 pairs on, against the 5 ms one forked worker costs (_run_shards).
 _SHARD_PAIRS = 10_000
 
 
@@ -208,13 +207,12 @@ def verify_no_false_positives(
     records, stably sorted by source, are cut to fp_record_cap and truncated
     if a shard was or the cut dropped any, since each source's records come
     from one shard, in its order, and a shard's records are a prefix of its
-    full list. From _SHARD_PAIRS vertex pairs, in a single-threaded process
-    where the fork start method and os.sched_getaffinity exist, there is one
-    shard per usable CPU: the first runs in this process, the others in
-    forked children that inherit the tables and send back their report or
-    the exception that stopped them, which the call raises. Children are
-    joined (terminated first on error) before the call returns. Otherwise
-    the call is one shard, run in this process.
+    full list. From _SHARD_PAIRS vertex pairs, _run_shards makes one shard
+    per usable CPU where the process may fork: the first runs in this
+    process, the others in forked children that inherit the tables and send
+    back their report or the exception that stopped them, which the call
+    raises. Children are joined (terminated first on error) before the call
+    returns. Otherwise the call is one shard, run in this process.
     """
     if path_cap < 1:
         raise ValueError(f"path_cap must be at least 1, got {path_cap}")
@@ -223,32 +221,56 @@ def verify_no_false_positives(
     _check_cover(g, labelling)
     tables = _tables(g, labelling)
     n = g.vertex_count
+    check = lambda sources: _check_sources(g, tables, sources, path_cap, fp_record_cap)
+    reports = _run_shards("oracle", check, n - 1, n * (n - 1) // 2 >= _SHARD_PAIRS)
+    return _merge(reports, path_cap, fp_record_cap)
+
+
+def _run_shards(name: str, work, stop: int, worth_forking: bool) -> list:
+    """[work(range(i, stop, s)) for i in range(s)]: the results of s shards,
+    shard i taking every s-th index from i, in shard order.
+
+    s is 1 unless worth_forking. Then, in a single-threaded, non-daemonic
+    process where the fork start method and os.sched_getaffinity exist, s
+    is the number of usable CPUs: the first shard runs in this process and
+    each other one in a forked child, which inherits work's inputs and
+    sends back its result or the exception that stopped it, raised here
+    with the child's traceback as a note. Children are joined (terminated
+    first on error) before the call returns. Callers set worth_forking from
+    their input size, by cutoffs sized against the cost of one fork: a
+    median 4.6-5.8 ms and at most 22 ms to start, report and join a worker,
+    in runs of 60 and 200 (2-CPU host, Python 3.11.7). The parent pays again
+    later, since a fork write-protects its pages and the first write to each
+    afterwards faults: in a 68 MB process holding the build benchmark's
+    inputs, a build pass after a fork took about 5,200 more minor faults
+    than one without, at about 1.4 us each.
+    """
     shards = 1
     # fork only from one thread (a lock another thread held would stay held
     # in the child) and not from a daemonic process, such as a pool worker
-    if n * (n - 1) // 2 >= _SHARD_PAIRS and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+    if worth_forking and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
         import multiprocessing  # here, since the import adds 0.7 MB to a process's peak RSS
 
         if "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon:
             shards = len(os.sched_getaffinity(0))
-    first, *others = (range(i, n - 1, shards) for i in range(shards))
+    first, *others = (range(i, stop, shards) for i in range(shards))
     workers = []
     try:
-        for sources in others:
+        for shard in others:
             context = multiprocessing.get_context("fork")
             receiver, sender = context.Pipe(duplex=False)
-            worker = context.Process(target=_send_report, args=(sender, g, tables, sources, path_cap, fp_record_cap))
+            worker = context.Process(target=_send_result, args=(sender, name, work, shard))
             worker.start()
             workers.append((worker, receiver))
             sender.close()
-        reports = [_check_sources(g, tables, first, path_cap, fp_record_cap)]
+        results = [work(first)]
         for worker, receiver in workers:
             try:
-                reports.append(receiver.recv())
+                results.append(receiver.recv())
             except EOFError:
-                raise RuntimeError(f"oracle worker {worker.pid} exited without a report") from None
-            if isinstance(reports[-1], Exception):
-                raise reports[-1]
+                raise RuntimeError(f"{name} worker {worker.pid} exited without a report") from None
+            if isinstance(results[-1], Exception):
+                raise results[-1]
     except BaseException:
         for worker, _ in workers:
             worker.terminate()
@@ -257,7 +279,7 @@ def verify_no_false_positives(
         for worker, receiver in workers:
             worker.join()
             receiver.close()
-    return _merge(reports, path_cap, fp_record_cap)
+    return results
 
 
 def _tables(g: Graph, labelling: Labelling) -> tuple:
@@ -280,22 +302,22 @@ def _tables(g: Graph, labelling: Labelling) -> tuple:
     return width, steps, rejects, ends, incident
 
 
-def _send_report(sender, *args) -> None:
-    """A forked worker's body: send its shard's report, or the exception that
+def _send_result(sender, name: str, work, shard: range) -> None:
+    """A forked worker's body: send work(shard), or the exception that
     stopped it (a RuntimeError naming it if it does not survive pickling)
     with the worker's traceback appended to its __notes__. Prints nothing."""
     try:
-        report = _check_sources(*args)
+        result = work(shard)
     except Exception as exc:
         import pickle, traceback  # here, since only a failing worker needs them
 
-        note = f"raised in oracle worker {os.getpid()}:\n{traceback.format_exc()}".rstrip()
+        note = f"raised in {name} worker {os.getpid()}:\n{traceback.format_exc()}".rstrip()
         try:
-            report = pickle.loads(pickle.dumps(exc))
+            result = pickle.loads(pickle.dumps(exc))
         except Exception:
-            report = RuntimeError(f"oracle worker raised {type(exc).__name__}: {exc}")
-        report.__notes__ = [*getattr(report, "__notes__", ()), note]  # as add_note, which is 3.11+
-    sender.send(report)
+            result = RuntimeError(f"{name} worker raised {type(exc).__name__}: {exc}")
+        result.__notes__ = [*getattr(result, "__notes__", ()), note]  # as add_note, which is 3.11+
+    sender.send(result)
 
 
 def _check_sources(g: Graph, tables: tuple, sources: range, path_cap: int, fp_record_cap: int) -> VerificationReport:

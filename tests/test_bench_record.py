@@ -218,6 +218,56 @@ class TestMain:
         assert bench_record.read_log(tmp_path / "l")[0]["change"]["metrics"]["routing.self_s"]["value"] == 0.75
 
 
+class TestTrajectory:
+    @staticmethod
+    def write_records(tmp_path: Path) -> None:
+        """BENCH_9 with a claim and a traced group, BENCH_10 without a claim."""
+        traced = pair(5, "oracle", (1.0, 9.0), (1.0, 9.0))
+        traced["trace"] = 1
+        claim = {"workload": "oracle", "metric": "work_per_s", "target": "more"}
+        nine = bench_record.assemble([*RUNS, traced], BENCHMARK, "nine", claim)
+        ten_runs = [pair(0, "build", (1500.0, 0.25), (2500.0, 0.125))]
+        for side, commit in (("parent", "bb"), ("change", "cc")):
+            ten_runs[0][side]["environment"]["commit"] = commit * 10
+        ten = bench_record.assemble(ten_runs, BENCHMARK, "ten", None)
+        for n, record in ((9, nine), (10, ten)):
+            (tmp_path / f"BENCH_{n}.json").write_text(json.dumps(record))
+
+    def test_prints_every_records_end_to_end_medians_in_record_order(self, tmp_path, capsys):
+        self.write_records(tmp_path)
+        (tmp_path / "notes.json").write_text("{}")
+        argv = ["trajectory", "--dir", str(tmp_path), "--benchmark", str(ROOT / "BENCHMARK.json")]
+        assert bench_record.main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "BENCH_9.json: aa -> bb",
+            "  claim: oracle work_per_s: more",
+            "  oracle seed 1, 4 pairs:",
+            "    work_per_s 102.5 -> 122.5 1/s",
+            "    pass_s 2 -> 1.8 s",
+            "  forward seed 2, 1 pairs:",
+            "    work_per_s 50 -> 40 1/s",
+            "    pass_s 1 -> 1.1 s",
+            "BENCH_10.json: bbbbbbb -> ccccccc",
+            "  claim: none",
+            "  build seed 1, 1 pairs:",
+            "    work_per_s 1,500 -> 2,500 1/s",
+            "    pass_s 0.25 -> 0.125 s",
+        ]
+
+    def test_per_layer_metrics_are_left_out(self):
+        entry = pair(0, "oracle", (1.0, 1.0), (1.0, 1.0))
+        for side in bench_record.SIDES:
+            entry[side]["metrics"]["routing.self_s"] = {"value": 3.0, "unit": "s"}
+        record = bench_record.assemble([entry], BENCHMARK, "w", None)
+        lines = bench_record.trajectory({"BENCH_1.json": record}, BENCHMARK)
+        assert [line.split()[0] for line in lines[3:]] == ["work_per_s", "pass_s"]
+
+    def test_no_records_exits_2(self, tmp_path, capsys):
+        argv = ["trajectory", "--dir", str(tmp_path), "--benchmark", str(ROOT / "BENCHMARK.json")]
+        assert bench_record.main(argv) == 2
+        assert capsys.readouterr().err == f"error: no BENCH_*.json in {tmp_path}\n"
+
+
 # A run.py that forks a worker, which touches 40 MB and spins for 0.3 s of
 # CPU, reaps it, then prints its report and result lines; the run itself
 # stays far below 40 MB and idles while it waits.

@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import multiprocessing
+import os
 import random
+import signal
 
 import pytest
 
@@ -17,6 +20,7 @@ from bitpath import (
     optimal_label_weight_int,
     optimal_rank,
 )
+from bitpath import bloom
 from bitpath.bloom import _draw_masks
 from bitpath.cli import BLOOM_TABLE_DEFAULT
 from helpers import sample_draw_masks, sample_empirical_fpr
@@ -89,7 +93,12 @@ class TestDrawMatchesSample:
                 for seed in range(3):
                     self.assert_same_draw(4, m, k, seed)
 
-    @pytest.mark.parametrize("m, k", [(502, 13), (68, 4), (21, 7)])
+    # 85 and 86 lie either side of sample's set-size threshold at k = 6; a
+    # draw of m.bit_length() bits is out of range for 1 of 512 values at
+    # m = 511 and for about half of them at 512 and 513
+    @pytest.mark.parametrize(
+        "m, k", [(502, 13), (68, 4), (21, 7), (85, 6), (86, 6), (511, 13), (512, 13), (513, 13), (4096, 3)]
+    )
     def test_benchmark_shapes(self, m, k):
         self.assert_same_draw(300, m, k, 1)
 
@@ -186,3 +195,76 @@ class TestEmpiricalRate:
             empirical_fpr(10, 10, 3, trials=0, seed=0)
         with pytest.raises(ValueError):
             empirical_fpr(10, 3, 10, trials=10, seed=0)
+
+
+def trial_shards(star_n: int, m: int, k: int, trials: int, seed: int, shards: int) -> list[int]:
+    """The hit counts of empirical_fpr's shards, shard i taking every
+    shards-th trial from i, each counted in this process."""
+    return [bloom._trial_hits(star_n, m, k, seed, range(i, trials, shards)) for i in range(shards)]
+
+
+def rate_of(hits: int, star_n: int, trials: int) -> tuple[float, float]:
+    observations = trials * (star_n - 2)
+    rate = hits / observations
+    return rate, math.sqrt(rate * (1.0 - rate) / observations)
+
+
+class TestTrialShards:
+    """empirical_fpr adds the hit counts of trial shards taken by stride;
+    every split gives the one-call rate."""
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 7])
+    @pytest.mark.parametrize("star_n, m, k", [*bloom_table_rows(), (10, 10, 3)])
+    def test_summed_shards_equal_one_call(self, star_n, m, k, shards):
+        trials = 300
+        hits = sum(trial_shards(star_n, m, k, trials, 7, shards))
+        assert rate_of(hits, star_n, trials) == tuple(empirical_fpr(star_n, m, k, trials, 7))
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="empirical_fpr forks workers only where the fork start method and os.sched_getaffinity exist",
+)
+class TestEmpiricalWorkers:
+    """Above the cutoff the trials run in forked workers, which end with the call."""
+
+    STAR = (10, 10, 3)
+    TRIALS = 2000  # 20,000 labels, above the cutoff
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        """Two usable CPUs, and a failure instead of a hang after 60 s."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def expire(signum, frame):
+            raise TimeoutError("the empirical_fpr call did not return within 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def test_sharded_call_equals_in_process_count(self):
+        star_n, m, k = self.STAR
+        assert self.TRIALS * star_n >= bloom._SHARD_LABELS
+        (hits,) = trial_shards(star_n, m, k, self.TRIALS, 5, 1)
+        assert tuple(empirical_fpr(star_n, m, k, self.TRIALS, 5)) == rate_of(hits, star_n, self.TRIALS)
+        assert multiprocessing.active_children() == []
+
+    def test_failing_worker_raises(self, monkeypatch, capfd):
+        count = bloom._trial_hits
+
+        def patched(star_n, m, k, seed, trials):
+            if trials.start == 1:
+                raise ValueError("trials from 1 failed")
+            return count(star_n, m, k, seed, trials)
+
+        monkeypatch.setattr(bloom, "_trial_hits", patched)
+        with pytest.raises(ValueError, match="trials from 1 failed") as raised:
+            empirical_fpr(*self.STAR, self.TRIALS, 5)
+        assert multiprocessing.active_children() == []
+        (note,) = raised.value.__notes__
+        assert note.startswith("raised in Bloom worker ") and f"worker {os.getpid()}:" not in note
+        assert ", in patched\n" in note and note.endswith("ValueError: trials from 1 failed")
+        assert capfd.readouterr() == ("", "")

@@ -23,6 +23,12 @@ end-to-end metric how much worse the change's median is than the parent's
 and whether that is within the metric's bound in the benchmark declaration,
 each side's median pass count and process-tree usage, and every pair as it
 was logged.
+
+    python3 tools/bench_record.py trajectory
+
+prints, for every BENCH_<n>.json in the directory (default: the current one)
+in order of n, the record's commit pair, its claim and, per untraced workload
+and seed, each side's median of every end-to-end metric.
 Standard library only.
 """
 
@@ -205,6 +211,40 @@ def cmd_assemble(args: argparse.Namespace) -> None:
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
 
 
+def trajectory(records: dict[str, dict], benchmark: dict) -> list[str]:
+    """The lines trajectory prints for records keyed by file name: per
+    record, its parent and change commits and its claim, then per untraced
+    (workload, seed) group each end-to-end metric's parent and change
+    medians. Traced groups are left out: tracing slows the end-to-end
+    metrics."""
+    names = [metric["name"] for metric in benchmark["end_to_end"]]
+    number = lambda value: f"{value:,.0f}" if abs(value) >= 1000 else f"{value:.4g}"
+    lines = []
+    for file_name in sorted(records, key=lambda file_name: int(Path(file_name).stem.removeprefix("BENCH_"))):
+        record = records[file_name]
+        claim = record.get("claim")
+        lines.append(f"{file_name}: {record['parent']['commit'][:7]} -> {record['change']['commit'][:7]}")
+        lines.append(f"  claim: {claim['workload']} {claim['metric']}: {claim['target']}" if claim else "  claim: none")
+        for group in record["summary"]:
+            if group["trace"]:
+                continue
+            lines.append(f"  {group['workload']} seed {group['seed']}, {group['pairs']} pairs:")
+            for name in names:
+                if name in group["metrics"]:
+                    metric = group["metrics"][name]
+                    parent, change = (number(metric[side]["median"]) for side in SIDES)
+                    lines.append(f"    {name} {parent} -> {change} {metric['unit']}")
+    return lines
+
+
+def cmd_trajectory(args: argparse.Namespace) -> None:
+    benchmark = json.loads(Path(args.benchmark).read_text())
+    records = {path.name: json.loads(path.read_text()) for path in Path(args.dir).glob("BENCH_*.json")}
+    if not records:
+        raise ValueError(f"no BENCH_*.json in {args.dir}")
+    print("\n".join(trajectory(records, benchmark)))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Record interleaved parent/change benchmark runs.")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -222,9 +262,13 @@ def main(argv: list[str] | None = None) -> int:
     record.add_argument("--what", required=True, help="the change the record measures")
     record.add_argument("--claim", nargs=3, metavar=("WORKLOAD", "METRIC", "TARGET"))
     record.add_argument("--out", required=True)
+    trajectory = commands.add_parser("trajectory", help="print every record's end-to-end medians")
+    trajectory.add_argument("--dir", default=".", help="directory holding the BENCH_*.json records")
+    trajectory.add_argument("--benchmark", default="BENCHMARK.json", help="the benchmark declaration")
     args = parser.parse_args(argv)
+    commands = {"run": cmd_run, "assemble": cmd_assemble, "trajectory": cmd_trajectory}
     try:
-        (cmd_run if args.command == "run" else cmd_assemble)(args)
+        commands[args.command](args)
     except (OSError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
