@@ -8,21 +8,30 @@ constructors here are pure.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import or_
 from typing import Callable, NamedTuple, Sequence
 
 from .graphs import Graph
 
+# the text formats' per-call name tables cover positions below this, so a
+# wide universe with few labels builds no table past about 1 MB: the bits
+# 1 << p in from_text's table take about _NAMED_BITS**2 / 16 bytes
+_NAMED_BITS = 4096
+
 
 def bit_positions(x: int) -> list[int]:
     """Ascending positions of the set bits of x >= 0: the one bit iterator.
-    Peels the lowest set bit off x until none is left."""
+    Peels the highest set bit off x until none is left, so x shrinks as it
+    goes, then reverses the descending positions."""
     if x < 0:
         raise ValueError(f"bit set must be non-negative, got {x}")
     out = []
     while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
+        top = x.bit_length() - 1
+        out.append(top)
+        x ^= 1 << top
+    out.reverse()
     return out
 
 
@@ -49,19 +58,29 @@ class Labelling:
         return len(self.masks)
 
     def to_text(self) -> str:
-        """Serialize as 'universe <size>' then one 'edge <id>: <positions>' line each."""
+        """Serialize as 'universe <size>' then one 'edge <id>: <positions>' line
+        each, the positions in canonical decimal, ascending and single-spaced.
+        The names come from one per-call table up to the highest set bit, or
+        from str when that bit lies at or past _NAMED_BITS."""
+        top = max(self.masks, default=0).bit_length()
+        name = [str(p) for p in range(top)].__getitem__ if top <= _NAMED_BITS else str
         lines = [f"universe {self.width}"]
-        for eid, mask in enumerate(self.masks):
-            positions = " ".join(map(str, bit_positions(mask)))
-            lines.append(f"edge {eid}: {positions}")
+        lines += [f"edge {eid}: {' '.join(map(name, bit_positions(mask)))}" for eid, mask in enumerate(self.masks)]
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "Labelling":
-        """Parse the to_text format. Blank lines are skipped; an error names
-        its line by position in text."""
-        lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-        lineno, head = lines[0] if lines else (1, "")
+        """Parse the to_text format; a bit may be any token int() reads as a
+        position inside the universe. Blank lines are skipped; an error names
+        its line by position in text.
+
+        A line's mask is the OR of its tokens looked up in one per-call table
+        from each canonical position name below the width (at most
+        _NAMED_BITS of them) to its bit. A line the table cannot take, with
+        another token or none, is parsed token by token, which accepts it
+        with the same mask or names its first bad token."""
+        numbered = ((i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln and not ln.isspace())
+        lineno, head = next(numbered, (1, ""))
         bad_header = f"line {lineno}: expected 'universe <size>'"
         if not head.startswith("universe ") or len(head.split()) != 2:
             raise ValueError(bad_header)
@@ -71,22 +90,28 @@ class Labelling:
             raise ValueError(bad_header) from None
         if width < 0:
             raise ValueError(f"line {lineno}: universe size must be non-negative, got {width}")
+        bit = {str(p): 1 << p for p in range(min(width, _NAMED_BITS))}.__getitem__
         masks = []
-        for eid, (lineno, line) in enumerate(lines[1:]):
+        for eid, (lineno, line) in enumerate(numbered):
             prefix = f"edge {eid}:"
             if not line.startswith(prefix):
                 raise ValueError(f"line {lineno}: expected '{prefix} ...'")
-            bits = 0
-            for tok in line[len(prefix) :].split():
-                try:
-                    pos = int(tok)
-                except ValueError:
-                    raise ValueError(f"line {lineno}: bit {tok!r} is not an integer") from None
-                if not 0 <= pos < width:
-                    raise ValueError(f"line {lineno}: bit {pos} outside universe")
-                bits |= 1 << pos
+            tokens = line[len(prefix) :].split()
+            try:
+                bits = reduce(or_, map(bit, tokens), 0)
+            except KeyError:
+                bits = 0
             if not bits:
-                raise ValueError(f"line {lineno}: label must set at least one bit")
+                for tok in tokens:
+                    try:
+                        pos = int(tok)
+                    except ValueError:
+                        raise ValueError(f"line {lineno}: bit {tok!r} is not an integer") from None
+                    if not 0 <= pos < width:
+                        raise ValueError(f"line {lineno}: bit {pos} outside universe")
+                    bits |= 1 << pos
+                if not bits:
+                    raise ValueError(f"line {lineno}: label must set at least one bit")
             masks.append(bits)
         return cls(width, masks)
 

@@ -6,7 +6,10 @@ star check packs bits and compares subsets on its own, the reference star
 labelling sets each edge's bits from its digit tuple, and the reference Bloom
 draw calls Random.sample once per edge. The contraction reference builds the
 combined labelling through contract's two graphs and a nested combine, and
-the level reference buckets edges by single-source BFS distance.
+the level reference buckets edges by single-source BFS distance. The text
+format references are the per-bit and per-token serializer and parser the
+table-driven Labelling.to_text and from_text replaced, with a bit scan in
+place of the library's bit iterator.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import math
 import random
 
 import numpy as np
+from hypothesis import strategies as st
 
 from bitpath import (
     CONTRACTED_VERTEX,
@@ -183,6 +187,77 @@ def tree_star_levels_reference(tree: Graph, center: int) -> tuple[tuple[int, ...
     for eid, (u, v) in enumerate(tree.edges):
         levels[max(dist[u], dist[v]) - 1].append(eid)
     return tuple(map(tuple, levels))
+
+
+def reference_to_text(width: int, masks) -> str:
+    """'universe <width>', then 'edge <id>: <positions>' per mask: each set
+    bit found by scanning every position below the mask's bit length and
+    named by str."""
+    lines = [f"universe {width}"]
+    for eid, mask in enumerate(masks):
+        positions = " ".join(map(str, [i for i in range(mask.bit_length()) if mask >> i & 1]))
+        lines.append(f"edge {eid}: {positions}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_from_text(text: str) -> tuple[int, tuple[int, ...]]:
+    """(width, masks) of a labelling text, or the ValueError naming its
+    first bad line, one int() per token."""
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    lineno, head = lines[0] if lines else (1, "")
+    bad_header = f"line {lineno}: expected 'universe <size>'"
+    if not head.startswith("universe ") or len(head.split()) != 2:
+        raise ValueError(bad_header)
+    try:
+        width = int(head.split()[1])
+    except ValueError:
+        raise ValueError(bad_header) from None
+    if width < 0:
+        raise ValueError(f"line {lineno}: universe size must be non-negative, got {width}")
+    masks = []
+    for eid, (lineno, line) in enumerate(lines[1:]):
+        prefix = f"edge {eid}:"
+        if not line.startswith(prefix):
+            raise ValueError(f"line {lineno}: expected '{prefix} ...'")
+        bits = 0
+        for tok in line[len(prefix) :].split():
+            try:
+                pos = int(tok)
+            except ValueError:
+                raise ValueError(f"line {lineno}: bit {tok!r} is not an integer") from None
+            if not 0 <= pos < width:
+                raise ValueError(f"line {lineno}: bit {pos} outside universe")
+            bits |= 1 << pos
+        if not bits:
+            raise ValueError(f"line {lineno}: label must set at least one bit")
+        masks.append(bits)
+    return width, tuple(masks)
+
+
+# single characters a mutation inserts or swaps in: digits and separators,
+# the characters of non-canonical integers, and str.splitlines breaks
+MUTATION_CHARS = "0123456789 \t\n\r\x0c\u2028:_+-x\u0663"
+
+
+@st.composite
+def mutated(draw, texts: st.SearchStrategy[str], max_edits: int = 3) -> str:
+    """A text drawn from texts, then changed by up to max_edits single
+    character inserts, deletes or replacements. Single characters keep any
+    number in the text within max_edits digits of its original length."""
+    text = draw(texts)
+    for _ in range(draw(st.integers(0, max_edits))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(("insert", "delete", "replace")))
+        char = "" if edit == "delete" else draw(st.sampled_from(MUTATION_CHARS))
+        text = text[:i] + char + text[i + (edit != "insert") :]
+    return text
+
+
+def error_line(exc: ValueError) -> int:
+    """N of an error message that starts 'line N: '."""
+    head, sep, _ = str(exc).partition(": ")
+    assert sep and head.startswith("line ") and head[5:].isdigit() and head[5:].isascii(), str(exc)
+    return int(head[5:])
 
 
 def sample_draw_masks(rng: random.Random, edge_count: int, m: int, k: int) -> list[int]:

@@ -10,8 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from bitpath import Labelling, star_labelling
+from bitpath import (
+    Labelling,
+    label_core_periphery,
+    label_tree,
+    make_core_periphery,
+    make_perfect_binary_tree,
+    star_labelling,
+)
 from bitpath.cli import main
+from helpers import reference_to_text
 
 STAR_CSV = (
     "n,theoretical_smallest_size,universe_size,optimal_rank\n"
@@ -296,6 +304,23 @@ class TestVerifyCommand:
         assert code == 0
         parsed = Labelling.from_text(dump.read_text())
         assert parsed.masks == star_labelling(10, 2).masks
+
+    @pytest.mark.parametrize(
+        "graph, build",
+        [
+            (["--tree", "6"], lambda: label_tree(make_perfect_binary_tree(6), 0)),
+            (["--core-periphery", "5"], lambda: label_core_periphery(*make_core_periphery(5))),
+        ],
+        ids=["tree", "core-periphery"],
+    )
+    def test_dump_combined_labelling(self, capsys, tmp_path, graph, build):
+        dump = tmp_path / "labels.txt"
+        code, _, _ = run(capsys, ["verify", *graph, "--scheme", "combined", "--dump-labelling", str(dump)])
+        assert code == 0
+        expected = build()
+        assert dump.read_bytes() == reference_to_text(expected.width, expected.masks).encode()
+        parsed = Labelling.from_text(dump.read_text())
+        assert (parsed.width, parsed.masks) == (expected.width, expected.masks)
 
     @pytest.mark.parametrize("rank", ["0", "5"])
     def test_rank_outside_admissible_range(self, capsys, rank):

@@ -29,7 +29,9 @@ from bitpath.graphs import _bfs
 from helpers import (
     brute_force_shortest_paths,
     brute_force_total_path_count,
+    error_line,
     grid_4x4,
+    mutated,
     random_graph_corpus,
     shuffled_edge_ids,
     validate_path,
@@ -161,6 +163,31 @@ class TestGenerators:
         assert a.edges != b.edges
 
 
+@st.composite
+def edge_list_texts(draw) -> str:
+    """emit_edge_list of a simple graph on at most 9 vertices."""
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
+    return emit_edge_list(Graph(n, edges))
+
+
+@st.composite
+def edge_list_like_texts(draw) -> str:
+    """Texts in or near the edge-list format: header and endpoint tokens,
+    canonical or not, separators and line breaks."""
+    tokens = st.sampled_from([str(v) for v in range(10)] * 2 + ["05", "+1", "-1", "1_0", "\u0663", "x", ""])
+    # mostly two tokens a line, as the format asks
+    counts = st.sampled_from([2, 2, 2, 1, 3])
+    lines = [" ".join(draw(st.lists(tokens, min_size=k, max_size=k))) for k in [draw(counts)]]
+    for _ in range(draw(st.integers(0, 5))):
+        sep = draw(st.sampled_from([" ", "  ", "\t", "\u00a0"]))
+        k = draw(counts)
+        lines.append(sep.join(draw(st.lists(tokens, min_size=k, max_size=k))))
+    brk = draw(st.sampled_from(["\n", "\r\n", "\x0c", "\u2028", "\n\n", "\n \n"]))
+    return brk.join(lines) + draw(st.sampled_from(["", brk]))
+
+
 class TestEdgeListIO:
     def test_parse_path_graph(self):
         g = load_edge_list("3 2\n0 1\n1 2")
@@ -220,6 +247,14 @@ class TestEdgeListIO:
         assert again.vertex_count == g.vertex_count
         assert again.edges == g.edges
         assert again.adjacency == g.adjacency
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(mutated(st.one_of(edge_list_texts(), edge_list_like_texts())))
+    def test_fuzzed_text_parses_or_names_a_line(self, text):
+        try:
+            load_edge_list(text)
+        except EdgeListParseError as exc:
+            assert 1 <= error_line(exc) <= len(text.splitlines()) + 1
 
 
 class TestShortestPath:

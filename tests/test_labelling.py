@@ -14,8 +14,12 @@ from bitpath import (
     admissible_ranks,
     bit_per_edge,
     bit_per_vertex,
+    bloom_labelling,
     ceil_nth_root,
+    label_core_periphery,
+    label_tree,
     make_complete,
+    make_core_periphery,
     make_perfect_binary_tree,
     make_star,
     optimal_rank,
@@ -26,7 +30,14 @@ from bitpath import (
     verify_no_false_positives,
 )
 from bitpath.labelling import bit_positions
-from helpers import star_labelling_reference, star_recognition_violations
+from helpers import (
+    error_line,
+    mutated,
+    reference_from_text,
+    reference_to_text,
+    star_labelling_reference,
+    star_recognition_violations,
+)
 
 
 def brute_root(n: int, r: int) -> int:
@@ -379,6 +390,7 @@ class TestLabellingType:
         values = [0, 1 << 64]
         values += [rng.getrandbits(rng.randrange(1, 601)) for _ in range(200)]
         values += [((1 << w) - 1) ^ (1 << rng.randrange(w)) for w in (2, 63, 64, 65, 600, 5000)]
+        values += [1 | 1 << 501, 1 << 501, (1 << 502) - 1]
         for x in values:
             assert bit_positions(x) == scan(x)
 
@@ -448,3 +460,160 @@ class TestSerialization:
     def test_parse_rejects_wrong_edge_order(self):
         with pytest.raises(ValueError, match="line 3"):
             Labelling.from_text("universe 2\nedge 0: 1\nedge 5: 0\n")
+
+
+TEXT_WIDTHS = (0, 1, 7, 8, 9, 63, 64, 65, 502)
+
+
+def text_format_labellings() -> list[Labelling]:
+    """Every constructor at each width of TEXT_WIDTHS it can reach, the
+    constructive schemes at several sizes, and hand-made masks at the ends of
+    each width and of from_text's name table."""
+    labs = [Labelling(0, [])]
+    for w in TEXT_WIDTHS[1:]:
+        labs.append(bit_per_edge(make_star(w)))
+        if w >= 2:
+            labs.append(bit_per_vertex(make_star(w - 1)))
+        labs.append(bloom_labelling(make_perfect_binary_tree(5), w, min(w, 13), w))
+        labs.append(Labelling(w, [(1 << w) - 1, 1 << (w - 1), 1, 1 | 1 << (w - 1)]))
+    labs += [star_labelling(100, r) for r in admissible_ranks(100)]
+    labs += [star_labelling(1000, 3), star_labelling(1000, 3, base=11)]
+    labs += [label_tree(make_perfect_binary_tree(h), 0) for h in range(1, 9)]
+    labs += [label_core_periphery(*make_core_periphery(n)) for n in (2, 3, 5, 8)]
+    labs.append(bloom_labelling(make_perfect_binary_tree(8), 502, 13, 1))
+    labs += [Labelling(w, [1 << (w - 1), (1 << w) - 1]) for w in (4095, 4096, 4097)]
+    return labs
+
+
+def parse_outcome(parse, text: str):
+    """('ok', (width, masks)) or ('error', message) of parse(text)."""
+    try:
+        result = parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", (result.width, result.masks) if isinstance(result, Labelling) else result
+
+
+# texts the table-driven parser must read exactly as the per-token reference:
+# non-canonical integers, whitespace and line-break variants, every error
+REFERENCE_TEXTS = [
+    "universe 4\nedge 0: 03\n",
+    "universe 4\nedge 0: 1 003 00\n",
+    "universe 4\nedge 0: +3\n",
+    "universe 20\nedge 0: 1_0\n",
+    "universe 4\nedge 0: \u0663\n",
+    "universe 4\nedge 0: 1 \u0663 2\n",
+    "universe 4\nedge 0:\t1  3\t\nedge 1:   2\t \t0\n",
+    "universe 4\nedge 0: 1\u00a02\n",
+    "universe 4\r\nedge 0: 1\r\nedge 1: 2 3\r\n",
+    "universe 4\x0cedge 0: 1\x0cedge 1: 2\n",
+    "universe 4\nedge 0: 1\u20282\n",
+    "universe 4\nedge 0:3\n",
+    "universe 4\nedge 0:3 1\nedge 1:2\n",
+    "universe 4\nedge 0: 1 1 3 3\n",
+    "universe 4\nedge 0: -1\n",
+    "universe 4\nedge 0: 1 -0\n",
+    "universe 4\nedge 0: 4\n",
+    "universe 4\nedge 0: 1 05 9\n",
+    "universe 4\nedge 0: 9 x\n",
+    "universe 4\nedge 0: 1 x\n",
+    "universe 4\nedge 0: 1 3.0\n",
+    "universe 4\nedge 0:\n",
+    "universe 4\nedge 0:   \t\n",
+    "universe 4\nedge 01: 3\n",
+    "universe 4\nedge 0 : 3\n",
+    "\n\nuniverse 4\n\n  \t\nedge 0: 1\n\n\nedge 1: 2\n \n",
+    "",
+    " \n\t\n",
+    "edge 0: 1\n",
+    "universe\n",
+    "universe 4 5\n",
+    "universe x\n",
+    "universe -3\n",
+    "universe 03\nedge 0: 2\n",
+    "universe \u0663\nedge 0: 2\n",
+    "universe 4 \nedge 0: 1\n",
+    " universe 4\nedge 0: 1\n",
+    "universe 0\n",
+    "universe 0\nedge 0: 0\n",
+    "universe 4\nedge 1: 1\n",
+    "universe 4\nedge 0: 1\nedge 0: 2\n",
+    "universe 4\nedge 0: 1\nedge 2: 2\n",
+    "universe 5000\nedge 0: 4095 4096 4999\nedge 1: 0 4095\n",
+    "universe 4097\nedge 0: 4096\n",
+    "universe 1000000000000\nedge 0: 999999 0\n",
+]
+
+
+class TestTextFormatAgainstReference:
+    """to_text and from_text against the per-bit and per-token references
+    they replaced: the same bytes, masks and error messages."""
+
+    def test_to_text_matches_reference(self):
+        for lab in text_format_labellings():
+            assert lab.to_text() == reference_to_text(lab.width, lab.masks), (lab.width, lab.edge_count)
+
+    def test_round_trips_through_the_reference_parser(self):
+        for lab in text_format_labellings():
+            again = Labelling.from_text(lab.to_text())
+            assert (again.width, again.masks) == (lab.width, lab.masks)
+
+    @pytest.mark.parametrize("text", REFERENCE_TEXTS)
+    def test_from_text_matches_reference(self, text):
+        assert parse_outcome(Labelling.from_text, text) == parse_outcome(reference_from_text, text)
+
+    def test_wide_sparse_universe_builds_no_wide_table(self):
+        # a name table up to the top bit would hold a million strings, and
+        # one up to the width a trillion
+        lab = Labelling(1_000_000, [1 << 999_999, 1])
+        tracemalloc.start()
+        try:
+            text = lab.to_text()
+            again = Labelling.from_text(text.replace("universe 1000000", "universe 1000000000000"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert text == "universe 1000000\nedge 0: 999999\nedge 1: 0\n"
+        assert again.masks == lab.masks
+        assert peak < 8 << 20
+
+
+LABELLING_TOKENS = st.one_of(
+    st.integers(0, 20).map(str),
+    st.sampled_from(["05", "007", "+3", "-1", "-0", "1_0", "\u0663", "x", "3.0", "1e1", ""]),
+)
+
+
+@st.composite
+def labelling_like_texts(draw) -> str:
+    """Texts in or near the labelling format: a header, numbered edge lines
+    with canonical and other tokens, assorted separators and line breaks."""
+    header = draw(st.sampled_from(["universe "] * 6 + ["universe  ", "universe\t", "edges ", ""]))
+    lines = [header + draw(st.sampled_from([str(w) for w in range(25)] + ["-2", "03", "x", "4 5", ""]))]
+    for eid in range(draw(st.integers(0, 5))):
+        name = draw(st.sampled_from([str(eid)] * 4 + [str(eid + 1), f"0{eid}"]))
+        sep = draw(st.sampled_from([" ", "  ", "\t", "\u00a0", ""]))
+        lines.append(f"edge {name}:" + sep + sep.join(draw(st.lists(LABELLING_TOKENS, max_size=5))))
+    brk = draw(st.sampled_from(["\n", "\r\n", "\x0c", "\u2028", "\n\n", "\n \n"]))
+    return brk.join(lines) + draw(st.sampled_from(["", brk]))
+
+
+@st.composite
+def labelling_texts(draw) -> str:
+    """to_text of a small labelling."""
+    width = draw(st.integers(0, 40))
+    masks = draw(st.lists(st.integers(1, (1 << width) - 1), max_size=6)) if width else []
+    return Labelling(width, masks).to_text()
+
+
+class TestTextFormatFuzz:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(mutated(st.one_of(labelling_texts(), labelling_like_texts())))
+    def test_from_text_agrees_with_reference_and_names_a_line(self, text):
+        outcome = parse_outcome(Labelling.from_text, text)
+        assert outcome == parse_outcome(reference_from_text, text)
+        if outcome[0] == "error":
+            with pytest.raises(ValueError) as exc:
+                Labelling.from_text(text)
+            assert type(exc.value) is ValueError
+            assert 1 <= error_line(exc.value) <= len(text.splitlines()) + 1
