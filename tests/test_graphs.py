@@ -177,13 +177,12 @@ def edge_list_like_texts(draw) -> str:
     """Texts in or near the edge-list format: header and endpoint tokens,
     canonical or not, separators and line breaks."""
     tokens = st.sampled_from([str(v) for v in range(10)] * 2 + ["05", "+1", "-1", "1_0", "\u0663", "x", ""])
-    # mostly two tokens a line, as the format asks
-    counts = st.sampled_from([2, 2, 2, 1, 3])
-    lines = [" ".join(draw(st.lists(tokens, min_size=k, max_size=k))) for k in [draw(counts)]]
-    for _ in range(draw(st.integers(0, 5))):
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
         sep = draw(st.sampled_from([" ", "  ", "\t", "\u00a0"]))
-        k = draw(counts)
-        lines.append(sep.join(draw(st.lists(tokens, min_size=k, max_size=k))))
+        # mostly two tokens a line, as the format asks
+        count = draw(st.sampled_from([2, 2, 2, 1, 3]))
+        lines.append(sep.join(draw(st.lists(tokens, min_size=count, max_size=count))))
     brk = draw(st.sampled_from(["\n", "\r\n", "\x0c", "\u2028", "\n\n", "\n \n"]))
     return brk.join(lines) + draw(st.sampled_from(["", brk]))
 
@@ -254,7 +253,7 @@ class TestEdgeListIO:
         try:
             load_edge_list(text)
         except EdgeListParseError as exc:
-            assert 1 <= error_line(exc) <= len(text.splitlines()) + 1
+            assert 1 <= error_line(str(exc)) <= len(text.splitlines()) + 1
 
 
 class TestShortestPath:

@@ -553,7 +553,7 @@ class TestTextFormatAgainstReference:
         for lab in text_format_labellings():
             assert lab.to_text() == reference_to_text(lab.width, lab.masks), (lab.width, lab.edge_count)
 
-    def test_round_trips_through_the_reference_parser(self):
+    def test_round_trip_every_labelling(self):
         for lab in text_format_labellings():
             again = Labelling.from_text(lab.to_text())
             assert (again.width, again.masks) == (lab.width, lab.masks)
@@ -613,7 +613,4 @@ class TestTextFormatFuzz:
         outcome = parse_outcome(Labelling.from_text, text)
         assert outcome == parse_outcome(reference_from_text, text)
         if outcome[0] == "error":
-            with pytest.raises(ValueError) as exc:
-                Labelling.from_text(text)
-            assert type(exc.value) is ValueError
-            assert 1 <= error_line(exc.value) <= len(text.splitlines()) + 1
+            assert 1 <= error_line(outcome[1]) <= len(text.splitlines()) + 1
