@@ -117,11 +117,6 @@ def exact_two_label_fpr(m: int, k: int) -> float:
     return total / (total_labels * total_labels)
 
 
-# A trial draws star_n labels, at 1.5-2.8 us a label, so from 10,000 labels
-# a second CPU saves at least 7.5 ms, against a fork's 6.6 ms (empirical_fpr).
-_SHARD_LABELS = 10_000
-
-
 class EmpiricalRate(NamedTuple):
     rate: float
     stderr: float
@@ -139,15 +134,14 @@ def empirical_fpr(star_n: int, m: int, k: int, trials: int, seed: int) -> Empiri
 
     The trials are split by stride, shard i of s taking trials range(i,
     trials, s), and the shards' hit counts add up, so the rate is the same
-    for every split. From _SHARD_LABELS labels drawn (trials * star_n),
-    routing._run_shards runs one shard per usable CPU, forked under the
-    oracle's rules, and the call raises a worker's exception. The cutoff
+    for every split. From routing._SHARD_UNITS labels drawn (trials *
+    star_n), routing._run_shards runs one shard per usable CPU, forked under
+    the oracle's rules, and the call raises a worker's exception. The cutoff
     was measured in a 77 MB process holding the build benchmark's inputs
-    (2-CPU host, Python 3.11.7): a two-shard call with no work took a
-    median 6.6 ms (at most 9.6 ms in 60 calls), and one shard or two ran
-    500 trials of the 20-edge bloom-table row (10,000 labels) in 22.1 or
-    16.7 ms, and of the 10-edge row (5,000 labels) in 13.8 or 13.9 ms
-    (medians of 11).
+    (2-CPU host, Python 3.11.7): a two-shard call with no work took a median
+    6.6 ms (at most 9.6 ms in 60 calls), and one shard or two ran 500 trials
+    of the 20-edge bloom-table row (10,000 labels) in 22.1 or 16.7 ms, and
+    of the 10-edge row (5,000 labels) in 13.8 or 13.9 ms (medians of 11).
     """
     if star_n < 3:
         raise ValueError("need star_n >= 3 for at least one off-path edge")
@@ -156,7 +150,7 @@ def empirical_fpr(star_n: int, m: int, k: int, trials: int, seed: int) -> Empiri
     if not 1 <= k <= m:
         raise ValueError("label weight must satisfy 1 <= k <= universe size")
     work = lambda shard: _trial_hits(star_n, m, k, seed, shard)
-    hits = sum(_run_shards("Bloom", work, trials, trials * star_n >= _SHARD_LABELS))
+    hits = sum(_run_shards("Bloom", work, trials, trials * star_n))
     observations = trials * (star_n - 2)
     rate = hits / observations
     stderr = math.sqrt(rate * (1.0 - rate) / observations)

@@ -1,15 +1,14 @@
-"""Core/periphery contraction, tree level decomposition, and combined labellings.
+"""Tree level decomposition, core contraction and combined labellings.
 
-A combined labelling is one combine over a flat list of parts of the graph's
-edges, each over its own universe: bit-per-vertex on an induced core, then a
-star labelling per periphery level, the level stars left by contracting the
-core to one vertex. The parts are found in the original graph's edge ids by
-one BFS from every core vertex; contract builds the contracted graphs.
+A combined labelling partitions a graph's edges by one BFS from the core,
+each edge at the larger distance of its ends: bit-per-vertex on distance 0,
+the core's own edges, then a star labelling on each level i, the edges
+joining distances i and i+1. That needs a connected core, no outside vertex
+with two core neighbours, and a tree once the core is one vertex.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,7 +19,9 @@ CONTRACTED_VERTEX = 0  # id of the merged core inside every periphery graph
 
 
 class DecompositionError(ValueError):
-    """Contraction or combination cannot proceed on this input."""
+    """A core that is empty, out of range, every vertex, next to an outside
+    vertex twice, disconnected, or under a periphery that is no tree once it
+    is one vertex; or combine parts that do not partition the edges."""
 
 
 class NotATreeError(ValueError):
@@ -45,10 +46,10 @@ class Decomposition:
     edge_map: tuple[int, ...]
 
 
-def _split_core(g: Graph, core_vertices) -> tuple[list[int], list[int]]:
-    """Ascending core ids and ids of the edges inside the core, once the core
-    is a non-empty proper subset, no outside vertex has two core neighbours
-    and the induced core is connected, checked in that order."""
+def _split_core(g: Graph, core_vertices) -> tuple[list[int], list[int], tuple[tuple[int, ...], ...], bool]:
+    """Ascending core ids, then _star_levels around them, once the core is a
+    non-empty proper subset, no outside vertex has two core neighbours and
+    the induced core is connected, checked in that order."""
     core_set = frozenset(core_vertices)
     if not core_set:
         raise DecompositionError("core must be non-empty")
@@ -57,18 +58,13 @@ def _split_core(g: Graph, core_vertices) -> tuple[list[int], list[int]]:
     if len(core_set) >= g.vertex_count:
         raise DecompositionError("core must be a proper subset of the vertices")
     core_ids = sorted(core_set)
-    core_edges: list[int] = []
+    core_edges, levels, is_tree = _star_levels(g, core_ids)
     attached: set[int] = set()  # outside vertices with a core neighbour so far
-    for eid, (u, v) in enumerate(g.edges):
-        if u in core_set and v in core_set:
-            core_edges.append(eid)
-        elif u in core_set or v in core_set:
+    for u, v in map(g.edges.__getitem__, levels[0] if levels else ()):
+        if u in core_set or v in core_set:  # not an edge between two outside vertices
             w = v if u in core_set else u
             if w in attached:
-                # w's periphery vertex id: 1 plus the outside vertices below it
-                raise DecompositionError(
-                    f"contraction creates parallel edges at periphery vertex {w + 1 - bisect_left(core_ids, w)}"
-                )
+                raise DecompositionError(f"contraction creates parallel edges at periphery vertex {w}")
             attached.add(w)
     unreached = set(core_ids[1:])
     stack = core_ids[:1]
@@ -79,7 +75,7 @@ def _split_core(g: Graph, core_vertices) -> tuple[list[int], list[int]]:
                 stack.append(nbr)
     if unreached:
         raise DecompositionError("induced core is disconnected")
-    return core_ids, core_edges
+    return core_ids, core_edges, levels, is_tree
 
 
 def contract(g: Graph, core_vertices) -> Decomposition:
@@ -89,7 +85,7 @@ def contract(g: Graph, core_vertices) -> Decomposition:
     core neighbors (that would create parallel edges, which are rejected
     rather than merged so edge_map stays a bijection).
     """
-    core_ids, core_edge_map = _split_core(g, core_vertices)
+    core_ids, core_edge_map, _, _ = _split_core(g, core_vertices)
     core_index = {orig: i for i, orig in enumerate(core_ids)}
     outside = [v for v in range(g.vertex_count) if v not in core_index]
     periphery_index = dict.fromkeys(core_ids, CONTRACTED_VERTEX) | {v: i for i, v in enumerate(outside, 1)}
@@ -106,20 +102,21 @@ def contract(g: Graph, core_vertices) -> Decomposition:
     )
 
 
-def _star_levels(g: Graph, sources: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Level stars of g with the distinct vertices sources contracted to one
-    center, by one multi-source BFS: entry i holds the ascending ids of the
-    edges joining distances i and i+1. Raises NotATreeError unless the
-    contracted graph is a tree."""
+def _star_levels(g: Graph, sources: Sequence[int]) -> tuple[list[int], tuple[tuple[int, ...], ...], bool]:
+    """Every edge of g bucketed by the larger of its ends' distances from the
+    distinct vertices sources, in one multi-source BFS: the ascending ids of
+    the edges inside sources, the level stars with sources contracted to one
+    center (entry i holds the ascending ids of the edges joining distances i
+    and i+1) and whether that contracted graph is a tree."""
     dist, _, order = _bfs(g, sources)
-    buckets: list[list[int]] = [[] for _ in range(dist[order[-1]])]
+    buckets: list[list[int]] = [[] for _ in range(dist[order[-1]] + 1)]
     for eid, (u, v) in enumerate(g.edges):
         d = dist[u] if dist[u] > dist[v] else dist[v]
-        if d > 0:
-            buckets[d - 1].append(eid)
-    if len(order) < g.vertex_count or sum(map(len, buckets)) != g.vertex_count - len(sources):
-        raise NotATreeError("input is not a connected acyclic graph")
-    return tuple(map(tuple, buckets))
+        if d >= 0:  # unreached edges only fail the tree check
+            buckets[d].append(eid)
+    inside, *levels = buckets
+    is_tree = len(order) == g.vertex_count and sum(map(len, levels)) == g.vertex_count - len(sources)
+    return inside, tuple(map(tuple, levels)), is_tree
 
 
 def tree_star_levels(tree: Graph, center: int) -> tuple[tuple[int, ...], ...]:
@@ -128,7 +125,10 @@ def tree_star_levels(tree: Graph, center: int) -> tuple[tuple[int, ...], ...]:
     ascending ids of the edges joining distances i and i+1 from it."""
     if not 0 <= center < tree.vertex_count:
         raise ValueError("center out of range")
-    return _star_levels(tree, (center,))
+    _, levels, is_tree = _star_levels(tree, (center,))
+    if not is_tree:
+        raise NotATreeError("input is not a connected acyclic graph")
+    return levels
 
 
 def combine(edge_count: int, parts: Sequence[tuple[Labelling, Sequence[int]]]) -> Labelling:
@@ -173,13 +173,12 @@ def label_tree(tree: Graph, center: int) -> Labelling:
 def label_core_periphery(g: Graph, core_vertices) -> Labelling:
     """Combine flat parts of g's edges: bit-per-vertex on the core (bit i for
     the i-th smallest core id), then a star labelling per periphery level.
-    Rejects what contract rejects, then a periphery that is not a tree after
-    contraction; builds no contracted graph."""
-    core_ids, core_edges = _split_core(g, core_vertices)
-    try:
-        levels = _star_levels(g, core_ids)
-    except NotATreeError:
-        raise DecompositionError("periphery after contraction is not a tree") from None
+    Rejects, in this order, an empty core, an out-of-range id, a core of
+    every vertex, an outside vertex with two core neighbours, a disconnected
+    core and a periphery that is no tree once the core is one vertex."""
+    core_ids, core_edges, levels, is_tree = _split_core(g, core_vertices)
+    if not is_tree:
+        raise DecompositionError("periphery after contraction is not a tree")
     bit = {orig: 1 << i for i, orig in enumerate(core_ids)}
     core_part = Labelling(len(core_ids), [bit[u] | bit[v] for u, v in map(g.edges.__getitem__, core_edges)])
     return combine(g.edge_count, [(core_part, core_edges), *_star_parts(levels)])

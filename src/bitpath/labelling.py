@@ -71,8 +71,9 @@ class Labelling:
     @classmethod
     def from_text(cls, text: str) -> "Labelling":
         """Parse the to_text format; a bit may be any token int() reads as a
-        position inside the universe. Blank lines are skipped; an error names
-        its line by position in text.
+        position inside the universe, and any whitespace may separate the
+        header's 'universe' from its size, as it may separate a line's bits.
+        Blank lines are skipped; an error names its line by position in text.
 
         A line's mask is the OR of its tokens looked up in one per-call table
         from each canonical position name below the width (at most
@@ -82,10 +83,11 @@ class Labelling:
         numbered = ((i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln and not ln.isspace())
         lineno, head = next(numbered, (1, ""))
         bad_header = f"line {lineno}: expected 'universe <size>'"
-        if not head.startswith("universe ") or len(head.split()) != 2:
+        fields = head.split()
+        if len(fields) != 2 or fields[0] != "universe" or not head.startswith("universe"):
             raise ValueError(bad_header)
         try:
-            width = int(head.split()[1])
+            width = int(fields[1])
         except ValueError:
             raise ValueError(bad_header) from None
         if width < 0:

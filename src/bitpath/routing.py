@@ -152,11 +152,6 @@ class VerificationReport:
         )
 
 
-# At the oracle's fastest, about 3 us a pair, a second CPU saves 15 ms from
-# 10,000 pairs on, against the 5 ms one forked worker costs (_run_shards).
-_SHARD_PAIRS = 10_000
-
-
 def verify_no_false_positives(
     g: Graph,
     labelling: Labelling,
@@ -207,7 +202,7 @@ def verify_no_false_positives(
     records, stably sorted by source, are cut to fp_record_cap and truncated
     if a shard was or the cut dropped any, since each source's records come
     from one shard, in its order, and a shard's records are a prefix of its
-    full list. From _SHARD_PAIRS vertex pairs, _run_shards makes one shard
+    full list. From _SHARD_UNITS vertex pairs, _run_shards makes one shard
     per usable CPU where the process may fork: the first runs in this
     process, the others in forked children that inherit the tables and send
     back their report or the exception that stopped them, which the call
@@ -222,24 +217,31 @@ def verify_no_false_positives(
     tables = _tables(g, labelling)
     n = g.vertex_count
     check = lambda sources: _check_sources(g, tables, sources, path_cap, fp_record_cap)
-    reports = _run_shards("oracle", check, n - 1, n * (n - 1) // 2 >= _SHARD_PAIRS)
+    reports = _run_shards("oracle", check, n - 1, n * (n - 1) // 2)
     return _merge(reports, path_cap, fp_record_cap)
 
 
-def _run_shards(name: str, work, stop: int, worth_forking: bool) -> list:
+# A unit is an oracle vertex pair, about 3 us at the oracle's fastest, or a
+# drawn Bloom label, 1.5-2.8 us: from 10,000 units a second CPU saves at
+# least 7.5 ms, against the 5-7 ms one forked worker costs (_run_shards).
+_SHARD_UNITS = 10_000
+
+
+def _run_shards(name: str, work, stop: int, units: int) -> list:
     """[work(range(i, stop, s)) for i in range(s)]: the results of s shards,
     shard i taking every s-th index from i, in shard order.
 
-    s is 1 unless worth_forking. Then, in a single-threaded, non-daemonic
-    process where the fork start method and os.sched_getaffinity exist, s
-    is the number of usable CPUs: the first shard runs in this process and
-    each other one in a forked child, which inherits work's inputs and
-    sends back its result or the exception that stopped it, raised here
-    with the child's traceback as a note. Children are joined (terminated
-    first on error) before the call returns. Callers set worth_forking from
-    their input size, by cutoffs sized against the cost of one fork: a
-    median 4.6-5.8 ms and at most 22 ms to start, report and join a worker,
-    in runs of 60 and 200 (2-CPU host, Python 3.11.7). The parent pays again
+    s is 1 below _SHARD_UNITS units of work, the callers' input size (an
+    oracle's vertex pairs, or a Bloom measurement's drawn labels). From
+    there, in a single-threaded, non-daemonic process where the fork start
+    method and os.sched_getaffinity exist, s is the number of usable CPUs:
+    the first shard runs in this process and each other one in a forked
+    child, which inherits work's inputs and sends back its result or the
+    exception that stopped it, raised here with the child's traceback as a
+    note. Children are joined (terminated first on error) before the call
+    returns. The cutoff is sized against the cost of one fork: a median
+    4.6-5.8 ms and at most 22 ms to start, report and join a worker, in
+    runs of 60 and 200 (2-CPU host, Python 3.11.7). The parent pays again
     later, since a fork write-protects its pages and the first write to each
     afterwards faults: in a 68 MB process holding the build benchmark's
     inputs, a build pass after a fork took about 5,200 more minor faults
@@ -248,7 +250,7 @@ def _run_shards(name: str, work, stop: int, worth_forking: bool) -> list:
     shards = 1
     # fork only from one thread (a lock another thread held would stay held
     # in the child) and not from a daemonic process, such as a pool worker
-    if worth_forking and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+    if units >= _SHARD_UNITS and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
         import multiprocessing  # here, since the import adds 0.7 MB to a process's peak RSS
 
         if "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon:

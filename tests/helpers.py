@@ -206,10 +206,11 @@ def reference_from_text(text: str) -> tuple[int, tuple[int, ...]]:
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     lineno, head = lines[0] if lines else (1, "")
     bad_header = f"line {lineno}: expected 'universe <size>'"
-    if not head.startswith("universe ") or len(head.split()) != 2:
+    fields = head.split()
+    if len(fields) != 2 or fields[0] != "universe" or not head.startswith("universe"):
         raise ValueError(bad_header)
     try:
-        width = int(head.split()[1])
+        width = int(fields[1])
     except ValueError:
         raise ValueError(bad_header) from None
     if width < 0:

@@ -20,7 +20,7 @@ from bitpath import (
     optimal_label_weight_int,
     optimal_rank,
 )
-from bitpath import bloom
+from bitpath import bloom, routing
 from bitpath.bloom import _draw_masks
 from bitpath.cli import BLOOM_TABLE_DEFAULT
 from helpers import sample_draw_masks, sample_empirical_fpr
@@ -247,7 +247,7 @@ class TestEmpiricalWorkers:
 
     def test_sharded_call_equals_in_process_count(self):
         star_n, m, k = self.STAR
-        assert self.TRIALS * star_n >= bloom._SHARD_LABELS
+        assert self.TRIALS * star_n >= routing._SHARD_UNITS
         (hits,) = trial_shards(star_n, m, k, self.TRIALS, 5, 1)
         assert tuple(empirical_fpr(star_n, m, k, self.TRIALS, 5)) == rate_of(hits, star_n, self.TRIALS)
         assert multiprocessing.active_children() == []

@@ -71,7 +71,11 @@ def labelling_or_error(build, g: Graph, core):
 
 FOUR_CYCLE = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 PATH_0123 = Graph(4, [(0, 1), (1, 2), (2, 3)])
-# (graph, core, message): one input per check, in the order they run
+# vertex 4 touches both vertices of the core {0, 1}; it is the third vertex
+# outside the core, so a number among the outside vertices would be 3
+PARALLEL_AT_4 = Graph(5, [(0, 1), (0, 2), (2, 3), (0, 4), (1, 4)])
+# (graph, core, message): one input per check, in the order they run, and a
+# second parallel-edge input
 CORE_ERRORS = [
     (PATH_0123, set(), "core must be non-empty"),
     (PATH_0123, {9}, "core contains out-of-range vertex ids"),
@@ -79,10 +83,11 @@ CORE_ERRORS = [
     # vertex 1 touches both core vertices; the core {0, 2} is also
     # disconnected, and the parallel edges are reported first
     (FOUR_CYCLE, {0, 2}, "contraction creates parallel edges at periphery vertex 1"),
+    (PARALLEL_AT_4, {0, 1}, "contraction creates parallel edges at periphery vertex 4"),
     (PATH_0123, {0, 3}, "induced core is disconnected"),
     (FOUR_CYCLE, {0}, "periphery after contraction is not a tree"),
 ]
-CORE_ERROR_IDS = ["empty", "out-of-range", "not-proper", "parallel", "disconnected", "not-a-tree"]
+CORE_ERROR_IDS = ["empty", "out-of-range", "not-proper", "parallel", "parallel-own-id", "disconnected", "not-a-tree"]
 
 
 class TestContract:
@@ -501,6 +506,28 @@ class TestCoreErrors:
             label_core_periphery(g, core)
         assert str(exc.value) == message
         assert labelling_or_error(label_core_periphery_by_contraction, g, core) == message
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_parallel_edges_name_the_first_doubly_attached_vertex(self, data):
+        """On a valid core, the parallel-edge check names, by its own id, the
+        outside vertex whose second core edge comes first in edge-id order."""
+        n = data.draw(st.integers(2, 9), label="vertices")
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges"))
+        core = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1), label="core")
+        attached = [w for u, v in g.edges if (u in core) != (v in core) for w in (u, v) if w not in core]
+        doubled = next((w for i, w in enumerate(attached) if w in attached[:i]), None)
+        for build in (label_core_periphery, contract):
+            try:
+                build(g, core)
+                message = ""
+            except DecompositionError as exc:
+                message = str(exc)
+            if doubled is None:
+                assert "parallel" not in message
+            else:
+                assert message == f"contraction creates parallel edges at periphery vertex {doubled}"
 
     @pytest.mark.parametrize("g, core, message", CORE_ERRORS[:-1], ids=CORE_ERROR_IDS[:-1])
     def test_contract_message(self, g, core, message):

@@ -424,8 +424,10 @@ class TestSerialization:
             ("edges 3\n", "line 1"),
             ("universe -3\n", "line 1: .*non-negative"),
             ("universe 4 5\n", "line 1: expected 'universe <size>'"),
+            ("\tuniverse 4\n", "line 1: expected 'universe <size>'"),
+            ("universe4\n", "line 1: expected 'universe <size>'"),
         ],
-        ids=["not-universe", "negative-size", "extra-token"],
+        ids=["not-universe", "negative-size", "extra-token", "leading-whitespace", "no-whitespace"],
     )
     def test_parse_rejects_bad_header(self, text, message):
         with pytest.raises(ValueError, match=message):
@@ -456,6 +458,10 @@ class TestSerialization:
         again = Labelling.from_text(lab.to_text())
         assert again.width == width
         assert again.masks == tuple(masks)
+
+    def test_header_takes_any_whitespace_before_the_size(self):
+        lab = Labelling.from_text("universe\t4\nedge 0:\t1\n")
+        assert (lab.width, lab.masks) == (4, (2,))
 
     def test_parse_rejects_wrong_edge_order(self):
         with pytest.raises(ValueError, match="line 3"):
@@ -534,6 +540,12 @@ REFERENCE_TEXTS = [
     "universe \u0663\nedge 0: 2\n",
     "universe 4 \nedge 0: 1\n",
     " universe 4\nedge 0: 1\n",
+    "\tuniverse 4\nedge 0: 1\n",
+    "universe\t4\nedge 0:\t1\n",
+    "universe\u00a04\nedge 0: 1\n",
+    "universe\t\nedge 0: 1\n",
+    "universes 4\nedge 0: 1\n",
+    "universe4\nedge 0: 1\n",
     "universe 0\n",
     "universe 0\nedge 0: 0\n",
     "universe 4\nedge 1: 1\n",

@@ -1,17 +1,55 @@
-"""README's library examples must run as written: a renamed or removed public
-name fails here instead of only in a reader's terminal."""
+"""README's library and command-line examples must run as written: a renamed
+or removed public name, command or flag fails here instead of only in a
+reader's terminal."""
 
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
+from bitpath import cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+# every `bitpath ...` line outside the python blocks
+COMMAND_LINES = [
+    ln for lang, block in BLOCKS if lang != "python" for ln in block.splitlines() if ln.startswith("bitpath ")
+]
+# the verify and route examples that need no file: their exit code is 1 where
+# README marks it, else 0
+RUNNABLE = [ln for ln in COMMAND_LINES if ln.split()[1] in ("verify", "route") and "--graph" not in ln]
+
+
+def argv(line: str) -> list[str]:
+    """The arguments after `bitpath`, without the trailing comment."""
+    return shlex.split(line, comments=True)[1:]
 
 
 def test_python_examples_run_in_order(capsys):
-    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    blocks = [block for lang, block in BLOCKS if lang == "python"]
     assert blocks, "README has no python examples"
     namespace: dict = {}
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i + 1}", "exec"), namespace)
     out = capsys.readouterr().out
     assert out.splitlines()[-1] == "(45,)"
+
+
+@pytest.mark.parametrize("line", COMMAND_LINES)
+def test_command_line_parses(line, capsys):
+    try:
+        cli.build_parser().parse_args(argv(line))
+    except SystemExit:
+        pytest.fail(f"README command does not parse: {line}\n{capsys.readouterr().err}")
+
+
+@pytest.mark.parametrize("line", RUNNABLE)
+def test_command_line_exits_as_documented(line, capsys):
+    expected = 1 if line.endswith("# exits 1") else 0
+    assert cli.main(argv(line)) == expected
+
+
+def test_command_examples_are_found():
+    assert len(RUNNABLE) < len(COMMAND_LINES)
+    assert any(ln.endswith("# exits 1") for ln in RUNNABLE)

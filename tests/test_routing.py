@@ -759,7 +759,7 @@ class TestVerifyShards:
     def test_above_the_cutoff_reports_what_one_shard_reports(self):
         g, core = make_core_periphery(20)
         lab = label_core_periphery(g, core)
-        assert g.vertex_count * (g.vertex_count - 1) // 2 >= routing._SHARD_PAIRS
+        assert g.vertex_count * (g.vertex_count - 1) // 2 >= routing._SHARD_UNITS
         (one,) = shard_reports(g, lab, 1, 1000, 1000)
         assert verify_no_false_positives(g, lab) == one
         assert multiprocessing.active_children() == []
@@ -879,7 +879,7 @@ class TestVerifyWorkers:
         assert time.monotonic() - start < 10
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("fallback", ["one-cpu", "no-fork", "below-cutoff", "threads"])
+    @pytest.mark.parametrize("fallback", ["one-cpu", "no-fork", "below-cutoff", "threads", "daemon"])
     def test_one_shard_runs_in_process(self, monkeypatch, two_cpus, failing_shard, fallback):
         # a second shard would raise, so the call succeeds only as one shard
         g = SHARDED_STAR if fallback != "below-cutoff" else make_star(140)
@@ -888,6 +888,8 @@ class TestVerifyWorkers:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         elif fallback == "no-fork":
             monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        elif fallback == "daemon":
+            monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
         release = threading.Event()
         waiting = threading.Thread(target=release.wait, args=(60,))
         if fallback == "threads":
