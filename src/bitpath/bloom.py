@@ -27,9 +27,9 @@ def _draw_masks(rng: random.Random, edge_count: int, m: int, k: int) -> list[int
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
     masks = []
+    bit = [1 << j for j in range(m)]
     if m > setsize:
         width = m.bit_length()
-        bit = [1 << j for j in range(m)]
         for _ in range(edge_count):
             bits = 0
             for _ in range(k):
@@ -39,10 +39,9 @@ def _draw_masks(rng: random.Random, edge_count: int, m: int, k: int) -> list[int
                 bits |= bit[j]
             masks.append(bits)
     else:
-        population = [1 << i for i in range(m)]
         draws = [(n, n.bit_length(), n - 1) for n in range(m, m - k, -1)]
         for _ in range(edge_count):
-            pool = population[:]
+            pool = bit[:]
             bits = 0
             for n, width, last in draws:
                 j = getrandbits(width)
@@ -135,13 +134,9 @@ def empirical_fpr(star_n: int, m: int, k: int, trials: int, seed: int) -> Empiri
     The trials are split by stride, shard i of s taking trials range(i,
     trials, s), and the shards' hit counts add up, so the rate is the same
     for every split. From routing._SHARD_UNITS labels drawn (trials *
-    star_n), routing._run_shards runs one shard per usable CPU, forked under
-    the oracle's rules, and the call raises a worker's exception. The cutoff
-    was measured in a 77 MB process holding the build benchmark's inputs
-    (2-CPU host, Python 3.11.7): a two-shard call with no work took a median
-    6.6 ms (at most 9.6 ms in 60 calls), and one shard or two ran 500 trials
-    of the 20-edge bloom-table row (10,000 labels) in 22.1 or 16.7 ms, and
-    of the 10-edge row (5,000 labels) in 13.8 or 13.9 ms (medians of 11).
+    star_n, at 1.5-2.8 us a label), routing._run_shards runs one shard per
+    usable CPU, forked under the oracle's rules, and the call raises a
+    worker's exception; _run_shards holds the measured cost of a fork.
     """
     if star_n < 3:
         raise ValueError("need star_n >= 3 for at least one off-path edge")

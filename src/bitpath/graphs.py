@@ -147,10 +147,9 @@ def make_random_connected(vertex_count: int, edge_probability: float, seed: int)
 
 
 def load_edge_list(text: str) -> Graph:
-    """Parse the plain-text edge-list format; edge id = line order."""
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
-        raise EdgeListParseError("line 1: expected header 'V E'")
+    """Parse the plain-text edge-list format; edge id = line order. A line
+    ends at '\\n' only, so a '\\r' before it is whitespace, like any other."""
+    lines = text.removesuffix("\n").split("\n")
     head = lines[0].split()
     if len(head) != 2:
         raise EdgeListParseError("line 1: expected header 'V E'")
@@ -161,13 +160,8 @@ def load_edge_list(text: str) -> Graph:
     if vertex_count < 0 or edge_count < 0:
         raise EdgeListParseError("line 1: header values must be non-negative")
     edges: list[tuple[int, int]] = []
-    for i in range(edge_count):
-        lineno = i + 2
-        if i + 1 >= len(lines):
-            raise EdgeListParseError(
-                f"line {lineno}: expected {edge_count} edges, file ends after {i}"
-            )
-        parts = lines[i + 1].split()
+    for lineno, line in enumerate(lines[1 : edge_count + 1], start=2):
+        parts = line.split()
         if len(parts) != 2:
             raise EdgeListParseError(f"line {lineno}: expected 'u v'")
         try:
@@ -175,6 +169,10 @@ def load_edge_list(text: str) -> Graph:
         except ValueError:
             raise EdgeListParseError(f"line {lineno}: endpoints must be integers") from None
         edges.append((u, v))
+    if len(edges) < edge_count:
+        raise EdgeListParseError(
+            f"line {len(lines) + 1}: expected {edge_count} edges, file ends after {len(edges)}"
+        )
     for j, extra in enumerate(lines[edge_count + 1 :], start=edge_count + 2):
         if extra.strip():
             raise EdgeListParseError(f"line {j}: unexpected trailing content")

@@ -73,14 +73,15 @@ class Labelling:
         """Parse the to_text format; a bit may be any token int() reads as a
         position inside the universe, and any whitespace may separate the
         header's 'universe' from its size, as it may separate a line's bits.
-        Blank lines are skipped; an error names its line by position in text.
+        A line ends at '\\n' only, and blank lines are skipped; an error
+        names its line by its position in text.
 
         A line's mask is the OR of its tokens looked up in one per-call table
         from each canonical position name below the width (at most
         _NAMED_BITS of them) to its bit. A line the table cannot take, with
         another token or none, is parsed token by token, which accepts it
         with the same mask or names its first bad token."""
-        numbered = ((i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln and not ln.isspace())
+        numbered = ((i, ln) for i, ln in enumerate(text.split("\n"), start=1) if ln and not ln.isspace())
         lineno, head = next(numbered, (1, ""))
         bad_header = f"line {lineno}: expected 'universe <size>'"
         fields = head.split()

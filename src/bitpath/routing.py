@@ -223,7 +223,8 @@ def verify_no_false_positives(
 
 # A unit is an oracle vertex pair, about 3 us at the oracle's fastest, or a
 # drawn Bloom label, 1.5-2.8 us: from 10,000 units a second CPU saves at
-# least 7.5 ms, against the 5-7 ms one forked worker costs (_run_shards).
+# least 7.5 ms, more than the median cost of one forked worker (measured at
+# _run_shards).
 _SHARD_UNITS = 10_000
 
 
@@ -239,9 +240,16 @@ def _run_shards(name: str, work, stop: int, units: int) -> list:
     child, which inherits work's inputs and sends back its result or the
     exception that stopped it, raised here with the child's traceback as a
     note. Children are joined (terminated first on error) before the call
-    returns. The cutoff is sized against the cost of one fork: a median
-    4.6-5.8 ms and at most 22 ms to start, report and join a worker, in
-    runs of 60 and 200 (2-CPU host, Python 3.11.7). The parent pays again
+    returns.
+
+    The cutoff is sized against the cost of one fork, measured on a 2-CPU
+    host with Python 3.11.7: a median 4.6-5.8 ms and at most 22 ms to start,
+    report and join a worker, in runs of 60 and 200, and a median 6.6 ms (at
+    most 9.6 ms in 60 calls) for a two-shard empirical_fpr call with no work
+    in a 77 MB process holding the build benchmark's inputs. In that process
+    500 trials of the 20-edge bloom-table row (10,000 labels, the cutoff)
+    took 22.1 ms in one shard and 16.7 ms in two, and of the 10-edge row
+    (5,000 labels) 13.8 and 13.9 ms (medians of 11). The parent pays again
     later, since a fork write-protects its pages and the first write to each
     afterwards faults: in a 68 MB process holding the build benchmark's
     inputs, a build pass after a fork took about 5,200 more minor faults

@@ -1,0 +1,34 @@
+"""The marker and time limit of the tests that fork workers."""
+
+import multiprocessing
+import os
+import signal
+
+import pytest
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "forks: the test forks workers through routing._run_shards; skipped where it cannot"
+    )
+
+
+def pytest_runtest_setup(item):
+    if item.get_closest_marker("forks") and (
+        not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        pytest.skip("the library forks workers only where the fork start method and os.sched_getaffinity exist")
+
+
+@pytest.fixture
+def deadline():
+    """Turn a call that hangs into a failure after 60 s."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the call did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

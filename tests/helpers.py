@@ -202,8 +202,8 @@ def reference_to_text(width: int, masks) -> str:
 
 def reference_from_text(text: str) -> tuple[int, tuple[int, ...]]:
     """(width, masks) of a labelling text, or the ValueError naming its
-    first bad line, one int() per token."""
-    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    first bad line, one int() per token; lines end at '\\n' only."""
+    lines = [(i, ln) for i, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
     lineno, head = lines[0] if lines else (1, "")
     bad_header = f"line {lineno}: expected 'universe <size>'"
     fields = head.split()
@@ -236,7 +236,9 @@ def reference_from_text(text: str) -> tuple[int, tuple[int, ...]]:
 
 
 # single characters a mutation inserts or swaps in: digits and separators,
-# the characters of non-canonical integers, and str.splitlines breaks
+# the characters of non-canonical integers, the '\n' that ends a line and
+# the '\r' of a CRLF break, and two characters that str.splitlines ends a
+# line at but the text formats read as whitespace
 MUTATION_CHARS = "0123456789 \t\n\r\x0c\u2028:_+-x\u0663"
 
 
@@ -253,6 +255,13 @@ def mutated(draw, texts: st.SearchStrategy[str]) -> str:
         char = "" if edit == "delete" else draw(st.sampled_from(MUTATION_CHARS))
         text = text[:i] + char + text[i + (edit != "insert") :]
     return text
+
+
+def line_count(text: str) -> int:
+    """The number of lines of text: its '\\n'-separated pieces, less a final
+    empty one. Never more than len(text.splitlines())."""
+    lines = text.split("\n")
+    return len(lines) - (lines[-1] == "")
 
 
 def error_line(message: str) -> int:

@@ -5,7 +5,6 @@ import math
 import multiprocessing
 import os
 import random
-import signal
 
 import pytest
 
@@ -221,10 +220,8 @@ class TestTrialShards:
         assert rate_of(hits, star_n, trials) == tuple(empirical_fpr(star_n, m, k, trials, 7))
 
 
-@pytest.mark.skipif(
-    not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods(),
-    reason="empirical_fpr forks workers only where the fork start method and os.sched_getaffinity exist",
-)
+@pytest.mark.forks
+@pytest.mark.usefixtures("deadline")
 class TestEmpiricalWorkers:
     """Above the cutoff the trials run in forked workers, which end with the call."""
 
@@ -233,17 +230,7 @@ class TestEmpiricalWorkers:
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
-        """Two usable CPUs, and a failure instead of a hang after 60 s."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-
-        def expire(signum, frame):
-            raise TimeoutError("the empirical_fpr call did not return within 60 s")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(60)
-        yield
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
     def test_sharded_call_equals_in_process_count(self):
         star_n, m, k = self.STAR
@@ -268,3 +255,24 @@ class TestEmpiricalWorkers:
         assert note.startswith("raised in Bloom worker ") and f"worker {os.getpid()}:" not in note
         assert ", in patched\n" in note and note.endswith("ValueError: trials from 1 failed")
         assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (analytic_fpr, (0, 2, 1.0), "need m >= 1 and n >= 1"),
+        (analytic_fpr, (4, 0, 1.0), "need m >= 1 and n >= 1"),
+        (analytic_fpr, (4, 2, 0.0), "label weight must be positive"),
+        (analytic_fpr, (4, 2, -1.0), "label weight must be positive"),
+        (optimal_label_weight, (0, 2), "need m >= 1 and n >= 1"),
+        (optimal_label_weight, (4, 0), "need m >= 1 and n >= 1"),
+        (at_least_one_fp, (1.5, 3), "probability must lie in [0, 1]"),
+        (at_least_one_fp, (0.5, -1), "edge count must be non-negative"),
+        (exact_two_label_fpr, (4, 0), "label weight must satisfy 1 <= k <= universe size"),
+        (exact_two_label_fpr, (4, 5), "label weight must satisfy 1 <= k <= universe size"),
+    ],
+)
+def test_input_checks(call, args, message):
+    with pytest.raises(ValueError) as raised:
+        call(*args)
+    assert type(raised.value) is ValueError and str(raised.value) == message

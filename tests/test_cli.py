@@ -1,5 +1,7 @@
 """Command-line behavior: tables, verification, routing, exit codes."""
 
+import argparse
+import contextlib
 import csv
 import io
 import json
@@ -9,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitpath import (
     Labelling,
@@ -18,7 +22,7 @@ from bitpath import (
     make_perfect_binary_tree,
     star_labelling,
 )
-from bitpath.cli import main
+from bitpath.cli import build_parser, main
 from helpers import reference_to_text
 
 STAR_CSV = (
@@ -453,6 +457,69 @@ class TestArgumentErrors:
     def test_generator_rejects_invalid_size(self, capsys):
         code, _, err = run(capsys, ["route", "--star", "0", "--scheme", "bit-per-edge", "--source", "0", "--dest", "0"])
         assert code == 2
+
+
+SUBCOMMANDS = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+# small ints keep every graph at 127 vertices or fewer (--tree 6) and every
+# oracle or Bloom call below the fork cutoff
+INT_VALUES = st.integers(-2, 6).map(str)
+FLAG_VALUES = st.one_of(INT_VALUES, st.sampled_from(["x", "1.5", ""]))
+
+
+@st.composite
+def flag_argvs(draw) -> list[str]:
+    """argv of one subcommand on generated graphs: its required flags, one
+    graph flag, up to four other flags and, for the tables, up to three
+    sizes, each flag with an int in -2..6 or one of its choices, and
+    --empirical always with --trials. Half the argvs are sloppy: values
+    may be malformed ('x', '1.5', empty), required flags may be missing,
+    graph flags may number 0 to 2, and the arguments come in any order."""
+    name = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    parser = SUBCOMMANDS[name]
+    sloppy = draw(st.booleans())
+    # --graph and --dump-labelling name files; --help exits 0 by design
+    skip = {"--graph", "--dump-labelling", "-h"}
+    options = [a for a in parser._actions if a.option_strings and not skip.intersection(a.option_strings)]
+    graph = [a for group in parser._mutually_exclusive_groups for a in group._group_actions if a in options]
+    rest = [a for a in options if not a.required and a not in graph]
+    chosen = [a for a in options if a.required and (not sloppy or draw(st.booleans()))]
+    if graph:
+        chosen += draw(st.lists(st.sampled_from(graph), unique=True, min_size=1 - sloppy, max_size=1 + sloppy))
+    chosen += draw(st.lists(st.sampled_from(rest), unique=True, max_size=4))
+    flags = {a.option_strings[0]: a for a in options}
+    if "--empirical" in flags and flags["--empirical"] in chosen and flags["--trials"] not in chosen:
+        chosen.append(flags["--trials"])
+    values = FLAG_VALUES if sloppy else INT_VALUES
+    chunks = [draw(st.lists(values, max_size=3))] if any(not a.option_strings for a in parser._actions) else []
+    for action in chosen:
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            chunks.append([flag])
+        elif action.choices:
+            chunks.append([flag, draw(st.sampled_from([*action.choices, "x"] if sloppy else action.choices))])
+        else:
+            chunks.append([flag, draw(values)])
+    if sloppy:
+        chunks = draw(st.permutations(chunks))
+    return [name] + [arg for chunk in chunks for arg in chunk]
+
+
+class TestFlagFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(flag_argvs())
+    def test_main_exits_cleanly(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                # argparse's own usage errors
+                assert exc.code == 2
+                return
+        assert code in (0, 1, 2)
+        if code == 2:
+            lines = err.getvalue().split("\n")
+            assert len(lines) == 2 and lines[0].startswith("error: ") and lines[1] == "", err.getvalue()
 
 
 class TestStartup:

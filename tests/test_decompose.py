@@ -544,3 +544,19 @@ class TestCoreErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        # without the check, center -1 would index the BFS tables from the end
+        (tree_star_levels, (make_perfect_binary_tree(2), -1), "center out of range"),
+        (tree_star_levels, (make_perfect_binary_tree(2), 7), "center out of range"),
+        (perfect_tree_universe_size, (0,), "height must be at least 1"),
+        (core_periphery_universe_size, (1,), "core-periphery construction needs n >= 2"),
+    ],
+)
+def test_input_checks(call, args, message):
+    with pytest.raises(ValueError) as raised:
+        call(*args)
+    assert type(raised.value) is ValueError and str(raised.value) == message

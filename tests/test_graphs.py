@@ -31,6 +31,7 @@ from helpers import (
     brute_force_total_path_count,
     error_line,
     grid_4x4,
+    line_count,
     mutated,
     random_graph_corpus,
     shuffled_edge_ids,
@@ -221,6 +222,29 @@ class TestEdgeListIO:
         with pytest.raises(EdgeListParseError, match="line 3"):
             load_edge_list("2 1\n0 1\nstray")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3 2\n0 1\x0c1 2\n", "line 2: expected 'u v'"),
+            ("3 2\n0 1\u20281 2\n", "line 2: expected 'u v'"),
+            ("2 1\r0 1\r", "line 1: expected header 'V E'"),
+            ("3 2\n0 1\n", "line 3: expected 2 edges, file ends after 1"),
+            ("3 2\r\n0 1\r\n", "line 3: expected 2 edges, file ends after 1"),
+            ("", "line 1: expected header 'V E'"),
+            (" \t\n0 1\n", "line 1: expected header 'V E'"),
+        ],
+        ids=["form-feed", "line-separator", "lone-cr", "truncated", "truncated-crlf", "empty", "blank-header"],
+    )
+    def test_lines_end_at_newline_only(self, text, message):
+        with pytest.raises(EdgeListParseError) as raised:
+            load_edge_list(text)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("text", ["3 2\r\n0 1\r\n1 2\r\n", "3 2\r\n0 1\r\n1 2", "3 2\n0 1\n1 2\n\n \r\n"])
+    def test_crlf_and_trailing_blank_lines_parse(self, text):
+        g = load_edge_list(text)
+        assert (g.vertex_count, g.edges) == (3, ((0, 1), (1, 2)))
+
     def test_round_trip_generators(self):
         for g in (
             make_star(5),
@@ -253,7 +277,7 @@ class TestEdgeListIO:
         try:
             load_edge_list(text)
         except EdgeListParseError as exc:
-            assert 1 <= error_line(str(exc)) <= len(text.splitlines()) + 1
+            assert 1 <= error_line(str(exc)) <= line_count(text) + 1
 
 
 class TestShortestPath:
@@ -438,3 +462,26 @@ class TestStarPathShape:
                 for v in range(u + 1, g.vertex_count):
                     for _, edges in brute_force_shortest_paths(g, u, v):
                         assert len(edges) <= 2
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (Graph, (-1, []), "vertex_count must be non-negative"),
+        (make_complete, (0,), "a complete graph needs at least one vertex"),
+        (make_random_connected, (0, 0.5, 1), "need at least one vertex"),
+        (make_random_connected, (3, 1.5, 1), "edge probability must lie in [0, 1]"),
+        (make_random_connected, (3, -0.1, 1), "edge probability must lie in [0, 1]"),
+        (make_random_connected, (2, 0.0, 1), "no connected draw in 10000 attempts (n=2, p=0.0)"),
+        (shortest_path, (make_star(2), 0, 3), "endpoint out of range"),
+        (shortest_path, (make_star(2), -1, 0), "endpoint out of range"),
+    ],
+)
+def test_input_checks(call, args, message):
+    with pytest.raises(ValueError) as raised:
+        call(*args)
+    assert type(raised.value) is ValueError and str(raised.value) == message
+
+
+def test_empty_graph_is_connected():
+    assert is_connected(Graph(0, []))

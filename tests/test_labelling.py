@@ -32,6 +32,7 @@ from bitpath import (
 from bitpath.labelling import bit_positions
 from helpers import (
     error_line,
+    line_count,
     mutated,
     reference_from_text,
     reference_to_text,
@@ -463,6 +464,33 @@ class TestSerialization:
         lab = Labelling.from_text("universe\t4\nedge 0:\t1\n")
         assert (lab.width, lab.masks) == (4, (2,))
 
+    @pytest.mark.parametrize(
+        "text, width, masks",
+        [
+            ("universe 4\nedge 0: 1\u20282\n", 4, (6,)),
+            ("universe 2\nedge 0: 0\x851\n", 2, (3,)),
+            ("universe 4\r\nedge 0: 1\r\nedge 1: 2 3\r\n", 4, (2, 12)),
+        ],
+        ids=["line-separator", "next-line", "crlf"],
+    )
+    def test_lines_end_at_newline_only(self, text, width, masks):
+        lab = Labelling.from_text(text)
+        assert (lab.width, lab.masks) == (width, masks)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("universe 4\x0cedge 0: 1\n", "line 1: expected 'universe <size>'"),
+            ("universe 4\nedge 0: 1\x0cedge 1: 2\n", "line 2: bit 'edge' is not an integer"),
+            ("universe 4\redge 0: 1\r", "line 1: expected 'universe <size>'"),
+        ],
+        ids=["form-feed-header", "form-feed-edge", "lone-cr"],
+    )
+    def test_other_breaks_stay_inside_a_line(self, text, message):
+        with pytest.raises(ValueError) as raised:
+            Labelling.from_text(text)
+        assert str(raised.value) == message
+
     def test_parse_rejects_wrong_edge_order(self):
         with pytest.raises(ValueError, match="line 3"):
             Labelling.from_text("universe 2\nedge 0: 1\nedge 5: 0\n")
@@ -514,6 +542,9 @@ REFERENCE_TEXTS = [
     "universe 4\r\nedge 0: 1\r\nedge 1: 2 3\r\n",
     "universe 4\x0cedge 0: 1\x0cedge 1: 2\n",
     "universe 4\nedge 0: 1\u20282\n",
+    "universe 2\nedge 0: 0\x851\n",
+    "universe 4\nedge 0: 1\x0cedge 1: 2\n",
+    "universe 4\redge 0: 1\r",
     "universe 4\nedge 0:3\n",
     "universe 4\nedge 0:3 1\nedge 1:2\n",
     "universe 4\nedge 0: 1 1 3 3\n",
@@ -625,4 +656,17 @@ class TestTextFormatFuzz:
         outcome = parse_outcome(Labelling.from_text, text)
         assert outcome == parse_outcome(reference_from_text, text)
         if outcome[0] == "error":
-            assert 1 <= error_line(outcome[1]) <= len(text.splitlines()) + 1
+            assert 1 <= error_line(outcome[1]) <= line_count(text) + 1
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (admissible_ranks, (0,), "need n >= 1"),
+        (admissible_ranks, (-3,), "need n >= 1"),
+    ],
+)
+def test_input_checks(call, args, message):
+    with pytest.raises(ValueError) as raised:
+        call(*args)
+    assert type(raised.value) is ValueError and str(raised.value) == message

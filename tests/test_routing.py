@@ -3,7 +3,6 @@
 import multiprocessing
 import os
 import random
-import signal
 import threading
 import time
 
@@ -765,25 +764,10 @@ class TestVerifyShards:
         assert multiprocessing.active_children() == []
 
 
-@pytest.mark.skipif(
-    not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the oracle forks workers only where the fork start method and os.sched_getaffinity exist",
-)
+@pytest.mark.forks
+@pytest.mark.usefixtures("deadline")
 class TestVerifyWorkers:
     """Forked workers end with the call, whether it returns or raises."""
-
-    @pytest.fixture(autouse=True)
-    def deadline(self):
-        """Turn a call that hangs into a failure after 60 s."""
-
-        def expire(signum, frame):
-            raise TimeoutError("the oracle call did not return within 60 s")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(60)
-        yield
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
     @pytest.fixture
     def two_cpus(self, monkeypatch):
