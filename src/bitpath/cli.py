@@ -77,13 +77,10 @@ def emit_table(headers: Sequence[str], rows: Sequence[Sequence], fmt: str, out: 
 
 
 def _print_table(headers: list[str], sizes: list[int], floor: int, what: str, row: Callable, fmt: str) -> int:
-    """One row per size, in the order given; the first size below floor is an error."""
-    rows = []
-    for n in sizes:
-        if n < floor:
-            raise ValueError(f"{what} must be >= {floor}")
-        rows.append(row(n))
-    emit_table(headers, rows, fmt, sys.stdout)
+    """One row per size, in the order given, once every size is at least floor."""
+    if any(n < floor for n in sizes):
+        raise ValueError(f"{what} must be >= {floor}")
+    emit_table(headers, [row(n) for n in sizes], fmt, sys.stdout)
     return 0
 
 
@@ -159,11 +156,7 @@ def _add_graph_arguments(sub: argparse.ArgumentParser) -> None:
     source.add_argument("--star", type=int, metavar="N", help="star with N edges")
     source.add_argument("--complete", type=int, metavar="N", help="complete graph on N vertices")
     source.add_argument(
-        "--core-periphery",
-        type=int,
-        metavar="N",
-        dest="core_periphery",
-        help="complete core of N vertices, N-1 leaves each",
+        "--core-periphery", type=int, metavar="N", help="complete core of N vertices, N-1 leaves each"
     )
     source.add_argument("--tree", type=int, metavar="H", help="perfect binary tree of height H")
     source.add_argument("--graph", metavar="PATH", help="edge-list file ('V E' then 'u v' lines)")
@@ -186,6 +179,16 @@ def _add_scheme_arguments(sub: argparse.ArgumentParser) -> None:
 
 
 def _resolve_graph(args: argparse.Namespace) -> tuple[Graph, frozenset[int] | None]:
+    """The graph verify and route act on and its core, if one is known, once
+    every flag goes with the scheme and, with --graph, --core parses."""
+    scheme, from_file = args.scheme, args.graph is not None
+    _reject_unused_flags([
+        ("--rank", args.rank, scheme == "star", "--scheme star"),
+        ("--core", args.core, scheme == "combined" and from_file, "--graph with --scheme combined"),
+        ("--m", args.m, scheme == "bloom", "--scheme bloom"),
+        ("--k", args.k, scheme == "bloom", "--scheme bloom"),
+        ("--seed", args.seed, scheme == "bloom", "--scheme bloom"),
+    ])
     if args.star is not None:
         return make_star(args.star), None
     if args.complete is not None:
@@ -194,9 +197,9 @@ def _resolve_graph(args: argparse.Namespace) -> tuple[Graph, frozenset[int] | No
         return make_core_periphery(args.core_periphery)
     if args.tree is not None:
         return make_perfect_binary_tree(args.tree), None
+    core = None if args.core is None else _parse_core(args.core)
     with open(args.graph, encoding="utf-8") as fh:
-        g = load_edge_list(fh.read())
-    return g, None if args.core is None else _parse_core(args.core)
+        return load_edge_list(fh.read()), core
 
 
 def _parse_core(text: str) -> frozenset[int]:
@@ -218,11 +221,12 @@ def _reject_unused_flags(rows: Iterable[tuple[str, object, bool, str]]) -> None:
 
 
 def _resolve_labelling(args: argparse.Namespace, g: Graph, core: frozenset[int] | None):
+    """The --scheme labelling of g, also written out if --dump-labelling asks."""
     if args.scheme == "bit-per-edge":
-        return bit_per_edge(g)
-    if args.scheme == "bit-per-vertex":
-        return bit_per_vertex(g)
-    if args.scheme == "star":
+        labelling = bit_per_edge(g)
+    elif args.scheme == "bit-per-vertex":
+        labelling = bit_per_vertex(g)
+    elif args.scheme == "star":
         if args.star is None:
             raise ValueError("--scheme star requires a --star graph")
         # past ceil(log2 N) the base stays 2 and a rank only adds bits
@@ -230,42 +234,29 @@ def _resolve_labelling(args: argparse.Namespace, g: Graph, core: frozenset[int] 
         rank = optimal_rank(args.star).rank if args.rank is None else args.rank
         if not 1 <= rank <= top:
             raise ValueError(f"--rank must be in 1..{top} for --star {args.star}, got {rank}")
-        return star_labelling(args.star, rank)
-    if args.scheme == "combined":
+        labelling = star_labelling(args.star, rank)
+    elif args.scheme == "combined":
         if core is not None:
-            return label_core_periphery(g, core)
-        if args.tree is not None:
-            return label_tree(g, 0)
-        raise ValueError("--scheme combined requires --core-periphery, --tree, or --graph with --core")
-    # "bloom": argparse's choices admit no other scheme
-    if args.m is None or args.k is None:
-        raise ValueError("--scheme bloom requires --m and --k")
-    return bloom_labelling(g, args.m, args.k, 1 if args.seed is None else args.seed)
-
-
-def _graph_and_labelling(args: argparse.Namespace):
-    """The graph and labelling that verify and route act on, after the flag
-    checks; the labelling is also written out if --dump-labelling asks."""
-    scheme, from_file = args.scheme, args.graph is not None
-    _reject_unused_flags([
-        ("--rank", args.rank, scheme == "star", "--scheme star"),
-        ("--core", args.core, scheme == "combined" and from_file, "--graph with --scheme combined"),
-        ("--m", args.m, scheme == "bloom", "--scheme bloom"),
-        ("--k", args.k, scheme == "bloom", "--scheme bloom"),
-        ("--seed", args.seed, scheme == "bloom", "--scheme bloom"),
-    ])
-    g, core = _resolve_graph(args)
-    labelling = _resolve_labelling(args, g, core)
+            labelling = label_core_periphery(g, core)
+        elif args.tree is not None:
+            labelling = label_tree(g, 0)
+        else:
+            raise ValueError("--scheme combined requires --core-periphery, --tree, or --graph with --core")
+    else:  # "bloom": argparse's choices admit no other scheme
+        if args.m is None or args.k is None:
+            raise ValueError("--scheme bloom requires --m and --k")
+        labelling = bloom_labelling(g, args.m, args.k, 1 if args.seed is None else args.seed)
     if args.dump_labelling:
         with open(args.dump_labelling, "w", encoding="utf-8") as fh:
             fh.write(labelling.to_text())
-    return g, labelling
+    return labelling
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.path_cap < 1:
         raise ValueError(f"--path-cap must be >= 1, got {args.path_cap}")
-    g, labelling = _graph_and_labelling(args)
+    g, core = _resolve_graph(args)
+    labelling = _resolve_labelling(args, g, core)
     report = verify_no_false_positives(g, labelling, path_cap=args.path_cap)
     print(report.summary())
     for u, v, eid in report.false_positives[:MAX_PRINTED_VIOLATIONS]:
@@ -277,12 +268,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_route(args: argparse.Namespace) -> int:
-    g, labelling = _graph_and_labelling(args)
+    g, core = _resolve_graph(args)
     for flag, vertex in (("--source", args.source), ("--dest", args.dest)):
         if not 0 <= vertex < g.vertex_count:
             raise ValueError(
                 f"{flag} {vertex} is not a vertex id: the graph has {g.vertex_count} vertices, ids from 0"
             )
+    labelling = _resolve_labelling(args, g, core)
     try:
         trace = simulate_delivery(g, labelling, args.source, args.dest)
     except NoPathError as exc:

@@ -49,7 +49,9 @@ class Decomposition:
 def _split_core(g: Graph, core_vertices) -> tuple[list[int], list[int], tuple[tuple[int, ...], ...], bool]:
     """Ascending core ids, then _star_levels around them, once the core is a
     non-empty proper subset, no outside vertex has two core neighbours and
-    the induced core is connected, checked in that order."""
+    the induced core is connected, checked in that order. The neighbour
+    check cannot fail on a tree and is skipped there; the connectivity walk
+    is not, since a disconnected core can contract to a tree."""
     core_set = frozenset(core_vertices)
     if not core_set:
         raise DecompositionError("core must be non-empty")
@@ -59,8 +61,10 @@ def _split_core(g: Graph, core_vertices) -> tuple[list[int], list[int], tuple[tu
         raise DecompositionError("core must be a proper subset of the vertices")
     core_ids = sorted(core_set)
     core_edges, levels, is_tree = _star_levels(g, core_ids)
+    # on a tree two core edges at one outside vertex would close a 2-cycle
+    # through the contracted core
     attached: set[int] = set()  # outside vertices with a core neighbour so far
-    for u, v in map(g.edges.__getitem__, levels[0] if levels else ()):
+    for u, v in map(g.edges.__getitem__, levels[0] if levels and not is_tree else ()):
         if u in core_set or v in core_set:  # not an edge between two outside vertices
             w = v if u in core_set else u
             if w in attached:

@@ -34,6 +34,7 @@ from bitpath import (
     contract,
     is_connected,
     label_tree,
+    make_complete,
     make_random_connected,
 )
 
@@ -255,6 +256,27 @@ def mutated(draw, texts: st.SearchStrategy[str]) -> str:
         char = "" if edit == "delete" else draw(st.sampled_from(MUTATION_CHARS))
         text = text[:i] + char + text[i + (edit != "insert") :]
     return text
+
+
+def grow_forest(data, edges: list[tuple[int, int]], start: int, stop: int) -> Graph:
+    """Add vertices start..stop-1 to the edge list, each joined to one
+    uniformly drawn earlier vertex."""
+    for v in range(start, stop):
+        edges.append((data.draw(st.integers(0, v - 1), label=f"parent of {v}"), v))
+    return Graph(stop, edges)
+
+
+def draw_core_plus_forest(data) -> tuple[Graph, int]:
+    """A complete or random connected core on vertices 0..c-1 plus a random
+    forest hanging off it; returns (graph, c)."""
+    c = data.draw(st.integers(2, 8), label="core vertices")
+    if data.draw(st.booleans(), label="complete core"):
+        core = make_complete(c)
+    else:
+        p = data.draw(st.floats(0.2, 0.9), label="edge probability")
+        core = make_random_connected(c, p, data.draw(st.integers(0, 2**16), label="core seed"))
+    n = c + data.draw(st.integers(1, 22), label="forest vertices")
+    return grow_forest(data, list(core.edges), c, n), c
 
 
 def line_count(text: str) -> int:

@@ -254,6 +254,16 @@ class TestTrajectory:
             "    pass_s 0.25 -> 0.125 s",
         ]
 
+    def test_reads_only_numbered_records(self, tmp_path, capsys):
+        # only BENCH_<n>.json names a record; a stray copy beside them is no record
+        self.write_records(tmp_path)
+        for stray in ("BENCH_22_rerun.json", "BENCH_.json", "BENCH_9.json.bak", "BENCH_x.json"):
+            (tmp_path / stray).write_text("{}")
+        argv = ["trajectory", "--dir", str(tmp_path), "--benchmark", str(ROOT / "BENCHMARK.json")]
+        assert bench_record.main(argv) == 0
+        heads = [line for line in capsys.readouterr().out.splitlines() if not line.startswith(" ")]
+        assert heads == ["BENCH_9.json: aa -> bb", "BENCH_10.json: bbbbbbb -> ccccccc"]
+
     def test_per_layer_metrics_are_left_out(self):
         entry = pair(0, "oracle", (1.0, 1.0), (1.0, 1.0))
         for side in bench_record.SIDES:

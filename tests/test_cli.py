@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -459,33 +460,86 @@ class TestArgumentErrors:
         assert code == 2
 
 
+def refuse(*_args, **_kwargs):
+    raise AssertionError("work ran before a failing check")  # main does not catch it
+
+
+class TestChecksBeforeWork:
+    """A failing check exits 2 before the work it guards: no table row is
+    computed, no labelling built, no --dump-labelling file written and no
+    graph file read."""
+
+    def test_table_sizes_before_any_row(self, capsys, monkeypatch):
+        monkeypatch.setattr("bitpath.cli.empirical_fpr", refuse)
+        code, out, err = run(capsys, ["bloom-table", "40", "2", "--empirical", "--trials", "100"])
+        assert (code, out, err) == (2, "", "error: bloom table sizes must be >= 3\n")
+
+    def test_route_endpoints_before_the_labelling(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr("bitpath.cli.label_tree", refuse)
+        dump = tmp_path / "labelling.txt"
+        argv = ["route", "--tree", "6", "--scheme", "combined", "--source", "-1", "--dest", "0",
+                "--dump-labelling", str(dump)]
+        code, out, err = run(capsys, argv)
+        message = "--source -1 is not a vertex id: the graph has 127 vertices, ids from 0"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not dump.exists()
+
+    def test_core_before_the_graph_file(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr("bitpath.cli.load_edge_list", refuse)
+        path = tmp_path / "g.txt"
+        path.write_text("4 3\n0 1\n0 2\n0 3\n")
+        code, out, err = run(capsys, ["verify", "--graph", str(path), "--scheme", "combined", "--core", "0,x"])
+        assert (code, out, err) == (2, "", "error: --core: 'x' is not a vertex id\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # each argv has a second error, met only after the one named
+            (["binary-tree-table", "1100", "0"], "tree heights must be >= 1"),
+            (["route", "--star", "5", "--scheme", "bloom", "--source", "99", "--dest", "1"],
+             "--source 99 is not a vertex id: the graph has 6 vertices, ids from 0"),
+            (["verify", "--graph", "MISSING", "--scheme", "combined", "--core", "0,x"],
+             "--core: 'x' is not a vertex id"),
+        ],
+        ids=["size-before-row", "endpoint-before-scheme", "core-before-file"],
+    )
+    def test_first_of_two_errors(self, capsys, tmp_path, argv, message):
+        argv = [str(tmp_path / "missing.txt") if a == "MISSING" else a for a in argv]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 SUBCOMMANDS = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
 # small ints keep every graph at 127 vertices or fewer (--tree 6) and every
 # oracle or Bloom call below the fork cutoff
 INT_VALUES = st.integers(-2, 6).map(str)
 FLAG_VALUES = st.one_of(INT_VALUES, st.sampled_from(["x", "1.5", ""]))
+DUMP = "<dump path>"  # stands for a --dump-labelling file in a fresh directory
 
 
 @st.composite
 def flag_argvs(draw) -> list[str]:
     """argv of one subcommand on generated graphs: its required flags, one
     graph flag, up to four other flags and, for the tables, up to three
-    sizes, each flag with an int in -2..6 or one of its choices, and
-    --empirical always with --trials. Half the argvs are sloppy: values
+    sizes, each flag with an int in -2..6 or one of its choices,
+    --dump-labelling with DUMP and --empirical always with --trials. Half
+    the argvs are sloppy: values
     may be malformed ('x', '1.5', empty), required flags may be missing,
     graph flags may number 0 to 2, and the arguments come in any order."""
     name = draw(st.sampled_from(sorted(SUBCOMMANDS)))
     parser = SUBCOMMANDS[name]
     sloppy = draw(st.booleans())
-    # --graph and --dump-labelling name files; --help exits 0 by design
-    skip = {"--graph", "--dump-labelling", "-h"}
+    # --graph names a file; --help exits 0 by design
+    skip = {"--graph", "-h"}
     options = [a for a in parser._actions if a.option_strings and not skip.intersection(a.option_strings)]
     graph = [a for group in parser._mutually_exclusive_groups for a in group._group_actions if a in options]
-    rest = [a for a in options if not a.required and a not in graph]
+    # half the verify and route argvs write their labelling
+    dump = [a for a in options if a.dest == "dump_labelling" and draw(st.booleans())]
+    rest = [a for a in options if not a.required and a not in graph and a.dest != "dump_labelling"]
     chosen = [a for a in options if a.required and (not sloppy or draw(st.booleans()))]
     if graph:
         chosen += draw(st.lists(st.sampled_from(graph), unique=True, min_size=1 - sloppy, max_size=1 + sloppy))
-    chosen += draw(st.lists(st.sampled_from(rest), unique=True, max_size=4))
+    chosen += draw(st.lists(st.sampled_from(rest), unique=True, max_size=4)) + dump
     flags = {a.option_strings[0]: a for a in options}
     if "--empirical" in flags and flags["--empirical"] in chosen and flags["--trials"] not in chosen:
         chosen.append(flags["--trials"])
@@ -495,6 +549,8 @@ def flag_argvs(draw) -> list[str]:
         flag = action.option_strings[0]
         if action.nargs == 0:
             chunks.append([flag])
+        elif flag == "--dump-labelling":
+            chunks.append([flag, DUMP])
         elif action.choices:
             chunks.append([flag, draw(st.sampled_from([*action.choices, "x"] if sloppy else action.choices))])
         else:
@@ -509,13 +565,20 @@ class TestFlagFuzz:
     @given(flag_argvs())
     def test_main_exits_cleanly(self, argv):
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                # argparse's own usage errors
-                assert exc.code == 2
-                return
+        with tempfile.TemporaryDirectory() as tmp:
+            dump = Path(tmp) / "labelling.txt"
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main([str(dump) if a == DUMP else a for a in argv])
+                except SystemExit as exc:
+                    # argparse's own usage errors
+                    assert exc.code == 2
+                    return
+            # a run that fails leaves no labelling file; one that ends reads back
+            if code in (0, 1) and DUMP in argv:
+                Labelling.from_text(dump.read_text(encoding="utf-8"))
+            else:
+                assert not dump.exists(), argv
         assert code in (0, 1, 2)
         if code == 2:
             lines = err.getvalue().split("\n")

@@ -19,10 +19,8 @@ from bitpath import (
     emit_edge_list,
     label_core_periphery,
     label_tree,
-    make_complete,
     make_core_periphery,
     make_perfect_binary_tree,
-    make_random_connected,
     make_star,
     optimal_rank,
     perfect_tree_universe_size,
@@ -33,31 +31,12 @@ from bitpath import (
 from bitpath.cli import main
 from helpers import (
     brute_force_shortest_paths,
+    draw_core_plus_forest,
+    grow_forest,
     label_core_periphery_by_contraction,
     shuffled_edge_ids,
     tree_star_levels_reference,
 )
-
-
-def grow_forest(data, edges: list[tuple[int, int]], start: int, stop: int) -> Graph:
-    """Add vertices start..stop-1 to the edge list, each joined to one
-    uniformly drawn earlier vertex."""
-    for v in range(start, stop):
-        edges.append((data.draw(st.integers(0, v - 1), label=f"parent of {v}"), v))
-    return Graph(stop, edges)
-
-
-def draw_core_plus_forest(data) -> tuple[Graph, int]:
-    """A complete or random connected core on vertices 0..c-1 plus a random
-    forest hanging off it; returns (graph, c)."""
-    c = data.draw(st.integers(2, 8), label="core vertices")
-    if data.draw(st.booleans(), label="complete core"):
-        core = make_complete(c)
-    else:
-        p = data.draw(st.floats(0.2, 0.9), label="edge probability")
-        core = make_random_connected(c, p, data.draw(st.integers(0, 2**16), label="core seed"))
-    n = c + data.draw(st.integers(1, 22), label="forest vertices")
-    return grow_forest(data, list(core.edges), c, n), c
 
 
 def labelling_or_error(build, g: Graph, core):
@@ -85,9 +64,13 @@ CORE_ERRORS = [
     (FOUR_CYCLE, {0, 2}, "contraction creates parallel edges at periphery vertex 1"),
     (PARALLEL_AT_4, {0, 1}, "contraction creates parallel edges at periphery vertex 4"),
     (PATH_0123, {0, 3}, "induced core is disconnected"),
+    # the graph is disconnected, yet contracting the core {0, 1} leaves the
+    # tree 4-{0,1}-2-3: only the core walk can reject it
+    (Graph(5, [(0, 4), (1, 2), (2, 3)]), {0, 1}, "induced core is disconnected"),
     (FOUR_CYCLE, {0}, "periphery after contraction is not a tree"),
 ]
-CORE_ERROR_IDS = ["empty", "out-of-range", "not-proper", "parallel", "parallel-own-id", "disconnected", "not-a-tree"]
+CORE_ERROR_IDS = ["empty", "out-of-range", "not-proper", "parallel", "parallel-own-id", "disconnected",
+                  "disconnected-tree", "not-a-tree"]
 
 
 class TestContract:

@@ -36,6 +36,7 @@ from bitpath import routing
 from helpers import (
     brute_force_false_positives,
     brute_force_report,
+    draw_core_plus_forest,
     grid_4x4,
     random_graph_corpus,
     shuffled_edge_ids,
@@ -420,6 +421,56 @@ class TestFailedDeliveriesHaveOracleRecords:
                 assert any((min(s, d), max(s, d), eid) in records for eid in off_path), (s, d, trace)
                 stops["on the path" if last != d else "past the destination"] += 1
         assert all(stops.values()), stops
+
+
+@st.composite
+def small_connected_graphs(draw) -> Graph:
+    """A connected graph on 2..10 vertices: a random spanning tree and
+    random chords, its edges in a drawn order."""
+    n = draw(st.integers(2, 10), label="vertices")
+    tree = {(draw(st.integers(0, v - 1), label=f"parent of {v}"), v) for v in range(1, n)}
+    chords = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+    extra = draw(st.lists(st.sampled_from(chords), unique=True), label="chords") if chords else []
+    return Graph(n, draw(st.permutations(sorted(tree) + extra), label="edge order"))
+
+
+def delivers_every_pair_if_ok(g: Graph, lab: Labelling) -> bool:
+    """Whether the oracle reports lab ok on g; if it does, assert that every
+    ordered pair is delivered along a shortest path, with one candidate at
+    each hop and none at the destination."""
+    if not verify_no_false_positives(g, lab).ok:
+        return False
+    for s in range(g.vertex_count):
+        dist = bfs_distances(g, s)
+        for d in range(g.vertex_count):
+            trace = simulate_delivery(g, lab, s, d)
+            assert trace.delivered and trace.hop_count == dist[d], (s, d, trace)
+            assert trace.candidate_counts == (1,) * trace.hop_count + (0,), (s, d, trace)
+    return True
+
+
+class TestOkReportsDeliverEveryPair:
+    """The theorem half of the oracle's contract: a labelling it reports ok
+    delivers every pair, since at a path vertex only the path's own edges
+    are recognised."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_small_connected_graphs(self, data):
+        g = data.draw(small_connected_graphs(), label="graph")
+        if data.draw(st.booleans(), label="bloom"):
+            m = data.draw(st.integers(1, 24), label="m")
+            k = data.draw(st.integers(1, m), label="k")
+            lab = bloom_labelling(g, m, k, data.draw(st.integers(0, 99), label="seed"))
+        else:
+            lab = bit_per_vertex(g)
+        delivers_every_pair_if_ok(g, lab)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_core_plus_forest(self, data):
+        g, c = draw_core_plus_forest(data)
+        assert delivers_every_pair_if_ok(g, label_core_periphery(g, range(c)))
 
 
 class TestVerify:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -239,7 +240,11 @@ def trajectory(records: dict[str, dict], benchmark: dict) -> list[str]:
 
 def cmd_trajectory(args: argparse.Namespace) -> None:
     benchmark = json.loads(Path(args.benchmark).read_text())
-    records = {path.name: json.loads(path.read_text()) for path in Path(args.dir).glob("BENCH_*.json")}
+    records = {
+        path.name: json.loads(path.read_text())
+        for path in Path(args.dir).iterdir()
+        if re.fullmatch(r"BENCH_[0-9]+\.json", path.name)
+    }
     if not records:
         raise ValueError(f"no BENCH_*.json in {args.dir}")
     print("\n".join(trajectory(records, benchmark)))
