@@ -180,7 +180,8 @@ def _add_scheme_arguments(sub: argparse.ArgumentParser) -> None:
 
 def _resolve_graph(args: argparse.Namespace) -> tuple[Graph, frozenset[int] | None]:
     """The graph verify and route act on and its core, if one is known, once
-    every flag goes with the scheme and, with --graph, --core parses."""
+    every flag goes with the scheme, the scheme with the graph flags and, with
+    --graph, --core parses: none of these checks builds or reads a graph."""
     scheme, from_file = args.scheme, args.graph is not None
     _reject_unused_flags([
         ("--rank", args.rank, scheme == "star", "--scheme star"),
@@ -189,6 +190,20 @@ def _resolve_graph(args: argparse.Namespace) -> tuple[Graph, frozenset[int] | No
         ("--k", args.k, scheme == "bloom", "--scheme bloom"),
         ("--seed", args.seed, scheme == "bloom", "--scheme bloom"),
     ])
+    if scheme == "star":
+        if args.star is None:
+            raise ValueError("--scheme star requires a --star graph")
+        # the optimal rank is always admissible; a --star below 1 is make_star's error
+        if args.rank is not None and args.star >= 1:
+            # past ceil(log2 N) the base stays 2 and a rank only adds bits
+            top = max(1, ceil_log2(args.star))
+            if not 1 <= args.rank <= top:
+                raise ValueError(f"--rank must be in 1..{top} for --star {args.star}, got {args.rank}")
+    elif scheme == "combined":
+        if args.core_periphery is None and args.tree is None and args.core is None:
+            raise ValueError("--scheme combined requires --core-periphery, --tree, or --graph with --core")
+    elif scheme == "bloom" and (args.m is None or args.k is None):
+        raise ValueError("--scheme bloom requires --m and --k")
     if args.star is not None:
         return make_star(args.star), None
     if args.complete is not None:
@@ -227,24 +242,11 @@ def _resolve_labelling(args: argparse.Namespace, g: Graph, core: frozenset[int] 
     elif args.scheme == "bit-per-vertex":
         labelling = bit_per_vertex(g)
     elif args.scheme == "star":
-        if args.star is None:
-            raise ValueError("--scheme star requires a --star graph")
-        # past ceil(log2 N) the base stays 2 and a rank only adds bits
-        top = max(1, ceil_log2(args.star))
         rank = optimal_rank(args.star).rank if args.rank is None else args.rank
-        if not 1 <= rank <= top:
-            raise ValueError(f"--rank must be in 1..{top} for --star {args.star}, got {rank}")
         labelling = star_labelling(args.star, rank)
     elif args.scheme == "combined":
-        if core is not None:
-            labelling = label_core_periphery(g, core)
-        elif args.tree is not None:
-            labelling = label_tree(g, 0)
-        else:
-            raise ValueError("--scheme combined requires --core-periphery, --tree, or --graph with --core")
+        labelling = label_tree(g, 0) if core is None else label_core_periphery(g, core)
     else:  # "bloom": argparse's choices admit no other scheme
-        if args.m is None or args.k is None:
-            raise ValueError("--scheme bloom requires --m and --k")
         labelling = bloom_labelling(g, args.m, args.k, 1 if args.seed is None else args.seed)
     if args.dump_labelling:
         with open(args.dump_labelling, "w", encoding="utf-8") as fh:

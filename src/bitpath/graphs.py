@@ -2,6 +2,8 @@
 
 Graphs are immutable after construction and safe to share between workers.
 Vertex ids are 0..vertex_count-1; edge ids are positions in the edge list.
+``Graph(...)`` and ``load_edge_list`` check every edge they are given; the
+generators skip those checks, since they make only valid edges.
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ class Graph:
     (neighbor, edge_id) pairs in ascending neighbor id, the tie-break order of
     every BFS here. Every generator here numbers its edges so that this is
     also ascending edge id; a loaded edge list need not.
+
+    ``Graph(...)`` checks every edge it is given: in range, no self-loop, no
+    repeated pair. The generators below skip those checks, because their
+    edges are valid (low, high) pairs as they are made; a test compares each
+    generated graph with ``Graph(g.vertex_count, g.edges)``.
     """
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
@@ -44,7 +51,6 @@ class Graph:
             raise ValueError("vertex_count must be non-negative")
         seen: set[tuple[int, int]] = set()
         normalized: list[tuple[int, int]] = []
-        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
         for eid, (u, v) in enumerate(edges):
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge {eid}: vertex out of range: ({u}, {v})")
@@ -55,13 +61,21 @@ class Graph:
                 raise ValueError(f"edge {eid}: duplicate edge {pair}")
             seen.add(pair)
             normalized.append(pair)
-            adjacency[pair[0]].append((pair[1], eid))
-            adjacency[pair[1]].append((pair[0], eid))
+        self._link(vertex_count, normalized)
+
+    def _link(self, vertex_count: int, edges: list[tuple[int, int]]) -> Graph:
+        """Store edges and build each vertex's sorted adjacency, the one place
+        both are made; edges must be distinct in-range (low, high) pairs."""
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
+        for eid, (u, v) in enumerate(edges):
+            adjacency[u].append((v, eid))
+            adjacency[v].append((u, eid))
         for a in adjacency:
             a.sort()
         self.vertex_count = vertex_count
-        self.edges: tuple[tuple[int, int], ...] = tuple(normalized)
+        self.edges: tuple[tuple[int, int], ...] = tuple(edges)
         self.adjacency: tuple[tuple[tuple[int, int], ...], ...] = tuple(map(tuple, adjacency))
+        return self
 
     @property
     def edge_count(self) -> int:
@@ -75,21 +89,26 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
-# generators
+# generators: each checks its own arguments, then links its edges unchecked
+
+
+def _linked(vertex_count: int, edges: list[tuple[int, int]]) -> Graph:
+    """The graph of edges already valid as made, without Graph's per-edge checks."""
+    return Graph.__new__(Graph)._link(vertex_count, edges)
 
 
 def make_star(n: int) -> Graph:
     """Star with n edges: center 0, leaves 1..n, edge i-1 joining 0 and i."""
     if n < 1:
         raise ValueError("a star needs at least one edge")
-    return Graph(n + 1, [(0, i) for i in range(1, n + 1)])
+    return _linked(n + 1, [(0, i) for i in range(1, n + 1)])
 
 
 def make_complete(n: int) -> Graph:
     """Complete graph on n vertices, edges in lexicographic order."""
     if n < 1:
         raise ValueError("a complete graph needs at least one vertex")
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return _linked(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def make_core_periphery(n: int) -> tuple[Graph, frozenset[int]]:
@@ -106,7 +125,7 @@ def make_core_periphery(n: int) -> tuple[Graph, frozenset[int]]:
         for _ in range(n - 1):
             edges.append((c, leaf))
             leaf += 1
-    return Graph(n * n, edges), frozenset(range(n))
+    return _linked(n * n, edges), frozenset(range(n))
 
 
 def make_perfect_binary_tree(h: int) -> Graph:
@@ -117,7 +136,7 @@ def make_perfect_binary_tree(h: int) -> Graph:
     if h < 1:
         raise ValueError("height-0 tree has no edges to label")
     vertex_count = 2 ** (h + 1) - 1
-    return Graph(vertex_count, [((v - 1) // 2, v) for v in range(1, vertex_count)])
+    return _linked(vertex_count, [((v - 1) // 2, v) for v in range(1, vertex_count)])
 
 
 def make_random_connected(vertex_count: int, edge_probability: float, seed: int) -> Graph:
@@ -134,7 +153,7 @@ def make_random_connected(vertex_count: int, edge_probability: float, seed: int)
             for v in range(u + 1, vertex_count)
             if rng.random() < edge_probability
         ]
-        g = Graph(vertex_count, edges)
+        g = _linked(vertex_count, edges)
         if is_connected(g):
             return g
     raise ValueError(

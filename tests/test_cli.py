@@ -466,8 +466,8 @@ def refuse(*_args, **_kwargs):
 
 class TestChecksBeforeWork:
     """A failing check exits 2 before the work it guards: no table row is
-    computed, no labelling built, no --dump-labelling file written and no
-    graph file read."""
+    computed, no graph or labelling built, no --dump-labelling file written
+    and no graph file read."""
 
     def test_table_sizes_before_any_row(self, capsys, monkeypatch):
         monkeypatch.setattr("bitpath.cli.empirical_fpr", refuse)
@@ -492,16 +492,37 @@ class TestChecksBeforeWork:
         assert (code, out, err) == (2, "", "error: --core: 'x' is not a vertex id\n")
 
     @pytest.mark.parametrize(
+        "argv, builder, message",
+        [
+            (["verify", "--complete", "1000", "--scheme", "star"], "make_complete",
+             "--scheme star requires a --star graph"),
+            (["verify", "--star", "10", "--scheme", "star", "--rank", "5"], "make_star",
+             "--rank must be in 1..4 for --star 10, got 5"),
+            (["verify", "--graph", "MISSING", "--scheme", "combined"], "load_edge_list",
+             "--scheme combined requires --core-periphery, --tree, or --graph with --core"),
+            (["route", "--tree", "16", "--scheme", "bloom", "--source", "0", "--dest", "1"],
+             "make_perfect_binary_tree", "--scheme bloom requires --m and --k"),
+        ],
+        ids=["star-needs-star", "rank-range", "combined-needs-core", "bloom-needs-m-k"],
+    )
+    def test_scheme_before_the_graph(self, capsys, monkeypatch, tmp_path, argv, builder, message):
+        # MISSING is a file that does not exist: opening it would be another error
+        monkeypatch.setattr(f"bitpath.cli.{builder}", refuse)
+        argv = [str(tmp_path / "missing.txt") if a == "MISSING" else a for a in argv]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             # each argv has a second error, met only after the one named
             (["binary-tree-table", "1100", "0"], "tree heights must be >= 1"),
             (["route", "--star", "5", "--scheme", "bloom", "--source", "99", "--dest", "1"],
-             "--source 99 is not a vertex id: the graph has 6 vertices, ids from 0"),
+             "--scheme bloom requires --m and --k"),
             (["verify", "--graph", "MISSING", "--scheme", "combined", "--core", "0,x"],
              "--core: 'x' is not a vertex id"),
         ],
-        ids=["size-before-row", "endpoint-before-scheme", "core-before-file"],
+        ids=["size-before-row", "scheme-before-endpoint", "core-before-file"],
     )
     def test_first_of_two_errors(self, capsys, tmp_path, argv, message):
         argv = [str(tmp_path / "missing.txt") if a == "MISSING" else a for a in argv]

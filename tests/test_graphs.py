@@ -1,5 +1,6 @@
 """Graph construction, generators, edge-list I/O, and shortest-path machinery."""
 
+import hashlib
 import math
 
 import pytest
@@ -162,6 +163,44 @@ class TestGenerators:
         a = make_random_connected(20, 0.15, seed=1)
         b = make_random_connected(20, 0.15, seed=2)
         assert a.edges != b.edges
+
+
+# each generator at its smallest legal argument, then a few mid sizes
+GENERATOR_CALLS = [
+    *((make_star, n) for n in (1, 2, 7, 60)),
+    *((make_complete, n) for n in (1, 2, 9, 40)),
+    *((make_core_periphery, n) for n in (2, 3, 8, 20)),
+    *((make_perfect_binary_tree, h) for h in (1, 2, 6, 10)),
+    *((make_random_connected, *draw) for draw in ((1, 0.0, 0), (2, 1.0, 0), (12, 0.3, 3), (40, 0.1, 9))),
+]
+
+# sha256 of repr([g.edges for g in random_graph_corpus()]), the draws every
+# corpus-based suite, acceptance criteria included, rests on
+CORPUS_EDGES_SHA256 = "0659cd89fd3beb536eab8657a33c8dba379e63e74a1d3a2d336a5b7b87a93bae"
+
+
+def assert_matches_checked_constructor(g: Graph) -> None:
+    # a generated edge that Graph would reject or normalize shows up here
+    checked = Graph(g.vertex_count, g.edges)
+    assert (checked.edges, checked.adjacency) == (g.edges, g.adjacency)
+
+
+class TestGeneratorsLinkValidEdges:
+    """Generators skip Graph's per-edge checks; their graphs must be the ones
+    the checked constructor builds from the same edges."""
+
+    @pytest.mark.parametrize("call", GENERATOR_CALLS, ids=lambda call: f"{call[0].__name__}{call[1:]}")
+    def test_generator(self, call):
+        built = call[0](*call[1:])
+        assert_matches_checked_constructor(built[0] if isinstance(built, tuple) else built)
+
+    def test_corpus_draws(self):
+        for g in random_graph_corpus():
+            assert_matches_checked_constructor(g)
+
+    def test_corpus_draws_are_pinned(self):
+        edges = repr([g.edges for g in random_graph_corpus()])
+        assert hashlib.sha256(edges.encode()).hexdigest() == CORPUS_EDGES_SHA256
 
 
 @st.composite
