@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 
@@ -153,6 +154,10 @@ def make_random_connected(vertex_count: int, edge_probability: float, seed: int)
             for v in range(u + 1, vertex_count)
             if rng.random() < edge_probability
         ]
+        # a draw that leaves a vertex on no edge is disconnected; most failed
+        # draws are, so skip linking and searching them
+        if vertex_count > 1 and len(set(chain.from_iterable(edges))) < vertex_count:
+            continue
         g = _linked(vertex_count, edges)
         if is_connected(g):
             return g
@@ -223,10 +228,15 @@ def _bfs(g: Graph, sources: Sequence[int], target: int | None = None) -> tuple[l
     Returns (dist, via, order): hops to the nearest source (-1 unreached),
     the id of the edge that first reached each vertex (-1 for sources and
     unreached ones), and the vertices in the order they were reached, sources
-    first. Stops once target is discovered, at once if it is a source: then
+    first. A search for target stops at once if it is a source, and
+    otherwise as soon as it discovers a neighbour x of target (before the
+    loop if x is a source): BFS discovers vertices in non-decreasing
+    distance, so x would be the first neighbour of target expanded, hence
+    target's first discoverer. It then sets target's dist to dist[x] + 1 and
+    its via to the edge x-target, and appends target to order. Either way
     order holds the vertices reached so far, their dist and via entries are
-    final, every other entry reads -1, and every vertex on target's via chain
-    but target itself has been expanded.
+    final, every other entry reads -1, and every vertex on target's via
+    chain but target and its parent has been expanded.
     """
     dist = [-1] * g.vertex_count
     via = [-1] * g.vertex_count
@@ -236,6 +246,11 @@ def _bfs(g: Graph, sources: Sequence[int], target: int | None = None) -> tuple[l
     if target in sources:
         return dist, via, order
     adjacency = g.adjacency
+    # target's neighbours and their edges to it; empty for a full search
+    near = {} if target is None else dict(adjacency[target])
+    for source in sources:
+        if source in near:
+            return _reach(target, source, near[source], dist, via, order)
     for cur in order:
         d = dist[cur] + 1
         for nbr, eid in adjacency[cur]:
@@ -243,8 +258,18 @@ def _bfs(g: Graph, sources: Sequence[int], target: int | None = None) -> tuple[l
                 dist[nbr] = d
                 via[nbr] = eid
                 order.append(nbr)
-                if nbr == target:
-                    return dist, via, order
+                if nbr in near:
+                    return _reach(target, nbr, near[nbr], dist, via, order)
+    return dist, via, order
+
+
+def _reach(
+    target: int, parent: int, eid: int, dist: list[int], via: list[int], order: list[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """_bfs's result once target is discovered from parent over edge eid."""
+    dist[target] = dist[parent] + 1
+    via[target] = eid
+    order.append(target)
     return dist, via, order
 
 
@@ -261,8 +286,10 @@ def is_connected(g: Graph) -> bool:
 
 def shortest_path(g: Graph, u: int, v: int) -> Path:
     """One shortest u-v path; ties broken by BFS expanding neighbors in
-    ascending vertex id, parent = first discoverer. The BFS stops as soon as
-    it discovers v, whose via chain back to u is then final."""
+    ascending vertex id, parent = first discoverer, which makes it the
+    lexicographically smallest shortest vertex sequence. The BFS stops as
+    soon as it discovers a neighbour of v, one level before v itself, and
+    v's via chain back to u is then final."""
     if not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
         raise ValueError("endpoint out of range")
     dist, via, _ = _bfs(g, (u,), v)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -179,6 +180,18 @@ GENERATOR_CALLS = [
 CORPUS_EDGES_SHA256 = "0659cd89fd3beb536eab8657a33c8dba379e63e74a1d3a2d336a5b7b87a93bae"
 
 
+def first_connected_draw(vertex_count: int, p: float, seed: int) -> tuple[tuple[int, int], ...] | None:
+    """The edges make_random_connected returns, by linking and searching
+    every draw; None where it finds no connected one."""
+    for attempt in range(10_000):
+        rng = random.Random(f"{seed}:{attempt}")
+        pairs = [(u, v) for u in range(vertex_count) for v in range(u + 1, vertex_count)]
+        g = Graph(vertex_count, [pair for pair in pairs if rng.random() < p])
+        if is_connected(g):
+            return g.edges
+    return None
+
+
 def assert_matches_checked_constructor(g: Graph) -> None:
     # a generated edge that Graph would reject or normalize shows up here
     checked = Graph(g.vertex_count, g.edges)
@@ -201,6 +214,20 @@ class TestGeneratorsLinkValidEdges:
     def test_corpus_draws_are_pinned(self):
         edges = repr([g.edges for g in random_graph_corpus()])
         assert hashlib.sha256(edges.encode()).hexdigest() == CORPUS_EDGES_SHA256
+
+    @pytest.mark.parametrize("vertex_count", [1, 2, 3, 5, 9, 16])
+    def test_random_connected_skips_only_disconnected_draws(self, vertex_count):
+        # a draw with a vertex on no edge is skipped unlinked; the graph
+        # returned must be the first connected draw all the same
+        for seed in range(12):
+            # p = 0 on two or more vertices would run out all 10,000 draws;
+            # that error's message is pinned in test_input_checks
+            for p in (0.15, 0.3, 0.6, 1.0) if vertex_count > 1 else (0.0, 1.0):
+                try:
+                    edges = make_random_connected(vertex_count, p, seed).edges
+                except ValueError:
+                    edges = None
+                assert edges == first_connected_draw(vertex_count, p, seed)
 
 
 @st.composite
@@ -365,31 +392,43 @@ class TestShortestPath:
                     assert (p.vertices, p.edges) == brute_force_shortest_paths(g, u, v)[0]
                     validate_path(g, p)
 
+    def test_tie_break_follows_discovery_order_not_vertex_id(self):
+        # from 0, vertex 5 (via 1) is discovered before vertex 4 (via 2),
+        # although 4 has the smaller id, so 5 is 6's parent; from 6, vertex 4
+        # comes first in both orders
+        g = Graph(7, [(0, 1), (0, 2), (1, 5), (2, 4), (4, 6), (5, 6)])
+        assert shortest_path(g, 0, 6).vertices == (0, 1, 5, 6)
+        assert shortest_path(g, 6, 0).vertices == (6, 4, 2, 0)
+
     def test_stopping_at_discovery_matches_the_full_bfs(self):
-        # the targeted BFS stops once v is discovered; its path must be the
-        # via chain of a BFS that runs to the end
+        # the targeted BFS stops once it discovers a neighbour x of v; its
+        # path must be the via chain of a BFS that runs to the end, and it
+        # must have reached exactly the full order up to x, then v
         graphs = [
-            make_complete(6),
-            make_star(7),
-            make_core_periphery(4)[0],
-            make_perfect_binary_tree(4),
+            *(make_complete(n) for n in range(1, 9)),
+            *(make_core_periphery(n)[0] for n in range(2, 7)),
+            *(make_perfect_binary_tree(h) for h in range(1, 6)),
+            *(make_star(n) for n in (1, 7)),
             grid_4x4(),
-            *random_graph_corpus()[::20],
+            *random_graph_corpus()[::10],
         ]
         for g in graphs + [shuffled_edge_ids(g, seed=4) for g in graphs]:
             for u in range(g.vertex_count):
-                _, via, _ = _bfs(g, (u,))
+                full_dist, full_via, full_order = _bfs(g, (u,))
                 for v in range(g.vertex_count):
                     vertices, edge_ids = [v], []
                     while vertices[-1] != u:
-                        edge_ids.append(via[vertices[-1]])
+                        edge_ids.append(full_via[vertices[-1]])
                         a, b = g.edges[edge_ids[-1]]
                         vertices.append(a + b - vertices[-1])
                     assert shortest_path(g, u, v) == Path(tuple(vertices[::-1]), tuple(edge_ids[::-1]))
-                dist, via, order = _bfs(g, (u,), u)
-                assert order == [u]
-                assert dist == [0 if w == u else -1 for w in range(g.vertex_count)]
-                assert via == [-1] * g.vertex_count
+                    dist, via, order = _bfs(g, (u,), v)
+                    if v == u:
+                        assert order == [u]
+                    else:
+                        assert order == full_order[: full_order.index(vertices[1]) + 1] + [v]
+                    assert dist == [full_dist[w] if w in order else -1 for w in range(g.vertex_count)]
+                    assert via == [full_via[w] if w in order else -1 for w in range(g.vertex_count)]
 
     def test_lengths_match_bfs_distance(self):
         for g in (
