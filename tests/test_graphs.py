@@ -183,9 +183,9 @@ CORPUS_EDGES_SHA256 = "0659cd89fd3beb536eab8657a33c8dba379e63e74a1d3a2d336a5b7b8
 def first_connected_draw(vertex_count: int, p: float, seed: int) -> tuple[tuple[int, int], ...] | None:
     """The edges make_random_connected returns, by linking and searching
     every draw; None where it finds no connected one."""
+    pairs = [(u, v) for u in range(vertex_count) for v in range(u + 1, vertex_count)]
     for attempt in range(10_000):
         rng = random.Random(f"{seed}:{attempt}")
-        pairs = [(u, v) for u in range(vertex_count) for v in range(u + 1, vertex_count)]
         g = Graph(vertex_count, [pair for pair in pairs if rng.random() < p])
         if is_connected(g):
             return g.edges
