@@ -180,8 +180,8 @@ def _add_scheme_arguments(sub: argparse.ArgumentParser) -> None:
 
 def _resolve_graph(args: argparse.Namespace) -> tuple[Graph, frozenset[int] | None]:
     """The graph verify and route act on and its core, if one is known, once
-    every flag goes with the scheme, the scheme with the graph flags and, with
-    --graph, --core parses: none of these checks builds or reads a graph."""
+    every flag goes with the scheme, the scheme with the graph flags, a Bloom
+    --k with --m and, with --graph, --core parses: no check builds or reads a graph."""
     scheme, from_file = args.scheme, args.graph is not None
     _reject_unused_flags([
         ("--rank", args.rank, scheme == "star", "--scheme star"),
@@ -202,8 +202,11 @@ def _resolve_graph(args: argparse.Namespace) -> tuple[Graph, frozenset[int] | No
     elif scheme == "combined":
         if args.core_periphery is None and args.tree is None and args.core is None:
             raise ValueError("--scheme combined requires --core-periphery, --tree, or --graph with --core")
-    elif scheme == "bloom" and (args.m is None or args.k is None):
-        raise ValueError("--scheme bloom requires --m and --k")
+    elif scheme == "bloom":
+        if args.m is None or args.k is None:
+            raise ValueError("--scheme bloom requires --m and --k")
+        if not 1 <= args.k <= args.m:
+            raise ValueError("label weight must satisfy 1 <= k <= universe size")
     if args.star is not None:
         return make_star(args.star), None
     if args.complete is not None:

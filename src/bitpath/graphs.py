@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 
 class EdgeListParseError(ValueError):
@@ -220,7 +220,7 @@ def emit_edge_list(g: Graph) -> str:
 # shortest paths
 
 
-def _bfs(g: Graph, sources: Sequence[int], target: int | None = None) -> tuple[list[int], list[int], list[int]]:
+def _bfs(g: Graph, sources: Sequence[int], stop: Container[int] = ()) -> tuple[list[int], list[int], list[int]]:
     """Breadth-first search from the distinct vertices sources, expanding
     neighbours in ascending vertex id: the one BFS every shortest-path and
     tree-level function reads from.
@@ -228,29 +228,16 @@ def _bfs(g: Graph, sources: Sequence[int], target: int | None = None) -> tuple[l
     Returns (dist, via, order): hops to the nearest source (-1 unreached),
     the id of the edge that first reached each vertex (-1 for sources and
     unreached ones), and the vertices in the order they were reached, sources
-    first. A search for target stops at once if it is a source, and
-    otherwise as soon as it discovers a neighbour x of target (before the
-    loop if x is a source): BFS discovers vertices in non-decreasing
-    distance, so x would be the first neighbour of target expanded, hence
-    target's first discoverer. It then sets target's dist to dist[x] + 1 and
-    its via to the edge x-target, and appends target to order. Either way
-    order holds the vertices reached so far, their dist and via entries are
-    final, every other entry reads -1, and every vertex on target's via
-    chain but target and its parent has been expanded.
+    first. The search returns as soon as it discovers a vertex of stop, which
+    is then order[-1]; sources are not tested against stop. Either way the
+    entries of the vertices in order are final and every other entry reads -1.
     """
     dist = [-1] * g.vertex_count
     via = [-1] * g.vertex_count
     for source in sources:
         dist[source] = 0
     order = list(sources)
-    if target in sources:
-        return dist, via, order
     adjacency = g.adjacency
-    # target's neighbours and their edges to it; empty for a full search
-    near = {} if target is None else dict(adjacency[target])
-    for source in sources:
-        if source in near:
-            return _reach(target, source, near[source], dist, via, order)
     for cur in order:
         d = dist[cur] + 1
         for nbr, eid in adjacency[cur]:
@@ -258,23 +245,15 @@ def _bfs(g: Graph, sources: Sequence[int], target: int | None = None) -> tuple[l
                 dist[nbr] = d
                 via[nbr] = eid
                 order.append(nbr)
-                if nbr in near:
-                    return _reach(target, nbr, near[nbr], dist, via, order)
-    return dist, via, order
-
-
-def _reach(
-    target: int, parent: int, eid: int, dist: list[int], via: list[int], order: list[int]
-) -> tuple[list[int], list[int], list[int]]:
-    """_bfs's result once target is discovered from parent over edge eid."""
-    dist[target] = dist[parent] + 1
-    via[target] = eid
-    order.append(target)
+                if nbr in stop:
+                    return dist, via, order
     return dist, via, order
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """BFS hop counts from source; -1 marks unreachable vertices."""
+    if not 0 <= source < g.vertex_count:
+        raise ValueError(f"source {source} outside a {g.vertex_count}-vertex graph")
     return _bfs(g, (source,))[0]
 
 
@@ -287,17 +266,27 @@ def is_connected(g: Graph) -> bool:
 def shortest_path(g: Graph, u: int, v: int) -> Path:
     """One shortest u-v path; ties broken by BFS expanding neighbors in
     ascending vertex id, parent = first discoverer, which makes it the
-    lexicographically smallest shortest vertex sequence. The BFS stops as
-    soon as it discovers a neighbour of v, one level before v itself, and
-    v's via chain back to u is then final."""
+    lexicographically smallest shortest vertex sequence. The BFS from u stops
+    at the first neighbour x of v it discovers, and the path is x's via chain
+    plus the edge x-v. x is v's parent: BFS discovers in non-decreasing
+    distance and expands in discovery order, so x is the first neighbour of v
+    expanded. The BFS does not test its source, so u next to v is answered
+    before it."""
     if not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
         raise ValueError("endpoint out of range")
-    dist, via, _ = _bfs(g, (u,), v)
-    if dist[v] < 0:
+    if u == v:
+        return Path((u,), ())
+    # v's neighbours and their edges to v
+    near = dict(g.adjacency[v])
+    if u in near:
+        return Path((u, v), (near[u],))
+    _, via, order = _bfs(g, (u,), near)
+    x = order[-1]
+    if x not in near:
         raise NoPathError(f"no path from {u} to {v}")
-    vertices = [v]
-    edge_ids = []
-    cur = v
+    vertices = [v, x]
+    edge_ids = [near[x]]
+    cur = x
     while cur != u:
         eid = via[cur]
         a, b = g.edges[eid]

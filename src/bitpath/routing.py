@@ -44,15 +44,18 @@ def next_hop(
         raise ValueError(f"current vertex {current} outside a {g.vertex_count}-vertex graph")
     if header < 0 or header >> labelling.width:
         raise ValueError(f"header {header:#x} outside a {labelling.width}-bit universe")
-    return _candidates(g.adjacency[current], labelling.masks, ~header, incoming)
+    incident = g.adjacency[current]
+    if incoming is not None and incoming not in [eid for _, eid in incident]:
+        raise ValueError(f"incoming edge {incoming} is not at vertex {current}")
+    return tuple(eid for _, eid in _candidates(incident, labelling.masks, ~header, incoming))
 
 
-def _candidates(incident, masks, not_header: int, incoming: int | None) -> tuple[int, ...]:
-    """next_hop's decision without its checks: the edge ids of incident, a
-    vertex's (neighbour, edge id) pairs, whose masks have no bit of
-    not_header (the header's complement), except incoming. simulate_delivery
-    calls it at every hop, having checked its inputs once."""
-    return tuple(eid for _, eid in incident if eid != incoming and masks[eid] & not_header == 0)
+def _candidates(incident, masks, not_header: int, incoming: int | None) -> tuple[tuple[int, int], ...]:
+    """next_hop's decision without its checks: the entries of incident, a
+    vertex's (neighbour, edge id) adjacency, whose edge is not incoming and
+    whose mask has no bit of not_header (the header's complement). Having
+    checked its inputs once, simulate_delivery steps along its one entry."""
+    return tuple((nbr, eid) for nbr, eid in incident if eid != incoming and masks[eid] & not_header == 0)
 
 
 def _check_cover(g: Graph, labelling: Labelling) -> None:
@@ -96,7 +99,7 @@ def simulate_delivery(g: Graph, labelling: Labelling, source: int, destination: 
     """
     _check_cover(g, labelling)
     not_header = ~encode_path(labelling, shortest_path(g, source, destination))
-    adjacency, edges, masks = g.adjacency, g.edges, labelling.masks
+    adjacency, masks = g.adjacency, labelling.masks
     visited = [source]
     counts: list[int] = []
     current, incoming = source, None
@@ -105,9 +108,7 @@ def simulate_delivery(g: Graph, labelling: Labelling, source: int, destination: 
         counts.append(len(candidates))
         if len(candidates) != 1:
             break
-        (incoming,) = candidates
-        u, v = edges[incoming]
-        current = v if current == u else u
+        ((current, incoming),) = candidates
         visited.append(current)
     outcome = "ambiguous" if candidates else "delivered" if current == destination else "dead-end"
     return RoutingTrace(tuple(visited), outcome, tuple(counts))

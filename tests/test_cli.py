@@ -502,8 +502,11 @@ class TestChecksBeforeWork:
              "--scheme combined requires --core-periphery, --tree, or --graph with --core"),
             (["route", "--tree", "16", "--scheme", "bloom", "--source", "0", "--dest", "1"],
              "make_perfect_binary_tree", "--scheme bloom requires --m and --k"),
+            (["route", "--complete", "1500", "--scheme", "bloom", "--m", "4", "--k", "0",
+              "--source", "0", "--dest", "1"],
+             "make_complete", "label weight must satisfy 1 <= k <= universe size"),
         ],
-        ids=["star-needs-star", "rank-range", "combined-needs-core", "bloom-needs-m-k"],
+        ids=["star-needs-star", "rank-range", "combined-needs-core", "bloom-needs-m-k", "bloom-weight"],
     )
     def test_scheme_before_the_graph(self, capsys, monkeypatch, tmp_path, argv, builder, message):
         # MISSING is a file that does not exist: opening it would be another error
@@ -521,8 +524,10 @@ class TestChecksBeforeWork:
              "--scheme bloom requires --m and --k"),
             (["verify", "--graph", "MISSING", "--scheme", "combined", "--core", "0,x"],
              "--core: 'x' is not a vertex id"),
+            (["route", "--star", "5", "--scheme", "bloom", "--m", "4", "--k", "5", "--source", "99", "--dest", "1"],
+             "label weight must satisfy 1 <= k <= universe size"),
         ],
-        ids=["size-before-row", "scheme-before-endpoint", "core-before-file"],
+        ids=["size-before-row", "scheme-before-endpoint", "core-before-file", "weight-before-endpoint"],
     )
     def test_first_of_two_errors(self, capsys, tmp_path, argv, message):
         argv = [str(tmp_path / "missing.txt") if a == "MISSING" else a for a in argv]

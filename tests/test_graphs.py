@@ -401,9 +401,9 @@ class TestShortestPath:
         assert shortest_path(g, 6, 0).vertices == (6, 4, 2, 0)
 
     def test_stopping_at_discovery_matches_the_full_bfs(self):
-        # the targeted BFS stops once it discovers a neighbour x of v; its
-        # path must be the via chain of a BFS that runs to the end, and it
-        # must have reached exactly the full order up to x, then v
+        # a BFS with a stop set returns once it discovers a vertex of the set,
+        # and shortest_path stops at the first discovered neighbour x of v:
+        # its path must be the via chain of a BFS that runs to the end
         graphs = [
             *(make_complete(n) for n in range(1, 9)),
             *(make_core_periphery(n)[0] for n in range(2, 7)),
@@ -414,7 +414,9 @@ class TestShortestPath:
         ]
         for g in graphs + [shuffled_edge_ids(g, seed=4) for g in graphs]:
             for u in range(g.vertex_count):
-                full_dist, full_via, full_order = _bfs(g, (u,))
+                full = full_dist, full_via, full_order = _bfs(g, (u,))
+                # sources are not tested against the stop set
+                assert _bfs(g, (u,), {u}) == full
                 for v in range(g.vertex_count):
                     vertices, edge_ids = [v], []
                     while vertices[-1] != u:
@@ -422,11 +424,12 @@ class TestShortestPath:
                         a, b = g.edges[edge_ids[-1]]
                         vertices.append(a + b - vertices[-1])
                     assert shortest_path(g, u, v) == Path(tuple(vertices[::-1]), tuple(edge_ids[::-1]))
-                    dist, via, order = _bfs(g, (u,), v)
-                    if v == u:
-                        assert order == [u]
-                    else:
-                        assert order == full_order[: full_order.index(vertices[1]) + 1] + [v]
+                    # the search reaches the full order up to its first
+                    # non-source vertex next to v, or all of it if none is
+                    near_v = dict(g.adjacency[v])
+                    dist, via, order = _bfs(g, (u,), near_v)
+                    hits = [i for i, w in enumerate(full_order) if i and w in near_v]
+                    assert order == full_order[: hits[0] + 1 if hits else None]
                     assert dist == [full_dist[w] if w in order else -1 for w in range(g.vertex_count)]
                     assert via == [full_via[w] if w in order else -1 for w in range(g.vertex_count)]
 
@@ -553,6 +556,8 @@ class TestStarPathShape:
         (make_random_connected, (2, 0.0, 1), "no connected draw in 10000 attempts (n=2, p=0.0)"),
         (shortest_path, (make_star(2), 0, 3), "endpoint out of range"),
         (shortest_path, (make_star(2), -1, 0), "endpoint out of range"),
+        (bfs_distances, (make_star(3), -1), "source -1 outside a 4-vertex graph"),
+        (bfs_distances, (make_star(3), 4), "source 4 outside a 4-vertex graph"),
     ],
 )
 def test_input_checks(call, args, message):

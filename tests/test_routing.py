@@ -262,6 +262,13 @@ class TestNextHop:
         with pytest.raises(ValueError, match=f"current vertex {current} outside a 6-vertex graph"):
             next_hop(make_star(5), star_labelling(5, 2), 0, current)
 
+    @pytest.mark.parametrize("current, incoming", [(1, 2), (1, 7), (0, 3), (2, -1)])
+    def test_incoming_edge_not_at_current_raises(self, current, incoming):
+        # star 3: vertex 1 has only edge 0, and the centre 0 has edges 0..2
+        g = make_star(3)
+        with pytest.raises(ValueError, match=f"^incoming edge {incoming} is not at vertex {current}$"):
+            next_hop(g, bit_per_edge(g), 0b111, current, incoming)
+
     def test_width_mismatch_raises(self):
         # the header must be a bit set of the labelling's universe
         g = make_star(3)
