@@ -58,6 +58,8 @@ def bloom_labelling(g: Graph, m: int, k: int, seed: int) -> Labelling:
     order; the same seed reproduces the labelling bit for bit. Edge e's mask
     is the OR of the e-th Random(seed).sample(range(m), k) call, drawn with
     CPython's sample algorithm straight from getrandbits."""
+    if m < 1:
+        raise ValueError(f"universe size must be at least 1, got {m}")
     if not 1 <= k <= m:
         raise ValueError("label weight must satisfy 1 <= k <= universe size")
     return Labelling(m, _draw_masks(random.Random(seed), g.edge_count, m, k))

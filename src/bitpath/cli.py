@@ -181,7 +181,8 @@ def _add_scheme_arguments(sub: argparse.ArgumentParser) -> None:
 def _resolve_graph(args: argparse.Namespace) -> tuple[Graph, frozenset[int] | None]:
     """The graph verify and route act on and its core, if one is known, once
     every flag goes with the scheme, the scheme with the graph flags, a Bloom
-    --k with --m and, with --graph, --core parses: no check builds or reads a graph."""
+    --m is at least 1 and --k fits it and, with --graph, --core parses: no
+    check builds or reads a graph."""
     scheme, from_file = args.scheme, args.graph is not None
     _reject_unused_flags([
         ("--rank", args.rank, scheme == "star", "--scheme star"),
@@ -205,6 +206,8 @@ def _resolve_graph(args: argparse.Namespace) -> tuple[Graph, frozenset[int] | No
     elif scheme == "bloom":
         if args.m is None or args.k is None:
             raise ValueError("--scheme bloom requires --m and --k")
+        if args.m < 1:
+            raise ValueError(f"--m must be at least 1, got {args.m}")
         if not 1 <= args.k <= args.m:
             raise ValueError("label weight must satisfy 1 <= k <= universe size")
     if args.star is not None:

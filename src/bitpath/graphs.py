@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import chain
-from typing import Container, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 class EdgeListParseError(ValueError):
@@ -220,17 +220,16 @@ def emit_edge_list(g: Graph) -> str:
 # shortest paths
 
 
-def _bfs(g: Graph, sources: Sequence[int], stop: Container[int] = ()) -> tuple[list[int], list[int], list[int]]:
+def _bfs(g: Graph, sources: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
     """Breadth-first search from the distinct vertices sources, expanding
-    neighbours in ascending vertex id: the one BFS every shortest-path and
-    tree-level function reads from.
+    neighbours in ascending vertex id: the full search that the oracle,
+    decompose, the distance and connectivity checks and the path count read
+    from (shortest_path runs its own, which stops early).
 
     Returns (dist, via, order): hops to the nearest source (-1 unreached),
     the id of the edge that first reached each vertex (-1 for sources and
     unreached ones), and the vertices in the order they were reached, sources
-    first. The search returns as soon as it discovers a vertex of stop, which
-    is then order[-1]; sources are not tested against stop. Either way the
-    entries of the vertices in order are final and every other entry reads -1.
+    first.
     """
     dist = [-1] * g.vertex_count
     via = [-1] * g.vertex_count
@@ -245,8 +244,6 @@ def _bfs(g: Graph, sources: Sequence[int], stop: Container[int] = ()) -> tuple[l
                 dist[nbr] = d
                 via[nbr] = eid
                 order.append(nbr)
-                if nbr in stop:
-                    return dist, via, order
     return dist, via, order
 
 
@@ -266,12 +263,13 @@ def is_connected(g: Graph) -> bool:
 def shortest_path(g: Graph, u: int, v: int) -> Path:
     """One shortest u-v path; ties broken by BFS expanding neighbors in
     ascending vertex id, parent = first discoverer, which makes it the
-    lexicographically smallest shortest vertex sequence. The BFS from u stops
-    at the first neighbour x of v it discovers, and the path is x's via chain
-    plus the edge x-v. x is v's parent: BFS discovers in non-decreasing
-    distance and expands in discovery order, so x is the first neighbour of v
-    expanded. The BFS does not test its source, so u next to v is answered
-    before it."""
+    lexicographically smallest shortest vertex sequence: the via chain of
+    _bfs(g, (u,)). Its own BFS from u keeps one vertex-sized list, via,
+    and stops at the first neighbour x of v it discovers; the path is x's
+    via chain plus the edge x-v. x is v's parent: BFS discovers in
+    non-decreasing distance and expands in discovery order, so x is the
+    first neighbour of v expanded. The BFS does not test its source, so u
+    next to v is answered before it."""
     if not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
         raise ValueError("endpoint out of range")
     if u == v:
@@ -280,22 +278,26 @@ def shortest_path(g: Graph, u: int, v: int) -> Path:
     near = dict(g.adjacency[v])
     if u in near:
         return Path((u, v), (near[u],))
-    _, via, order = _bfs(g, (u,), near)
-    x = order[-1]
-    if x not in near:
-        raise NoPathError(f"no path from {u} to {v}")
-    vertices = [v, x]
-    edge_ids = [near[x]]
-    cur = x
-    while cur != u:
-        eid = via[cur]
-        a, b = g.edges[eid]
-        cur = a if b == cur else b
-        vertices.append(cur)
-        edge_ids.append(eid)
-    vertices.reverse()
-    edge_ids.reverse()
-    return Path(tuple(vertices), tuple(edge_ids))
+    adjacency, edges = g.adjacency, g.edges
+    # the edge that first reached each vertex, -1 if none has yet; u is
+    # reached by no edge, and the walk back stops there before reading it
+    via = [-1] * g.vertex_count
+    via[u] = g.edge_count
+    order = [u]
+    for cur in order:
+        for x, eid in adjacency[cur]:
+            if via[x] < 0:
+                via[x] = eid
+                if x in near:
+                    vertices, edge_ids = [v, x], [near[x]]
+                    while x != u:
+                        edge_ids.append(via[x])
+                        a, b = edges[via[x]]
+                        x = a + b - x
+                        vertices.append(x)
+                    return Path(tuple(vertices[::-1]), tuple(edge_ids[::-1]))
+                order.append(x)
+    raise NoPathError(f"no path from {u} to {v}")
 
 
 def count_shortest_paths(g: Graph) -> int:

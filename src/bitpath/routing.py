@@ -52,10 +52,12 @@ def next_hop(
 
 def _candidates(incident, masks, not_header: int, incoming: int | None) -> tuple[tuple[int, int], ...]:
     """next_hop's decision without its checks: the entries of incident, a
-    vertex's (neighbour, edge id) adjacency, whose edge is not incoming and
-    whose mask has no bit of not_header (the header's complement). Having
-    checked its inputs once, simulate_delivery steps along its one entry."""
-    return tuple((nbr, eid) for nbr, eid in incident if eid != incoming and masks[eid] & not_header == 0)
+    vertex's (neighbour, edge id) adjacency, whose mask has no bit of
+    not_header (the header's complement) and whose edge is not incoming.
+    The mask test comes first, so only the few recognised entries are
+    compared with incoming. Having checked its inputs once,
+    simulate_delivery steps along its one entry."""
+    return tuple([entry for entry in incident if not masks[entry[1]] & not_header and entry[1] != incoming])
 
 
 def _check_cover(g: Graph, labelling: Labelling) -> None:

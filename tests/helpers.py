@@ -6,7 +6,9 @@ star check packs bits and compares subsets on its own, the reference star
 labelling sets each edge's bits from its digit tuple, and the reference Bloom
 draw calls Random.sample once per edge. The contraction reference builds the
 combined labelling through contract's two graphs and a nested combine, and
-the level reference buckets edges by single-source BFS distance. The text
+the level reference buckets edges by single-source BFS distance. The
+forwarding reference is the one-line candidate rule that tested the
+incoming edge first. The text
 format references are the per-bit and per-token serializer and parser the
 table-driven Labelling.to_text and from_text replaced, with a bit scan in
 place of the library's bit iterator.
@@ -64,6 +66,14 @@ def brute_force_shortest_paths(g: Graph, u: int, v: int) -> list[tuple[tuple[int
         if found:
             break
     return sorted(found)
+
+
+def candidates_reference(incident, masks, not_header: int, incoming: int | None) -> tuple[tuple[int, int], ...]:
+    """The forwarding rule in one line, as routing._candidates stated it
+    before it tested masks first: the (neighbour, edge id) entries of
+    incident whose edge is not incoming and whose mask has no bit of
+    not_header, in adjacency order."""
+    return tuple((nbr, eid) for nbr, eid in incident if eid != incoming and masks[eid] & not_header == 0)
 
 
 def validate_path(g: Graph, path: Path) -> None:

@@ -241,15 +241,15 @@ class TestTrajectory:
         assert capsys.readouterr().out.splitlines() == [
             "BENCH_9.json: aa -> bb",
             "  claim: oracle work_per_s: more",
-            "  oracle seed 1, 4 pairs:",
+            "  oracle seed 1, 4 pairs, passes 3 -> 3:",
             "    work_per_s 102.5 -> 122.5 1/s",
             "    pass_s 2 -> 1.8 s",
-            "  forward seed 2, 1 pairs:",
+            "  forward seed 2, 1 pairs, passes 3 -> 3:",
             "    work_per_s 50 -> 40 1/s",
             "    pass_s 1 -> 1.1 s",
             "BENCH_10.json: bbbbbbb -> ccccccc",
             "  claim: none",
-            "  build seed 1, 1 pairs:",
+            "  build seed 1, 1 pairs, passes 3 -> 3:",
             "    work_per_s 1,500 -> 2,500 1/s",
             "    pass_s 0.25 -> 0.125 s",
         ]
@@ -271,6 +271,19 @@ class TestTrajectory:
         record = bench_record.assemble([entry], BENCHMARK, "w", None)
         lines = bench_record.trajectory({"BENCH_1.json": record}, BENCHMARK)
         assert [line.split()[0] for line in lines[3:]] == ["work_per_s", "pass_s"]
+
+    def test_pass_counts_are_each_sides_median_and_absent_from_older_records(self):
+        # a record written before pass counts were kept has no passes in its
+        # summary, and its group line then shows none
+        runs = [pair(n, "forward", (10.0, 1.0), (12.0, 0.9)) for n in range(4)]
+        for entry, (parent, change) in zip(runs, [(28, 39), (29, 40), (30, 41), (27, 38)]):
+            entry["parent"]["passes"], entry["change"]["passes"] = parent, change
+        new = bench_record.assemble(runs, BENCHMARK, "new", None)
+        old = json.loads(json.dumps(new))
+        del old["summary"][0]["passes"]
+        lines = bench_record.trajectory({"BENCH_19.json": old, "BENCH_20.json": new}, BENCHMARK)
+        heads = [line for line in lines if line.startswith("  forward")]
+        assert heads == ["  forward seed 1, 4 pairs:", "  forward seed 1, 4 pairs, passes 28.5 -> 39.5:"]
 
     def test_no_records_exits_2(self, tmp_path, capsys):
         argv = ["trajectory", "--dir", str(tmp_path), "--benchmark", str(ROOT / "BENCHMARK.json")]

@@ -270,6 +270,9 @@ class TestEmpiricalWorkers:
         (at_least_one_fp, (0.5, -1), "edge count must be non-negative"),
         (exact_two_label_fpr, (4, 0), "label weight must satisfy 1 <= k <= universe size"),
         (exact_two_label_fpr, (4, 5), "label weight must satisfy 1 <= k <= universe size"),
+        (bloom_labelling, (make_star(3), 0, 1, 1), "universe size must be at least 1, got 0"),
+        (bloom_labelling, (make_star(3), -4, -9, 1), "universe size must be at least 1, got -4"),
+        (bloom_labelling, (make_star(3), 4, 5, 1), "label weight must satisfy 1 <= k <= universe size"),
     ],
 )
 def test_input_checks(call, args, message):

@@ -505,8 +505,13 @@ class TestChecksBeforeWork:
             (["route", "--complete", "1500", "--scheme", "bloom", "--m", "4", "--k", "0",
               "--source", "0", "--dest", "1"],
              "make_complete", "label weight must satisfy 1 <= k <= universe size"),
+            (["verify", "--star", "3", "--scheme", "bloom", "--m", "0", "--k", "1"], "make_star",
+             "--m must be at least 1, got 0"),
+            (["verify", "--star", "3", "--scheme", "bloom", "--m", "-4", "--k", "-9"], "make_star",
+             "--m must be at least 1, got -4"),
         ],
-        ids=["star-needs-star", "rank-range", "combined-needs-core", "bloom-needs-m-k", "bloom-weight"],
+        ids=["star-needs-star", "rank-range", "combined-needs-core", "bloom-needs-m-k", "bloom-weight",
+             "bloom-universe", "bloom-universe-before-weight"],
     )
     def test_scheme_before_the_graph(self, capsys, monkeypatch, tmp_path, argv, builder, message):
         # MISSING is a file that does not exist: opening it would be another error

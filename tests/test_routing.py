@@ -35,6 +35,7 @@ from bitpath import (
 from bitpath import routing
 from helpers import (
     brute_force_false_positives,
+    candidates_reference,
     brute_force_report,
     draw_core_plus_forest,
     grid_4x4,
@@ -277,6 +278,24 @@ class TestNextHop:
         for header in (-1, 1 << 3, 1 << 99):
             with pytest.raises(ValueError, match="outside a 3-bit universe"):
                 next_hop(g, lab, header, 0)
+
+
+class TestCandidates:
+    @pytest.mark.parametrize("scheme", ["exact", "bloom"])
+    def test_matches_the_one_line_rule(self, scheme):
+        # every vertex of the corpus graphs; the full header and three random
+        # ones with about three bits in four set; as incoming: none, each
+        # incident edge (recognised or not) and an id that is no edge
+        rng = random.Random(5)
+        for j, g in enumerate(random_graph_corpus()):
+            lab = bit_per_vertex(g) if scheme == "exact" else bloom_labelling(g, g.vertex_count // 2, 3, seed=j)
+            headers = [(1 << lab.width) - 1]
+            headers += [rng.getrandbits(lab.width) | rng.getrandbits(lab.width) for _ in range(3)]
+            for incident in g.adjacency:
+                for not_header in [~header for header in headers]:
+                    for incoming in (None, *(eid for _, eid in incident), g.edge_count):
+                        expected = candidates_reference(incident, lab.masks, not_header, incoming)
+                        assert routing._candidates(incident, lab.masks, not_header, incoming) == expected
 
 
 class TestSimulateDelivery:

@@ -28,7 +28,8 @@ was logged.
 
 prints, for every BENCH_<n>.json in the directory (default: the current one)
 in order of n, the record's commit pair, its claim and, per untraced workload
-and seed, each side's median of every end-to-end metric.
+and seed, each side's median pass count (records from BENCH_20 on) and
+median of every end-to-end metric.
 Standard library only.
 """
 
@@ -215,8 +216,10 @@ def cmd_assemble(args: argparse.Namespace) -> None:
 def trajectory(records: dict[str, dict], benchmark: dict) -> list[str]:
     """The lines trajectory prints for records keyed by file name: per
     record, its parent and change commits and its claim, then per untraced
-    (workload, seed) group each end-to-end metric's parent and change
-    medians. Traced groups are left out: tracing slows the end-to-end
+    (workload, seed) group its median pass count on each side, when the
+    record has one, and each end-to-end metric's parent and change medians.
+    A run's peak_rss_mb grows with its passes, so a move in it is read
+    against them. Traced groups are left out: tracing slows the end-to-end
     metrics."""
     names = [metric["name"] for metric in benchmark["end_to_end"]]
     number = lambda value: f"{value:,.0f}" if abs(value) >= 1000 else f"{value:.4g}"
@@ -229,7 +232,10 @@ def trajectory(records: dict[str, dict], benchmark: dict) -> list[str]:
         for group in record["summary"]:
             if group["trace"]:
                 continue
-            lines.append(f"  {group['workload']} seed {group['seed']}, {group['pairs']} pairs:")
+            head = f"  {group['workload']} seed {group['seed']}, {group['pairs']} pairs"
+            if "passes" in group:
+                head += ", passes " + " -> ".join(number(group["passes"][side]) for side in SIDES)
+            lines.append(head + ":")
             for name in names:
                 if name in group["metrics"]:
                     metric = group["metrics"][name]
