@@ -404,13 +404,14 @@ class TestShortestPath:
         # shortest_path runs its own search, which stops at the first
         # discovered neighbour x of v: its path must be the via chain of a
         # _bfs that runs to the end, on every ordered pair of criterion 8's
-        # graph families (smaller sizes) and of shuffled-edge-id copies
+        # graph families (smaller sizes), the grid and shuffled-edge-id copies
         graphs = [
             *(make_complete(n) for n in range(1, 13)),
             *random_graph_corpus(),
             *(make_core_periphery(n)[0] for n in range(2, 11)),
             *(make_perfect_binary_tree(h) for h in range(1, 7)),
             *(make_star(n) for n in (1, 2, 7, 50)),
+            grid_4x4(),
         ]
         for g in graphs + [shuffled_edge_ids(g, seed=4) for g in graphs]:
             for u in range(g.vertex_count):

@@ -35,8 +35,8 @@ from bitpath import (
 from bitpath import routing
 from helpers import (
     brute_force_false_positives,
-    candidates_reference,
     brute_force_report,
+    candidates_reference,
     draw_core_plus_forest,
     grid_4x4,
     random_graph_corpus,
