@@ -53,15 +53,20 @@ def _draw_masks(rng: random.Random, edge_count: int, m: int, k: int) -> list[int
     return masks
 
 
+def _check_weight(m: int, k: int) -> None:
+    """A Bloom universe has at least one bit and a label weight k fits it."""
+    if m < 1:
+        raise ValueError(f"universe size must be at least 1, got {m}")
+    if not 1 <= k <= m:
+        raise ValueError("label weight must satisfy 1 <= k <= universe size")
+
+
 def bloom_labelling(g: Graph, m: int, k: int, seed: int) -> Labelling:
     """Independent uniform k-subsets of {0..m-1}, one per edge in edge-id
     order; the same seed reproduces the labelling bit for bit. Edge e's mask
     is the OR of the e-th Random(seed).sample(range(m), k) call, drawn with
     CPython's sample algorithm straight from getrandbits."""
-    if m < 1:
-        raise ValueError(f"universe size must be at least 1, got {m}")
-    if not 1 <= k <= m:
-        raise ValueError("label weight must satisfy 1 <= k <= universe size")
+    _check_weight(m, k)
     return Labelling(m, _draw_masks(random.Random(seed), g.edge_count, m, k))
 
 
@@ -107,8 +112,7 @@ def exact_two_label_fpr(m: int, k: int) -> float:
     (Information Processing Letters 108(4), 2008), show the same formula is
     only a lower bound on the true rate of a hashed Bloom filter.
     """
-    if not 1 <= k <= m:
-        raise ValueError("label weight must satisfy 1 <= k <= universe size")
+    _check_weight(m, k)
     total_labels = math.comb(m, k)
     total = 0
     for j in range(k + 1):
@@ -144,8 +148,7 @@ def empirical_fpr(star_n: int, m: int, k: int, trials: int, seed: int) -> Empiri
         raise ValueError("need star_n >= 3 for at least one off-path edge")
     if trials < 1:
         raise ValueError("trials must be positive")
-    if not 1 <= k <= m:
-        raise ValueError("label weight must satisfy 1 <= k <= universe size")
+    _check_weight(m, k)
     work = lambda shard: _trial_hits(star_n, m, k, seed, shard)
     hits = sum(_run_shards("Bloom", work, trials, trials * star_n))
     observations = trials * (star_n - 2)

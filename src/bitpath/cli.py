@@ -16,6 +16,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from typing import Callable, Iterable, Sequence, TextIO
 
 from .bloom import (
+    _check_weight,
     analytic_fpr,
     at_least_one_fp,
     bloom_labelling,
@@ -208,8 +209,7 @@ def _resolve_graph(args: argparse.Namespace) -> tuple[Graph, frozenset[int] | No
             raise ValueError("--scheme bloom requires --m and --k")
         if args.m < 1:
             raise ValueError(f"--m must be at least 1, got {args.m}")
-        if not 1 <= args.k <= args.m:
-            raise ValueError("label weight must satisfy 1 <= k <= universe size")
+        _check_weight(args.m, args.k)
     if args.star is not None:
         return make_star(args.star), None
     if args.complete is not None:

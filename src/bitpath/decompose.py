@@ -128,7 +128,7 @@ def tree_star_levels(tree: Graph, center: int) -> tuple[tuple[int, ...], ...]:
     contracting the star around the (merged) center: entry i holds the
     ascending ids of the edges joining distances i and i+1 from it."""
     if not 0 <= center < tree.vertex_count:
-        raise ValueError("center out of range")
+        raise ValueError(f"center {center} outside a {tree.vertex_count}-vertex graph")
     _, levels, is_tree = _star_levels(tree, (center,))
     if not is_tree:
         raise NotATreeError("input is not a connected acyclic graph")

@@ -271,7 +271,8 @@ def shortest_path(g: Graph, u: int, v: int) -> Path:
     first neighbour of v expanded. The BFS does not test its source, so u
     next to v is answered before it."""
     if not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
-        raise ValueError("endpoint out of range")
+        bad = v if 0 <= u < g.vertex_count else u
+        raise ValueError(f"endpoint {bad} outside a {g.vertex_count}-vertex graph")
     if u == v:
         return Path((u,), ())
     # v's neighbours and their edges to v

@@ -103,17 +103,15 @@ def simulate_delivery(g: Graph, labelling: Labelling, source: int, destination: 
     not_header = ~encode_path(labelling, shortest_path(g, source, destination))
     adjacency, masks = g.adjacency, labelling.masks
     visited = [source]
-    counts: list[int] = []
     current, incoming = source, None
     while True:
         candidates = _candidates(adjacency[current], masks, not_header, incoming)
-        counts.append(len(candidates))
         if len(candidates) != 1:
             break
         ((current, incoming),) = candidates
         visited.append(current)
     outcome = "ambiguous" if candidates else "delivered" if current == destination else "dead-end"
-    return RoutingTrace(tuple(visited), outcome, tuple(counts))
+    return RoutingTrace(tuple(visited), outcome, (1,) * (len(visited) - 1) + (len(candidates),))
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +203,9 @@ def verify_no_false_positives(
     records, stably sorted by source, are cut to fp_record_cap and truncated
     if a shard was or the cut dropped any, since each source's records come
     from one shard, in its order, and a shard's records are a prefix of its
-    full list. From _SHARD_UNITS vertex pairs, _run_shards makes one shard
-    per usable CPU where the process may fork: the first runs in this
-    process, the others in forked children that inherit the tables and send
-    back their report or the exception that stopped them, which the call
-    raises. Children are joined (terminated first on error) before the call
-    returns. Otherwise the call is one shard, run in this process.
+    full list. From _SHARD_UNITS vertex pairs, _run_shards runs one shard
+    per usable CPU under the rules it states, and the call raises a
+    worker's exception.
     """
     if path_cap < 1:
         raise ValueError(f"path_cap must be at least 1, got {path_cap}")

@@ -187,14 +187,6 @@ class TestEmpiricalRate:
         assert rate == 1.0
         assert stderr == 0.0
 
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            empirical_fpr(2, 10, 3, trials=10, seed=0)
-        with pytest.raises(ValueError):
-            empirical_fpr(10, 10, 3, trials=0, seed=0)
-        with pytest.raises(ValueError):
-            empirical_fpr(10, 3, 10, trials=10, seed=0)
-
 
 def trial_shards(star_n: int, m: int, k: int, trials: int, seed: int, shards: int) -> list[int]:
     """The hit counts of empirical_fpr's shards, shard i taking every
@@ -270,6 +262,12 @@ class TestEmpiricalWorkers:
         (at_least_one_fp, (0.5, -1), "edge count must be non-negative"),
         (exact_two_label_fpr, (4, 0), "label weight must satisfy 1 <= k <= universe size"),
         (exact_two_label_fpr, (4, 5), "label weight must satisfy 1 <= k <= universe size"),
+        (exact_two_label_fpr, (0, 1), "universe size must be at least 1, got 0"),
+        (exact_two_label_fpr, (-4, -9), "universe size must be at least 1, got -4"),
+        (empirical_fpr, (2, 10, 3, 10, 0), "need star_n >= 3 for at least one off-path edge"),
+        (empirical_fpr, (10, 10, 3, 0, 0), "trials must be positive"),
+        (empirical_fpr, (10, 3, 10, 10, 0), "label weight must satisfy 1 <= k <= universe size"),
+        (empirical_fpr, (5, 0, 1, 10, 1), "universe size must be at least 1, got 0"),
         (bloom_labelling, (make_star(3), 0, 1, 1), "universe size must be at least 1, got 0"),
         (bloom_labelling, (make_star(3), -4, -9, 1), "universe size must be at least 1, got -4"),
         (bloom_labelling, (make_star(3), 4, 5, 1), "label weight must satisfy 1 <= k <= universe size"),

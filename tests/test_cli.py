@@ -623,3 +623,16 @@ class TestStartup:
         code = "import bitpath, bitpath.cli, sys; assert 'numpy' not in sys.modules"
         env = {**os.environ, "PYTHONPATH": str(src)}
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    def test_calls_below_the_shard_cutoff_leave_multiprocessing_out(self):
+        # only a forking call imports it, since the import adds 0.7 MB of peak RSS
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import bitpath, bitpath.cli, sys\n"
+            "g, core = bitpath.make_core_periphery(5)\n"
+            "assert bitpath.verify_no_false_positives(g, bitpath.label_core_periphery(g, core)).ok\n"
+            "bitpath.empirical_fpr(10, 10, 3, 100, 1)\n"
+            "assert 'multiprocessing' not in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

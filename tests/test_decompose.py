@@ -533,8 +533,8 @@ class TestCoreErrors:
     "call, args, message",
     [
         # without the check, center -1 would index the BFS tables from the end
-        (tree_star_levels, (make_perfect_binary_tree(2), -1), "center out of range"),
-        (tree_star_levels, (make_perfect_binary_tree(2), 7), "center out of range"),
+        (tree_star_levels, (make_perfect_binary_tree(2), -1), "center -1 outside a 7-vertex graph"),
+        (tree_star_levels, (make_perfect_binary_tree(2), 7), "center 7 outside a 7-vertex graph"),
         (perfect_tree_universe_size, (0,), "height must be at least 1"),
         (core_periphery_universe_size, (1,), "core-periphery construction needs n >= 2"),
     ],

@@ -545,8 +545,9 @@ class TestStarPathShape:
         (make_random_connected, (3, 1.5, 1), "edge probability must lie in [0, 1]"),
         (make_random_connected, (3, -0.1, 1), "edge probability must lie in [0, 1]"),
         (make_random_connected, (2, 0.0, 1), "no connected draw in 10000 attempts (n=2, p=0.0)"),
-        (shortest_path, (make_star(2), 0, 3), "endpoint out of range"),
-        (shortest_path, (make_star(2), -1, 0), "endpoint out of range"),
+        (shortest_path, (make_star(2), 0, 3), "endpoint 3 outside a 3-vertex graph"),
+        (shortest_path, (make_star(2), -1, 0), "endpoint -1 outside a 3-vertex graph"),
+        (shortest_path, (make_star(2), 5, -1), "endpoint 5 outside a 3-vertex graph"),
         (bfs_distances, (make_star(3), -1), "source -1 outside a 4-vertex graph"),
         (bfs_distances, (make_star(3), 4), "source 4 outside a 4-vertex graph"),
     ],
