@@ -20,7 +20,6 @@ from .bloom import (
     optimal_label_weight_int,
 )
 from .decompose import (
-    CONTRACTED_VERTEX,
     Decomposition,
     DecompositionError,
     NotATreeError,

@@ -1,21 +1,19 @@
-"""Tree level decomposition, core contraction and combined labellings.
+"""Tree level decomposition, the core/periphery split and combined labellings.
 
 A combined labelling partitions a graph's edges by one BFS from the core,
 each edge at the larger distance of its ends: bit-per-vertex on distance 0,
 the core's own edges, then a star labelling on each level i, the edges
-joining distances i and i+1. That needs a connected core, no outside vertex
-with two core neighbours, and a tree once the core is one vertex.
+joining distances i and i+1. contract returns that split as one value, and
+label_core_periphery labels it. It needs a connected core, no outside
+vertex with two core neighbours, and a tree once the core is one vertex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graphs import Graph, _bfs
 from .labelling import Labelling, optimal_rank_float, star_labelling
-
-CONTRACTED_VERTEX = 0  # id of the merged core inside every periphery graph
 
 
 class DecompositionError(ValueError):
@@ -28,43 +26,41 @@ class NotATreeError(ValueError):
     """An operation that needs a tree was given a cyclic or disconnected graph."""
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Core subgraph plus the core-contracted periphery, with id maps back
-    into the original graph.
+class Decomposition(NamedTuple):
+    """A graph's edges split around a core: the ascending core ids, the
+    ascending ids of the edges inside the core, the level stars with the
+    core contracted to one center (entry i holds the ascending ids of the
+    edges joining distances i and i+1 from the core) and whether that
+    contracted graph is a tree."""
 
-    Periphery vertex 0 is the contracted core; remaining vertices keep their
-    relative order (renumbered by ascending original id). edge_map is a
-    bijection from periphery edge ids onto the original non-core edges.
-    """
-
-    core: Graph
-    core_vertex_map: tuple[int, ...]
-    core_edge_map: tuple[int, ...]
-    periphery: Graph
-    periphery_vertex_map: tuple[int | None, ...]
-    edge_map: tuple[int, ...]
+    core: tuple[int, ...]
+    core_edges: tuple[int, ...]
+    levels: tuple[tuple[int, ...], ...]
+    is_tree: bool
 
 
-def _split_core(g: Graph, core_vertices) -> tuple[list[int], list[int], tuple[tuple[int, ...], ...], bool]:
-    """Ascending core ids, then _star_levels around them, once the core is a
-    non-empty proper subset, no outside vertex has two core neighbours and
-    the induced core is connected, checked in that order. The neighbour
-    check cannot fail on a tree and is skipped there; the connectivity walk
-    is not, since a disconnected core can contract to a tree."""
+def contract(g: Graph, core_vertices) -> Decomposition:
+    """Split g's edges around the core, once the core is non-empty, in range
+    (naming its smallest bad id), a proper subset, no outside vertex has two
+    core neighbours and the induced core is connected, checked in that
+    order. Two core neighbours would be parallel edges once the core is one
+    vertex; they are rejected rather than merged. The neighbour check cannot
+    fail on a tree and is skipped there; the connectivity walk is not, since
+    a disconnected core can contract to a tree."""
     core_set = frozenset(core_vertices)
-    if not core_set:
-        raise DecompositionError("core must be non-empty")
-    if not all(0 <= v < g.vertex_count for v in core_set):
-        raise DecompositionError("core contains out-of-range vertex ids")
-    if len(core_set) >= g.vertex_count:
-        raise DecompositionError("core must be a proper subset of the vertices")
     core_ids = sorted(core_set)
-    core_edges, levels, is_tree = _star_levels(g, core_ids)
+    if not core_ids:
+        raise DecompositionError("core must be non-empty")
+    bad = [v for v in core_ids if not 0 <= v < g.vertex_count]
+    if bad:
+        raise DecompositionError(f"core vertex {bad[0]} outside a {g.vertex_count}-vertex graph")
+    if len(core_ids) >= g.vertex_count:
+        raise DecompositionError("core must be a proper subset of the vertices")
+    split = _star_levels(g, core_ids)
     # on a tree two core edges at one outside vertex would close a 2-cycle
     # through the contracted core
     attached: set[int] = set()  # outside vertices with a core neighbour so far
-    for u, v in map(g.edges.__getitem__, levels[0] if levels and not is_tree else ()):
+    for u, v in map(g.edges.__getitem__, () if split.is_tree or not split.levels else split.levels[0]):
         if u in core_set or v in core_set:  # not an edge between two outside vertices
             w = v if u in core_set else u
             if w in attached:
@@ -79,39 +75,13 @@ def _split_core(g: Graph, core_vertices) -> tuple[list[int], list[int], tuple[tu
                 stack.append(nbr)
     if unreached:
         raise DecompositionError("induced core is disconnected")
-    return core_ids, core_edges, levels, is_tree
+    return split
 
 
-def contract(g: Graph, core_vertices) -> Decomposition:
-    """Contract the induced core to one vertex.
-
-    The induced core must be connected, and no non-core vertex may have two
-    core neighbors (that would create parallel edges, which are rejected
-    rather than merged so edge_map stays a bijection).
-    """
-    core_ids, core_edge_map, _, _ = _split_core(g, core_vertices)
-    core_index = {orig: i for i, orig in enumerate(core_ids)}
-    outside = [v for v in range(g.vertex_count) if v not in core_index]
-    periphery_index = dict.fromkeys(core_ids, CONTRACTED_VERTEX) | {v: i for i, v in enumerate(outside, 1)}
-    edge_map = sorted(set(range(g.edge_count)).difference(core_edge_map))
-    core_edges = [(core_index[u], core_index[v]) for u, v in map(g.edges.__getitem__, core_edge_map)]
-    periphery_edges = [(periphery_index[u], periphery_index[v]) for u, v in map(g.edges.__getitem__, edge_map)]
-    return Decomposition(
-        core=Graph(len(core_ids), core_edges),
-        core_vertex_map=tuple(core_ids),
-        core_edge_map=tuple(core_edge_map),
-        periphery=Graph(len(outside) + 1, periphery_edges),
-        periphery_vertex_map=(None, *outside),
-        edge_map=tuple(edge_map),
-    )
-
-
-def _star_levels(g: Graph, sources: Sequence[int]) -> tuple[list[int], tuple[tuple[int, ...], ...], bool]:
-    """Every edge of g bucketed by the larger of its ends' distances from the
-    distinct vertices sources, in one multi-source BFS: the ascending ids of
-    the edges inside sources, the level stars with sources contracted to one
-    center (entry i holds the ascending ids of the edges joining distances i
-    and i+1) and whether that contracted graph is a tree."""
+def _star_levels(g: Graph, sources: Sequence[int]) -> Decomposition:
+    """g's split around the ascending distinct vertices sources, unchecked:
+    one multi-source BFS buckets every edge at the larger of its ends'
+    distances."""
     dist, _, order = _bfs(g, sources)
     buckets: list[list[int]] = [[] for _ in range(dist[order[-1]] + 1)]
     for eid, (u, v) in enumerate(g.edges):
@@ -120,7 +90,7 @@ def _star_levels(g: Graph, sources: Sequence[int]) -> tuple[list[int], tuple[tup
             buckets[d].append(eid)
     inside, *levels = buckets
     is_tree = len(order) == g.vertex_count and sum(map(len, levels)) == g.vertex_count - len(sources)
-    return inside, tuple(map(tuple, levels)), is_tree
+    return Decomposition(tuple(sources), tuple(inside), tuple(map(tuple, levels)), is_tree)
 
 
 def tree_star_levels(tree: Graph, center: int) -> tuple[tuple[int, ...], ...]:
@@ -129,10 +99,10 @@ def tree_star_levels(tree: Graph, center: int) -> tuple[tuple[int, ...], ...]:
     ascending ids of the edges joining distances i and i+1 from it."""
     if not 0 <= center < tree.vertex_count:
         raise ValueError(f"center {center} outside a {tree.vertex_count}-vertex graph")
-    _, levels, is_tree = _star_levels(tree, (center,))
-    if not is_tree:
+    split = _star_levels(tree, (center,))
+    if not split.is_tree:
         raise NotATreeError("input is not a connected acyclic graph")
-    return levels
+    return split.levels
 
 
 def combine(edge_count: int, parts: Sequence[tuple[Labelling, Sequence[int]]]) -> Labelling:
@@ -175,12 +145,11 @@ def label_tree(tree: Graph, center: int) -> Labelling:
 
 
 def label_core_periphery(g: Graph, core_vertices) -> Labelling:
-    """Combine flat parts of g's edges: bit-per-vertex on the core (bit i for
-    the i-th smallest core id), then a star labelling per periphery level.
-    Rejects, in this order, an empty core, an out-of-range id, a core of
-    every vertex, an outside vertex with two core neighbours, a disconnected
-    core and a periphery that is no tree once the core is one vertex."""
-    core_ids, core_edges, levels, is_tree = _split_core(g, core_vertices)
+    """Label the split contract returns: bit-per-vertex on the core (bit i
+    for the i-th smallest core id), then a star labelling per level. Rejects
+    the cores contract rejects, in its order, then a periphery that is no
+    tree once the core is one vertex."""
+    core_ids, core_edges, levels, is_tree = contract(g, core_vertices)
     if not is_tree:
         raise DecompositionError("periphery after contraction is not a tree")
     bit = {orig: 1 << i for i, orig in enumerate(core_ids)}

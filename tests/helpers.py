@@ -5,8 +5,10 @@ path enumeration is plain depth-limited DFS over adjacency, the exhaustive
 star check packs bits and compares subsets on its own, the reference star
 labelling sets each edge's bits from its digit tuple, and the reference Bloom
 draw calls Random.sample once per edge. The contraction reference builds the
-combined labelling through contract's two graphs and a nested combine, and
-the level reference buckets edges by single-source BFS distance. The
+induced core and the core-contracted periphery as two Graphs from the core
+ids and core edge ids of contract's split, checks the periphery is a tree on
+its own and labels the two through bit_per_vertex, label_tree and one
+combine; the level reference buckets edges by single-source BFS distance. The
 forwarding reference is the one-line candidate rule that tested the
 incoming edge first. The text
 format references are the per-bit and per-token serializer and parser the
@@ -19,12 +21,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
 
 from bitpath import (
-    CONTRACTED_VERTEX,
     DecompositionError,
     Graph,
     Labelling,
@@ -178,11 +180,56 @@ def star_labelling_reference(n: int, rank: int, base: int) -> tuple[int, list[in
     return (rank + len(coordinate_pairs)) * k, masks
 
 
+CONTRACTED_VERTEX = 0  # id of the merged core inside every periphery graph
+
+
+@dataclass(frozen=True)
+class ContractedGraphs:
+    """Core subgraph plus the core-contracted periphery, with id maps back
+    into the original graph.
+
+    Periphery vertex 0 is the contracted core; remaining vertices keep their
+    relative order (renumbered by ascending original id). edge_map is a
+    bijection from periphery edge ids onto the original non-core edges.
+    """
+
+    core: Graph
+    core_vertex_map: tuple[int, ...]
+    core_edge_map: tuple[int, ...]
+    periphery: Graph
+    periphery_vertex_map: tuple[int | None, ...]
+    edge_map: tuple[int, ...]
+
+
+def contracted_graphs(g: Graph, core_vertices) -> ContractedGraphs:
+    """The induced core and the periphery with the core merged into one
+    vertex, as two Graphs with id maps. Only the core ids and core edge ids
+    of contract's split are read (so its errors are contract's): every other
+    edge goes to the periphery, and checking that it is a tree is left to
+    the caller."""
+    core_ids, core_edge_map, _, _ = contract(g, core_vertices)
+    core_index = {orig: i for i, orig in enumerate(core_ids)}
+    outside = [v for v in range(g.vertex_count) if v not in core_index]
+    periphery_index = dict.fromkeys(core_ids, CONTRACTED_VERTEX) | {v: i for i, v in enumerate(outside, 1)}
+    edge_map = sorted(set(range(g.edge_count)).difference(core_edge_map))
+    core_edges = [(core_index[u], core_index[v]) for u, v in map(g.edges.__getitem__, core_edge_map)]
+    periphery_edges = [(periphery_index[u], periphery_index[v]) for u, v in map(g.edges.__getitem__, edge_map)]
+    return ContractedGraphs(
+        core=Graph(len(core_ids), core_edges),
+        core_vertex_map=tuple(core_ids),
+        core_edge_map=tuple(core_edge_map),
+        periphery=Graph(len(outside) + 1, periphery_edges),
+        periphery_vertex_map=(None, *outside),
+        edge_map=tuple(edge_map),
+    )
+
+
 def label_core_periphery_by_contraction(g: Graph, core_vertices) -> Labelling:
-    """The combined labelling composed through contracted graphs: contract,
-    bit_per_vertex on the core graph, label_tree on the periphery around the
-    merged core, then one combine of the two through contract's edge maps."""
-    d = contract(g, core_vertices)
+    """The combined labelling composed through contracted graphs:
+    contracted_graphs, bit_per_vertex on the core graph, label_tree on the
+    periphery around the merged core after its own tree check, then one
+    combine of the two through the edge maps."""
+    d = contracted_graphs(g, core_vertices)
     if d.periphery.edge_count != d.periphery.vertex_count - 1 or not is_connected(d.periphery):
         raise DecompositionError("periphery after contraction is not a tree")
     core_part = bit_per_vertex(d.core)

@@ -1,13 +1,13 @@
-"""Contraction, tree level decomposition, and combined labellings."""
+"""The core/periphery split, tree level decomposition, and combined labellings."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitpath import (
-    CONTRACTED_VERTEX,
     DecompositionError,
     Graph,
     NotATreeError,
@@ -23,6 +23,7 @@ from bitpath import (
     make_perfect_binary_tree,
     make_star,
     optimal_rank,
+    optimal_rank_float,
     perfect_tree_universe_size,
     star_labelling,
     tree_star_levels,
@@ -30,7 +31,9 @@ from bitpath import (
 )
 from bitpath.cli import main
 from helpers import (
+    CONTRACTED_VERTEX,
     brute_force_shortest_paths,
+    contracted_graphs,
     draw_core_plus_forest,
     grow_forest,
     label_core_periphery_by_contraction,
@@ -53,11 +56,13 @@ PATH_0123 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 # vertex 4 touches both vertices of the core {0, 1}; it is the third vertex
 # outside the core, so a number among the outside vertices would be 3
 PARALLEL_AT_4 = Graph(5, [(0, 1), (0, 2), (2, 3), (0, 4), (1, 4)])
-# (graph, core, message): one input per check, in the order they run, and a
-# second parallel-edge input
+# (graph, core, message): one input per check, in the order they run, a
+# second out-of-range input whose smallest bad id is named, and a second
+# parallel-edge input
 CORE_ERRORS = [
     (PATH_0123, set(), "core must be non-empty"),
-    (PATH_0123, {9}, "core contains out-of-range vertex ids"),
+    (PATH_0123, {9}, "core vertex 9 outside a 4-vertex graph"),
+    (PATH_0123, {7, 1, 5}, "core vertex 5 outside a 4-vertex graph"),
     (PATH_0123, {0, 1, 2, 3}, "core must be a proper subset of the vertices"),
     # vertex 1 touches both core vertices; the core {0, 2} is also
     # disconnected, and the parallel edges are reported first
@@ -69,14 +74,17 @@ CORE_ERRORS = [
     (Graph(5, [(0, 4), (1, 2), (2, 3)]), {0, 1}, "induced core is disconnected"),
     (FOUR_CYCLE, {0}, "periphery after contraction is not a tree"),
 ]
-CORE_ERROR_IDS = ["empty", "out-of-range", "not-proper", "parallel", "parallel-own-id", "disconnected",
-                  "disconnected-tree", "not-a-tree"]
+CORE_ERROR_IDS = ["empty", "out-of-range", "out-of-range-smallest", "not-proper", "parallel", "parallel-own-id",
+                  "disconnected", "disconnected-tree", "not-a-tree"]
 
 
 class TestContract:
+    """contract's split, and the two graphs tests/helpers builds from it."""
+
     def test_core_periphery_three_gives_six_edge_star(self):
         g, core = make_core_periphery(3)
-        d = contract(g, core)
+        assert contract(g, core) == ((0, 1, 2), (0, 1, 2), ((3, 4, 5, 6, 7, 8),), True)
+        d = contracted_graphs(g, core)
         assert d.periphery.vertex_count == 7
         assert d.periphery.edge_count == 6
         assert d.periphery.degree(CONTRACTED_VERTEX) == 6
@@ -84,33 +92,33 @@ class TestContract:
 
     def test_tree_core_gives_four_edge_star(self):
         g = make_perfect_binary_tree(2)
-        d = contract(g, {0, 1, 2})
+        d = contracted_graphs(g, {0, 1, 2})
         assert d.periphery.edge_count == 4
         assert d.periphery.degree(CONTRACTED_VERTEX) == 4
 
     def test_single_vertex_core_is_renaming(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        d = contract(g, {0})
+        d = contracted_graphs(g, {0})
         assert d.periphery.edges == ((0, 1), (1, 2))
         assert d.periphery_vertex_map == (None, 1, 2)
 
     def test_core_graph_is_induced_subgraph(self):
         g, core = make_core_periphery(4)
-        d = contract(g, core)
+        d = contracted_graphs(g, core)
         assert d.core.vertex_count == 4
         assert d.core.edge_count == math.comb(4, 2)
         assert d.core_vertex_map == (0, 1, 2, 3)
 
     def test_edge_maps_partition_original_edges(self):
         g, core = make_core_periphery(5)
-        d = contract(g, core)
+        d = contracted_graphs(g, core)
         combined = sorted(d.core_edge_map) + sorted(d.edge_map)
         assert sorted(combined) == list(range(g.edge_count))
         assert len(set(d.edge_map)) == len(d.edge_map)
 
     def test_periphery_endpoints_map_back(self):
         g, core = make_core_periphery(3)
-        d = contract(g, core)
+        d = contracted_graphs(g, core)
         for pe, ge in enumerate(d.edge_map):
             pu, pv = d.periphery.edges[pe]
             orig = set(g.edges[ge])
@@ -139,9 +147,13 @@ class TestContract:
         with pytest.raises(DecompositionError):
             contract(g, {0, 1, 2})
 
+    def test_negative_core_id_is_the_smallest_bad_id(self):
+        with pytest.raises(DecompositionError, match="^core vertex -3 outside a 4-vertex graph$"):
+            contract(PATH_0123, {9, 1, -3})
+
     def test_renumbering_is_ascending(self):
         g, _ = make_core_periphery(3)
-        d = contract(g, {0, 1, 2})
+        d = contracted_graphs(g, {0, 1, 2})
         assert d.periphery_vertex_map == (None, 3, 4, 5, 6, 7, 8)
 
 
@@ -202,7 +214,7 @@ class TestCombine:
 
     def test_part_universes_stay_disjoint_and_cover_everything(self):
         g, core = make_core_periphery(6)
-        d = contract(g, core)
+        d = contracted_graphs(g, core)
         core_part = bit_per_vertex(d.core)
         peri_part = label_tree(d.periphery, CONTRACTED_VERTEX)
         combined = combine(g.edge_count, [(core_part, d.core_edge_map), (peri_part, d.edge_map)])
@@ -282,15 +294,58 @@ class TestLabelCorePeriphery:
         assert optimal_rank(6) == (1, 6, 6)
         assert label_core_periphery(g, core).width == 9
 
-    def test_hundred_width(self):
-        g, core = make_core_periphery(100)
-        assert label_core_periphery(g, core).width == 200
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_hundred_width(self, capsys, n):
+        """The built labelling of a core-periphery table row: its width is the
+        printed universe_size cell, its masks are distinct, each core edge
+        has two bits and each level's masks have the weight of a star
+        labelling at the rank optimal_rank_float picks."""
+        g, core = make_core_periphery(n)
+        lab = label_core_periphery(g, core)
+        assert main(["core-periphery-table", str(n), "--format", "csv"]) == 0
+        cell = capsys.readouterr().out.splitlines()[-1].split(",")[-1]
+        assert lab.width == int(cell) == {100: 200, 200: 326}[n]
+        assert len(set(lab.masks)) == g.edge_count
+        _, core_edges, levels, _ = contract(g, core)
+        assert all(lab.masks[eid].bit_count() == 2 for eid in core_edges)
+        for level in levels:
+            rank = optimal_rank_float(len(level)).rank
+            assert {lab.masks[eid].bit_count() for eid in level} == {rank + rank * (rank - 1) // 2}
 
-    def test_rejects_non_tree_periphery(self):
-        # two leaves joined to each other: contraction leaves a triangle
-        g = Graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (3, 4)])
-        with pytest.raises(DecompositionError, match="not a tree"):
-            label_core_periphery(g, {0, 1, 2})
+    @pytest.mark.parametrize(
+        "g, core",
+        [
+            # two leaves joined to each other: contraction leaves a triangle
+            (Graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (3, 4)]), {0, 1, 2}),
+            (FOUR_CYCLE, {0}),
+            # the disconnected-tree graph under cores the core walk accepts:
+            # the other component is never reached
+            (Graph(5, [(0, 4), (1, 2), (2, 3)]), {1, 2}),
+            (Graph(5, [(0, 4), (1, 2), (2, 3)]), {0, 4}),
+        ],
+        ids=["triangle", "cycle", "unreached-path", "unreached-edge"],
+    )
+    def test_rejects_non_tree_periphery(self, g, core):
+        assert contract(g, core).is_tree is False
+        with pytest.raises(DecompositionError, match="^periphery after contraction is not a tree$"):
+            label_core_periphery(g, core)
+
+    def test_splits_through_the_traced_name(self, monkeypatch):
+        """perfbench's tracer swaps bitpath.decompose.contract for a wrapper
+        in every bitpath module that holds it; one label_core_periphery call
+        must go through that wrapper exactly once."""
+        original, calls = sys.modules["bitpath.decompose"].contract, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for key, module in sorted(sys.modules.items()):
+            if key.split(".")[0] == "bitpath" and module.__dict__.get("contract") is original:
+                monkeypatch.setattr(module, "contract", counting)
+        g, core = make_core_periphery(5)
+        label_core_periphery(g, core)
+        assert len(calls) == 1
 
     def test_labels_stay_distinct(self):
         g, core = make_core_periphery(6)
@@ -330,7 +385,7 @@ class TestPathSplittingPremise:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_core_periphery_graphs(self, n):
         g, core = make_core_periphery(n)
-        d = contract(g, core)
+        d = contracted_graphs(g, core)
         core_dist = [bfs_distances(d.core, s) for s in range(d.core.vertex_count)]
         peri_dist = [
             bfs_distances(d.periphery, s) for s in range(d.periphery.vertex_count)
@@ -425,9 +480,10 @@ class TestNoFalsePositivesOnRandomShapes:
 
 
 class TestFlatPartsMatchContraction:
-    """label_core_periphery builds its parts on the original graph; the
-    references in tests/helpers build them through contracted graphs and
-    single-source BFS distances. Widths, masks and errors must agree."""
+    """label_core_periphery labels contract's split of the original graph;
+    the references in tests/helpers build the parts through contracted
+    graphs and single-source BFS distances. Widths, masks and errors must
+    agree, and contract's levels must be the tree levels."""
 
     @pytest.mark.parametrize("n", range(2, 31))
     def test_core_periphery_graphs(self, n):
@@ -446,6 +502,8 @@ class TestFlatPartsMatchContraction:
             lab = label_core_periphery(graph, range(c))
             reference = label_core_periphery_by_contraction(graph, range(c))
             assert (lab.width, lab.masks) == (reference.width, reference.masks)
+            _, core_edges, levels, _ = contract(graph, range(c))
+            assert sorted(core_edges + sum(levels, ())) == list(range(graph.edge_count))
 
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(st.data())
@@ -467,6 +525,7 @@ class TestFlatPartsMatchContraction:
         # the root, the last leaf and the first vertex at depth ceil(h/2)
         for center in (0, tree.vertex_count - 1, 2 ** ((h + 1) // 2) - 1):
             assert tree_star_levels(tree, center) == tree_star_levels_reference(tree, center)
+            assert contract(tree, {center}) == ((center,), (), tree_star_levels(tree, center), True)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.data())
@@ -477,11 +536,14 @@ class TestFlatPartsMatchContraction:
         shuffled = shuffled_edge_ids(tree, data.draw(st.integers(0, 2**16), label="shuffle seed"))
         for graph in (tree, shuffled):
             assert tree_star_levels(graph, center) == tree_star_levels_reference(graph, center)
+            if n > 1:  # a one-vertex core of a one-vertex tree is no proper subset
+                assert contract(graph, {center}) == ((center,), (), tree_star_levels(graph, center), True)
 
 
 class TestCoreErrors:
     """Each rejected core gives one exact message, from label_core_periphery,
-    from contract (which has no tree check) and from verify's --core."""
+    from contract (whose split leaves the tree check to its caller) and from
+    verify's --core."""
 
     @pytest.mark.parametrize("g, core, message", CORE_ERRORS, ids=CORE_ERROR_IDS)
     def test_label_core_periphery_message(self, g, core, message):
