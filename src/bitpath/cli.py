@@ -33,6 +33,7 @@ from .decompose import (
 from .graphs import (
     Graph,
     NoPathError,
+    _check_vertices,
     ceil_log2,
     load_edge_list,
     make_complete,
@@ -126,6 +127,8 @@ def cmd_bloom_table(args: argparse.Namespace) -> int:
         ("--seed", args.seed, args.empirical, "--empirical"),
     ])
     trials = 100_000 if args.trials is None else args.trials
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
     seed = 1 if args.seed is None else args.seed
     headers = ["edges", "universe_size", "analytic_fpr_percent"]
     if args.at_least_one:
@@ -278,10 +281,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_route(args: argparse.Namespace) -> int:
     g, core = _resolve_graph(args)
     for flag, vertex in (("--source", args.source), ("--dest", args.dest)):
-        if not 0 <= vertex < g.vertex_count:
-            raise ValueError(
-                f"{flag} {vertex} is not a vertex id: the graph has {g.vertex_count} vertices, ids from 0"
-            )
+        _check_vertices(g, flag, (vertex,))
     labelling = _resolve_labelling(args, g, core)
     try:
         trace = simulate_delivery(g, labelling, args.source, args.dest)
@@ -349,8 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a core list such as -3,1,9 as a flag unless joined to --core
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--core" and argv[i][:1] == "-" and argv[i][1:2].isdigit():
+            argv[i - 1 : i + 1] = [f"--core={argv[i]}"]
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .graphs import Graph, _bfs
+from .graphs import Graph, _bfs, _check_vertices
 from .labelling import Labelling, optimal_rank_float, star_labelling
 
 
@@ -51,9 +51,7 @@ def contract(g: Graph, core_vertices) -> Decomposition:
     core_ids = sorted(core_set)
     if not core_ids:
         raise DecompositionError("core must be non-empty")
-    bad = [v for v in core_ids if not 0 <= v < g.vertex_count]
-    if bad:
-        raise DecompositionError(f"core vertex {bad[0]} outside a {g.vertex_count}-vertex graph")
+    _check_vertices(g, "core vertex", core_ids, DecompositionError)
     if len(core_ids) >= g.vertex_count:
         raise DecompositionError("core must be a proper subset of the vertices")
     split = _star_levels(g, core_ids)
@@ -97,8 +95,7 @@ def tree_star_levels(tree: Graph, center: int) -> tuple[tuple[int, ...], ...]:
     """Partition a tree's edges into the stars obtained by repeatedly
     contracting the star around the (merged) center: entry i holds the
     ascending ids of the edges joining distances i and i+1 from it."""
-    if not 0 <= center < tree.vertex_count:
-        raise ValueError(f"center {center} outside a {tree.vertex_count}-vertex graph")
+    _check_vertices(tree, "center", (center,))
     split = _star_levels(tree, (center,))
     if not split.is_tree:
         raise NotATreeError("input is not a connected acyclic graph")

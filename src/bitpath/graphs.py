@@ -247,10 +247,16 @@ def _bfs(g: Graph, sources: Sequence[int]) -> tuple[list[int], list[int], list[i
     return dist, via, order
 
 
+def _check_vertices(g: Graph, role: str, ids: Iterable[int], error: type[ValueError] = ValueError) -> None:
+    """Raise error naming the first of ids outside g's vertex ids 0..V-1."""
+    for v in ids:
+        if not 0 <= v < g.vertex_count:
+            raise error(f"{role} {v} outside a {g.vertex_count}-vertex graph")
+
+
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """BFS hop counts from source; -1 marks unreachable vertices."""
-    if not 0 <= source < g.vertex_count:
-        raise ValueError(f"source {source} outside a {g.vertex_count}-vertex graph")
+    _check_vertices(g, "source", (source,))
     return _bfs(g, (source,))[0]
 
 
@@ -271,8 +277,7 @@ def shortest_path(g: Graph, u: int, v: int) -> Path:
     first neighbour of v expanded. The BFS does not test its source, so u
     next to v is answered before it."""
     if not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
-        bad = v if 0 <= u < g.vertex_count else u
-        raise ValueError(f"endpoint {bad} outside a {g.vertex_count}-vertex graph")
+        _check_vertices(g, "endpoint", (u, v))
     if u == v:
         return Path((u,), ())
     # v's neighbours and their edges to v

@@ -16,7 +16,7 @@ from functools import reduce
 from itertools import compress
 from operator import itemgetter, xor
 
-from .graphs import Graph, Path, _bfs, shortest_path
+from .graphs import Graph, Path, _bfs, _check_vertices, shortest_path
 from .labelling import Labelling, bit_positions
 
 
@@ -40,8 +40,7 @@ def next_hop(
     g.adjacency (ascending neighbour id). One candidate forwards, none
     terminates, several is ambiguous."""
     _check_cover(g, labelling)
-    if not 0 <= current < g.vertex_count:
-        raise ValueError(f"current vertex {current} outside a {g.vertex_count}-vertex graph")
+    _check_vertices(g, "current vertex", (current,))
     if header < 0 or header >> labelling.width:
         raise ValueError(f"header {header:#x} outside a {labelling.width}-bit universe")
     incident = g.adjacency[current]

@@ -285,6 +285,21 @@ class TestVerifyCommand:
         assert "--core" in err
         assert "'x'" in err
 
+    @pytest.mark.parametrize("core", [["--core", "-3,1,9"], ["--core=-3,1,9"]], ids=["spaced", "joined"])
+    def test_core_may_start_with_a_negative_id(self, capsys, tmp_path, core):
+        path = tmp_path / "g.txt"
+        path.write_text("4 3\n0 1\n1 2\n2 3\n")
+        code, out, err = run(capsys, ["verify", "--graph", str(path), "--scheme", "combined", *core])
+        assert (code, out, err) == (2, "", "error: core vertex -3 outside a 4-vertex graph\n")
+
+    def test_core_before_a_flag_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("4 3\n0 1\n1 2\n2 3\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--graph", str(path), "--core", "--scheme", "combined"])
+        assert exc.value.code == 2
+        assert "argument --core: expected one argument" in capsys.readouterr().err
+
     def test_rejects_empty_core(self, capsys, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("4 3\n0 1\n0 2\n0 3\n")
@@ -379,8 +394,8 @@ class TestRouteCommand:
     @pytest.mark.parametrize(
         "endpoints, message",
         [
-            (["--source", "5", "--dest", "1"], "--source 5 is not a vertex id: the graph has 5 vertices, ids from 0"),
-            (["--source", "1", "--dest", "-1"], "--dest -1 is not a vertex id: the graph has 5 vertices, ids from 0"),
+            (["--source", "5", "--dest", "1"], "--source 5 outside a 5-vertex graph"),
+            (["--source", "1", "--dest", "-1"], "--dest -1 outside a 5-vertex graph"),
         ],
         ids=["source", "dest"],
     )
@@ -474,13 +489,21 @@ class TestChecksBeforeWork:
         code, out, err = run(capsys, ["bloom-table", "40", "2", "--empirical", "--trials", "100"])
         assert (code, out, err) == (2, "", "error: bloom table sizes must be >= 3\n")
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_before_any_row(self, capsys, monkeypatch, trials):
+        # optimal_rank starts every bloom-table row
+        monkeypatch.setattr("bitpath.cli.optimal_rank", refuse)
+        monkeypatch.setattr("bitpath.cli.empirical_fpr", refuse)
+        code, out, err = run(capsys, ["bloom-table", "--empirical", "--trials", trials, "10"])
+        assert (code, out, err) == (2, "", f"error: --trials must be at least 1, got {trials}\n")
+
     def test_route_endpoints_before_the_labelling(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr("bitpath.cli.label_tree", refuse)
         dump = tmp_path / "labelling.txt"
         argv = ["route", "--tree", "6", "--scheme", "combined", "--source", "-1", "--dest", "0",
                 "--dump-labelling", str(dump)]
         code, out, err = run(capsys, argv)
-        message = "--source -1 is not a vertex id: the graph has 127 vertices, ids from 0"
+        message = "--source -1 outside a 127-vertex graph"
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not dump.exists()
 
@@ -531,8 +554,10 @@ class TestChecksBeforeWork:
              "--core: 'x' is not a vertex id"),
             (["route", "--star", "5", "--scheme", "bloom", "--m", "4", "--k", "5", "--source", "99", "--dest", "1"],
              "label weight must satisfy 1 <= k <= universe size"),
+            (["bloom-table", "--empirical", "--trials", "0", "2"], "--trials must be at least 1, got 0"),
         ],
-        ids=["size-before-row", "scheme-before-endpoint", "core-before-file", "weight-before-endpoint"],
+        ids=["size-before-row", "scheme-before-endpoint", "core-before-file", "weight-before-endpoint",
+             "trials-before-size"],
     )
     def test_first_of_two_errors(self, capsys, tmp_path, argv, message):
         argv = [str(tmp_path / "missing.txt") if a == "MISSING" else a for a in argv]

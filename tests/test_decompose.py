@@ -266,12 +266,27 @@ class TestCombine:
 
 
 class TestLabelTree:
-    def test_height_five_width(self):
-        tree = make_perfect_binary_tree(5)
-        assert label_tree(tree, 0).width == 2 + 4 + 8 + 12 + 18 == 44
+    @staticmethod
+    def check_table_row(capsys, h: int, width: int) -> None:
+        """The built labelling of a binary-tree-table row: its width is the
+        printed universe_size cell, its masks are distinct and each level's
+        masks have the weight of a star labelling at the rank
+        optimal_rank_float picks."""
+        tree = make_perfect_binary_tree(h)
+        lab = label_tree(tree, 0)
+        assert main(["binary-tree-table", str(h), "--format", "csv"]) == 0
+        cell = capsys.readouterr().out.splitlines()[-1].split(",")[-1]
+        assert lab.width == int(cell) == width
+        assert len(set(lab.masks)) == tree.edge_count
+        for level in tree_star_levels(tree, 0):
+            rank = optimal_rank_float(len(level)).rank
+            assert {lab.masks[eid].bit_count() for eid in level} == {rank + rank * (rank - 1) // 2}
 
-    def test_height_ten_width(self):
-        assert label_tree(make_perfect_binary_tree(10), 0).width == 252
+    def test_height_five_width(self, capsys):
+        self.check_table_row(capsys, 5, 2 + 4 + 8 + 12 + 18)
+
+    def test_height_ten_width(self, capsys):
+        self.check_table_row(capsys, 10, 252)
 
     def test_height_fifteen_width(self):
         assert label_tree(make_perfect_binary_tree(15), 0).width == 733
@@ -597,6 +612,8 @@ class TestCoreErrors:
         # without the check, center -1 would index the BFS tables from the end
         (tree_star_levels, (make_perfect_binary_tree(2), -1), "center -1 outside a 7-vertex graph"),
         (tree_star_levels, (make_perfect_binary_tree(2), 7), "center 7 outside a 7-vertex graph"),
+        (label_tree, (make_perfect_binary_tree(2), -1), "center -1 outside a 7-vertex graph"),
+        (label_tree, (make_perfect_binary_tree(2), 7), "center 7 outside a 7-vertex graph"),
         (perfect_tree_universe_size, (0,), "height must be at least 1"),
         (core_periphery_universe_size, (1,), "core-periphery construction needs n >= 2"),
     ],

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,19 +15,28 @@ from bitpath import (
     NoPathError,
     Path,
     bfs_distances,
+    bit_per_edge,
     ceil_log2,
+    contract,
     count_shortest_paths,
     emit_edge_list,
     is_connected,
+    label_core_periphery,
+    label_tree,
     load_edge_list,
     make_complete,
     make_core_periphery,
     make_perfect_binary_tree,
     make_random_connected,
     make_star,
+    next_hop,
     shortest_path,
+    simulate_delivery,
     theoretical_smallest_size,
+    tree_star_levels,
 )
+from bitpath import graphs
+from bitpath.cli import build_parser
 from bitpath.graphs import _bfs
 from helpers import (
     brute_force_shortest_paths,
@@ -556,6 +566,61 @@ def test_input_checks(call, args, message):
     with pytest.raises(ValueError) as raised:
         call(*args)
     assert type(raised.value) is ValueError and str(raised.value) == message
+
+
+@pytest.fixture
+def vertex_checks(monkeypatch):
+    """The (role, ids) of every graphs._check_vertices call, swapped in every
+    bitpath module that holds it, as test_splits_through_the_traced_name
+    swaps contract."""
+    original, calls = graphs._check_vertices, []
+
+    def recording(g, role, ids, *args):
+        calls.append((role, tuple(ids)))
+        return original(g, role, ids, *args)
+
+    for key, module in sorted(sys.modules.items()):
+        if key.split(".")[0] == "bitpath" and module.__dict__.get("_check_vertices") is original:
+            monkeypatch.setattr(module, "_check_vertices", recording)
+    return calls
+
+
+def run_command(argv):
+    """A CLI command without main's error printing: its errors raise."""
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+TREE_7 = make_perfect_binary_tree(2)
+
+
+@pytest.mark.parametrize(
+    "call, role, bad",
+    [
+        (lambda: bfs_distances(TREE_7, 7), "source", 7),
+        (lambda: shortest_path(TREE_7, 0, -1), "endpoint", -1),
+        (lambda: simulate_delivery(TREE_7, bit_per_edge(TREE_7), 9, 0), "endpoint", 9),
+        (lambda: next_hop(TREE_7, bit_per_edge(TREE_7), 0, -2), "current vertex", -2),
+        (lambda: tree_star_levels(TREE_7, 7), "center", 7),
+        (lambda: label_tree(TREE_7, -1), "center", -1),
+        (lambda: contract(TREE_7, {0, 8}), "core vertex", 8),
+        (lambda: label_core_periphery(TREE_7, {1, -4}), "core vertex", -4),
+        (lambda: run_command(["route", "--tree", "2", "--scheme", "bit-per-edge", "--source", "0", "--dest", "7"]),
+         "--dest", 7),
+    ],
+    ids=["bfs_distances", "shortest_path", "simulate_delivery", "next_hop", "tree_star_levels", "label_tree",
+         "contract", "label_core_periphery", "route"],
+)
+def test_vertex_ids_have_one_check(vertex_checks, call, role, bad):
+    with pytest.raises(ValueError, match=f"^{role} {bad} outside a 7-vertex graph$"):
+        call()
+    assert vertex_checks[-1][0] == role and bad in vertex_checks[-1][1]
+
+
+def test_a_valid_delivery_checks_no_vertex_id(vertex_checks):
+    # shortest_path calls the check only once its own range test has failed
+    assert simulate_delivery(TREE_7, bit_per_edge(TREE_7), 3, 6).delivered
+    assert vertex_checks == []
 
 
 def test_empty_graph_is_connected():

@@ -29,6 +29,7 @@ from bitpath import (
     tree_star_levels,
     verify_no_false_positives,
 )
+from bitpath.cli import main
 from bitpath.labelling import bit_positions
 from helpers import (
     error_line,
@@ -227,10 +228,18 @@ class TestStarLabelling:
             expected = rank + rank * (rank - 1) // 2
             assert all(mask.bit_count() == expected for mask in lab.masks)
 
-    def test_injective_at_ten_thousand_edges(self):
-        n = 10_000
-        lab = star_labelling(n, optimal_rank(n).rank)
+    @pytest.mark.parametrize("n, width", [(10, 10), (100, 30), (1_000, 60), (10_000, 100), (100_000, 147)])
+    def test_star_table_row(self, capsys, n, width):
+        """The built labelling of a star-table row: its width is the printed
+        universe_size cell, its n masks are distinct and each has the
+        popcount of the optimal rank."""
+        rank = optimal_rank(n).rank
+        lab = star_labelling(n, rank)
+        assert main(["star-table", str(n), "--format", "csv"]) == 0
+        cell = capsys.readouterr().out.splitlines()[-1].split(",")[2]
+        assert lab.width == int(cell) == width
         assert len(set(lab.masks)) == n
+        assert {mask.bit_count() for mask in lab.masks} == {rank + rank * (rank - 1) // 2}
 
     def test_explicit_base_accepted(self):
         lab = star_labelling(10, 2, base=5)
