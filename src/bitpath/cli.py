@@ -41,7 +41,7 @@ from .graphs import (
     make_perfect_binary_tree,
     make_star,
 )
-from .labelling import bit_per_edge, bit_per_vertex, optimal_rank, star_labelling
+from .labelling import admissible_ranks, bit_per_edge, bit_per_vertex, optimal_rank, star_labelling
 from .routing import simulate_delivery, verify_no_false_positives
 
 STAR_TABLE_DEFAULT = (10, 100, 1_000, 10_000, 100_000, 1_000_000)
@@ -200,10 +200,9 @@ def _resolve_graph(args: argparse.Namespace) -> tuple[Graph, frozenset[int] | No
             raise ValueError("--scheme star requires a --star graph")
         # the optimal rank is always admissible; a --star below 1 is make_star's error
         if args.rank is not None and args.star >= 1:
-            # past ceil(log2 N) the base stays 2 and a rank only adds bits
-            top = max(1, ceil_log2(args.star))
-            if not 1 <= args.rank <= top:
-                raise ValueError(f"--rank must be in 1..{top} for --star {args.star}, got {args.rank}")
+            ranks = admissible_ranks(args.star)
+            if args.rank not in ranks:
+                raise ValueError(f"--rank must be in 1..{ranks[-1]} for --star {args.star}, got {args.rank}")
     elif scheme == "combined":
         if args.core_periphery is None and args.tree is None and args.core is None:
             raise ValueError("--scheme combined requires --core-periphery, --tree, or --graph with --core")
@@ -272,9 +271,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(report.summary())
     for u, v, eid in report.false_positives[:MAX_PRINTED_VIOLATIONS]:
         print(f"false positive: pair ({u}, {v}) edge {eid}")
-    hidden = len(report.false_positives) - MAX_PRINTED_VIOLATIONS
+    # a truncated report dropped at least one violation past those it holds
+    hidden = len(report.false_positives) + report.fp_truncated - MAX_PRINTED_VIOLATIONS
     if hidden > 0:
-        print(f"... {hidden} more violations not shown")
+        print(f"... {'at least ' if report.fp_truncated else ''}{hidden} more violations not shown")
     return 0 if report.ok else 1
 
 

@@ -3,9 +3,10 @@
 A combined labelling partitions a graph's edges by one BFS from the core,
 each edge at the larger distance of its ends: bit-per-vertex on distance 0,
 the core's own edges, then a star labelling on each level i, the edges
-joining distances i and i+1. contract returns that split as one value, and
-label_core_periphery labels it. It needs a connected core, no outside
-vertex with two core neighbours, and a tree once the core is one vertex.
+joining distances i and i+1. contract is the one code that makes that
+split: label_core_periphery labels it, and label_tree a tree's split around
+a one-vertex core. The split needs a connected core, no outside vertex with
+two core neighbours, and a tree once the core is one vertex.
 """
 
 from __future__ import annotations
@@ -43,10 +44,12 @@ def contract(g: Graph, core_vertices) -> Decomposition:
     """Split g's edges around the core, once the core is non-empty, in range
     (naming its smallest bad id), a proper subset, no outside vertex has two
     core neighbours and the induced core is connected, checked in that
-    order. Two core neighbours would be parallel edges once the core is one
-    vertex; they are rejected rather than merged. The neighbour check cannot
-    fail on a tree and is skipped there; the connectivity walk is not, since
-    a disconnected core can contract to a tree."""
+    order. One multi-source BFS from the core buckets every edge at the
+    larger of its ends' distances. Two core neighbours would be parallel
+    edges once the core is one vertex; they are rejected rather than merged.
+    The neighbour check cannot fail on a tree and is skipped there; the
+    connectivity walk is not, since a disconnected core can contract to a
+    tree."""
     core_set = frozenset(core_vertices)
     core_ids = sorted(core_set)
     if not core_ids:
@@ -54,11 +57,16 @@ def contract(g: Graph, core_vertices) -> Decomposition:
     _check_vertices(g, "core vertex", core_ids, DecompositionError)
     if len(core_ids) >= g.vertex_count:
         raise DecompositionError("core must be a proper subset of the vertices")
-    split = _star_levels(g, core_ids)
-    # on a tree two core edges at one outside vertex would close a 2-cycle
-    # through the contracted core
+    dist, _, order = _bfs(g, core_ids)
+    buckets: list[list[int]] = [[] for _ in range(dist[order[-1]] + 1)]
+    for eid, (u, v) in enumerate(g.edges):
+        d = dist[u] if dist[u] > dist[v] else dist[v]
+        if d >= 0:  # unreached edges only fail the tree check
+            buckets[d].append(eid)
+    inside, *levels = buckets
+    is_tree = len(order) == g.vertex_count and sum(map(len, levels)) == g.vertex_count - len(core_ids)
     attached: set[int] = set()  # outside vertices with a core neighbour so far
-    for u, v in map(g.edges.__getitem__, () if split.is_tree or not split.levels else split.levels[0]):
+    for u, v in map(g.edges.__getitem__, () if is_tree or not levels else levels[0]):
         if u in core_set or v in core_set:  # not an edge between two outside vertices
             w = v if u in core_set else u
             if w in attached:
@@ -73,30 +81,18 @@ def contract(g: Graph, core_vertices) -> Decomposition:
                 stack.append(nbr)
     if unreached:
         raise DecompositionError("induced core is disconnected")
-    return split
-
-
-def _star_levels(g: Graph, sources: Sequence[int]) -> Decomposition:
-    """g's split around the ascending distinct vertices sources, unchecked:
-    one multi-source BFS buckets every edge at the larger of its ends'
-    distances."""
-    dist, _, order = _bfs(g, sources)
-    buckets: list[list[int]] = [[] for _ in range(dist[order[-1]] + 1)]
-    for eid, (u, v) in enumerate(g.edges):
-        d = dist[u] if dist[u] > dist[v] else dist[v]
-        if d >= 0:  # unreached edges only fail the tree check
-            buckets[d].append(eid)
-    inside, *levels = buckets
-    is_tree = len(order) == g.vertex_count and sum(map(len, levels)) == g.vertex_count - len(sources)
-    return Decomposition(tuple(sources), tuple(inside), tuple(map(tuple, levels)), is_tree)
+    return Decomposition(tuple(core_ids), tuple(inside), tuple(map(tuple, levels)), is_tree)
 
 
 def tree_star_levels(tree: Graph, center: int) -> tuple[tuple[int, ...], ...]:
     """Partition a tree's edges into the stars obtained by repeatedly
-    contracting the star around the (merged) center: entry i holds the
-    ascending ids of the edges joining distances i and i+1 from it."""
+    contracting the star around the (merged) center, as contract splits it
+    around the core (center,): entry i holds the ascending ids of the edges
+    joining distances i and i+1 from it. A one-vertex tree has none."""
     _check_vertices(tree, "center", (center,))
-    split = _star_levels(tree, (center,))
+    if tree.vertex_count == 1:
+        return ()
+    split = contract(tree, (center,))
     if not split.is_tree:
         raise NotATreeError("input is not a connected acyclic graph")
     return split.levels

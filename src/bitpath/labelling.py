@@ -223,10 +223,11 @@ class RankChoice(NamedTuple):
 
 
 def admissible_ranks(n: int) -> range:
-    """Ranks worth scoring: 1..floor(log2 n) (base 2 is the smallest usable)."""
+    """Ranks worth scoring and building, 1..max(1, ceil(log2 n)): the last is
+    the first with base 2, the smallest usable; more ranks only add bits."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return range(1, max(1, n.bit_length() - 1) + 1)
+    return range(1, max(1, (n - 1).bit_length()) + 1)
 
 
 def _best_rank(n: int, root: Callable[[int, int], int]) -> RankChoice:

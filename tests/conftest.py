@@ -1,16 +1,10 @@
-"""The marker and time limit of the tests that fork workers."""
+"""The skip rule of the tests marked forks, and a time limit for calls that may hang."""
 
 import multiprocessing
 import os
 import signal
 
 import pytest
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "forks: the test forks workers through routing._run_shards; skipped where it cannot"
-    )
 
 
 def pytest_runtest_setup(item):

@@ -5,6 +5,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from bitpath import (
     Labelling,
+    admissible_ranks,
     label_core_periphery,
     label_tree,
     make_core_periphery,
@@ -354,6 +356,34 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, ["verify", "--star", "10", "--scheme", "star", "--rank", "4"])
         assert code == 0
         assert out.startswith("ok:")
+
+    def test_accepts_exactly_the_admissible_ranks(self, capsys):
+        """--rank takes the ranks criteria 6 and 8 prove, admissible_ranks(N),
+        which end at max(1, ceil(log2 N))."""
+        for n in range(1, 65):
+            top = admissible_ranks(n)[-1]
+            assert top == max(1, math.ceil(math.log2(n)))
+            code, out, _ = run(capsys, ["verify", "--star", str(n), "--scheme", "star", "--rank", str(top)])
+            assert (code, out[:3]) == (0, "ok:"), n
+            code, out, err = run(capsys, ["verify", "--star", str(n), "--scheme", "star", "--rank", str(top + 1)])
+            assert (code, out) == (2, "")
+            assert err == f"error: --rank must be in 1..{top} for --star {n}, got {top + 1}\n"
+
+    @pytest.mark.parametrize(
+        "argv, last_line",
+        [
+            (["--star", "40", "--m", "21", "--k", "7"], "... 182 more violations not shown"),
+            # 1,000 records and at least one more dropped
+            (["--core-periphery", "6", "--m", "10", "--k", "3"], "... at least 981 more violations not shown"),
+        ],
+        ids=["complete-report", "truncated-report"],
+    )
+    def test_hidden_violation_count(self, capsys, argv, last_line):
+        code, out, _ = run(capsys, ["verify", "--scheme", "bloom", *argv])
+        lines = out.splitlines()
+        assert code == 1
+        assert len(lines) == 1 + 20 + 1
+        assert lines[-1] == last_line
 
 
 class TestRouteCommand:

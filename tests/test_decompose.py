@@ -78,6 +78,22 @@ CORE_ERROR_IDS = ["empty", "out-of-range", "out-of-range-smallest", "not-proper"
                   "disconnected", "disconnected-tree", "not-a-tree"]
 
 
+@pytest.fixture
+def contract_calls(monkeypatch):
+    """The arguments of every contract call, swapped in every bitpath module
+    that holds it, as perfbench's tracer swaps it."""
+    original, calls = sys.modules["bitpath.decompose"].contract, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, module in sorted(sys.modules.items()):
+        if key.split(".")[0] == "bitpath" and module.__dict__.get("contract") is original:
+            monkeypatch.setattr(module, "contract", counting)
+    return calls
+
+
 class TestContract:
     """contract's split, and the two graphs tests/helpers builds from it."""
 
@@ -193,6 +209,20 @@ class TestTreeStarLevels:
     def test_rejects_disconnected(self):
         with pytest.raises(NotATreeError):
             tree_star_levels(Graph(4, [(0, 1), (2, 3)]), 0)
+
+    def test_one_vertex_tree_has_no_levels(self):
+        # the one graph whose center is no proper subset, so contract is not asked
+        assert tree_star_levels(Graph(1, []), 0) == ()
+        assert label_tree(Graph(1, []), 0).width == 0
+
+    @pytest.mark.parametrize("split", [tree_star_levels, label_tree])
+    def test_splits_through_the_traced_name(self, contract_calls, split):
+        """contract is the one split: each call on a tree of two or more
+        vertices goes through it once, with the center as the core."""
+        trees = [(Graph(2, [(0, 1)]), 1), (make_star(6), 0), (make_perfect_binary_tree(4), 9), (PATH_0123, 2)]
+        for tree, center in trees:
+            split(tree, center)
+        assert [(g, tuple(core)) for g, core in contract_calls] == [(tree, (center,)) for tree, center in trees]
 
 
 class TestCombine:
@@ -345,22 +375,13 @@ class TestLabelCorePeriphery:
         with pytest.raises(DecompositionError, match="^periphery after contraction is not a tree$"):
             label_core_periphery(g, core)
 
-    def test_splits_through_the_traced_name(self, monkeypatch):
+    def test_splits_through_the_traced_name(self, contract_calls):
         """perfbench's tracer swaps bitpath.decompose.contract for a wrapper
         in every bitpath module that holds it; one label_core_periphery call
         must go through that wrapper exactly once."""
-        original, calls = sys.modules["bitpath.decompose"].contract, []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        for key, module in sorted(sys.modules.items()):
-            if key.split(".")[0] == "bitpath" and module.__dict__.get("contract") is original:
-                monkeypatch.setattr(module, "contract", counting)
         g, core = make_core_periphery(5)
         label_core_periphery(g, core)
-        assert len(calls) == 1
+        assert len(contract_calls) == 1
 
     def test_labels_stay_distinct(self):
         g, core = make_core_periphery(6)

@@ -156,7 +156,9 @@ class TestOptimalRank:
     def test_admissible_ranks_range(self):
         assert list(admissible_ranks(1)) == [1]
         assert list(admissible_ranks(2)) == [1]
-        assert list(admissible_ranks(100)) == [1, 2, 3, 4, 5, 6]
+        assert list(admissible_ranks(100)) == [1, 2, 3, 4, 5, 6, 7]
+        # up to ceil(log2 n): an exact power of two stops at its exponent
+        assert (admissible_ranks(64)[-1], admissible_ranks(65)[-1]) == (6, 7)
 
     def test_growth_bound(self):
         samples = [2**i for i in range(4, 20)] + [10**i for i in range(2, 7)]
