@@ -264,7 +264,7 @@ def _resolve_labelling(args: argparse.Namespace, g: Graph, core: frozenset[int] 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.path_cap < 1:
-        raise ValueError(f"--path-cap must be >= 1, got {args.path_cap}")
+        raise ValueError(f"--path-cap must be at least 1, got {args.path_cap}")
     g, core = _resolve_graph(args)
     labelling = _resolve_labelling(args, g, core)
     report = verify_no_false_positives(g, labelling, path_cap=args.path_cap)

@@ -14,11 +14,6 @@ from typing import Callable, NamedTuple, Sequence
 
 from .graphs import Graph
 
-# the text formats' per-call name tables cover positions below this, so a
-# wide universe with few labels builds no table past about 1 MB: the bits
-# 1 << p in from_text's table take about _NAMED_BITS**2 / 16 bytes
-_NAMED_BITS = 4096
-
 
 def bit_positions(x: int) -> list[int]:
     """Ascending positions of the set bits of x >= 0: the one bit iterator.
@@ -33,6 +28,18 @@ def bit_positions(x: int) -> list[int]:
         x ^= 1 << top
     out.reverse()
     return out
+
+
+class _Table(dict):
+    """A per-call lookup table that holds only the keys its call looks up:
+    a missing key stores and returns make(key)."""
+
+    def __init__(self, make: Callable):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 class Labelling:
@@ -60,10 +67,12 @@ class Labelling:
     def to_text(self) -> str:
         """Serialize as 'universe <size>' then one 'edge <id>: <positions>' line
         each, the positions in canonical decimal, ascending and single-spaced.
-        The names come from one per-call table up to the highest set bit, or
-        from str when that bit lies at or past _NAMED_BITS."""
+        A position's name comes from a per-call list of the names below the
+        highest set bit when they are no more than the edges, each of which
+        names at least one position, and otherwise from a _Table filled on
+        first lookup."""
         top = max(self.masks, default=0).bit_length()
-        name = [str(p) for p in range(top)].__getitem__ if top <= _NAMED_BITS else str
+        name = ([str(p) for p in range(top)] if top <= len(self.masks) else _Table(str)).__getitem__
         lines = [f"universe {self.width}"]
         lines += [f"edge {eid}: {' '.join(map(name, bit_positions(mask)))}" for eid, mask in enumerate(self.masks)]
         return "\n".join(lines) + "\n"
@@ -76,11 +85,10 @@ class Labelling:
         A line ends at '\\n' only, and blank lines are skipped; an error
         names its line by its position in text.
 
-        A line's mask is the OR of its tokens looked up in one per-call table
-        from each canonical position name below the width (at most
-        _NAMED_BITS of them) to its bit. A line the table cannot take, with
-        another token or none, is parsed token by token, which accepts it
-        with the same mask or names its first bad token."""
+        A line's mask is the OR of its tokens' bits, looked up in a per-call
+        _Table from token to bit, so a token is read once however often it
+        appears and the table holds only the tokens the text uses; the first
+        bad token of a line names the error."""
         numbered = ((i, ln) for i, ln in enumerate(text.split("\n"), start=1) if ln and not ln.isspace())
         lineno, head = next(numbered, (1, ""))
         bad_header = f"line {lineno}: expected 'universe <size>'"
@@ -93,28 +101,28 @@ class Labelling:
             raise ValueError(bad_header) from None
         if width < 0:
             raise ValueError(f"line {lineno}: universe size must be non-negative, got {width}")
-        bit = {str(p): 1 << p for p in range(min(width, _NAMED_BITS))}.__getitem__
+
+        def bit(tok: str) -> int:
+            try:
+                pos = int(tok)
+            except ValueError:
+                raise ValueError(f"bit {tok!r} is not an integer") from None
+            if not 0 <= pos < width:
+                raise ValueError(f"bit {pos} outside universe")
+            return 1 << pos
+
+        lookup = _Table(bit).__getitem__
         masks = []
         for eid, (lineno, line) in enumerate(numbered):
             prefix = f"edge {eid}:"
             if not line.startswith(prefix):
                 raise ValueError(f"line {lineno}: expected '{prefix} ...'")
-            tokens = line[len(prefix) :].split()
             try:
-                bits = reduce(or_, map(bit, tokens), 0)
-            except KeyError:
-                bits = 0
+                bits = reduce(or_, map(lookup, line[len(prefix) :].split()), 0)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
             if not bits:
-                for tok in tokens:
-                    try:
-                        pos = int(tok)
-                    except ValueError:
-                        raise ValueError(f"line {lineno}: bit {tok!r} is not an integer") from None
-                    if not 0 <= pos < width:
-                        raise ValueError(f"line {lineno}: bit {pos} outside universe")
-                    bits |= 1 << pos
-                if not bits:
-                    raise ValueError(f"line {lineno}: label must set at least one bit")
+                raise ValueError(f"line {lineno}: label must set at least one bit")
             masks.append(bits)
         return cls(width, masks)
 

@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import random
+import tracemalloc
 
 import pytest
 
@@ -100,6 +101,20 @@ class TestDrawMatchesSample:
     )
     def test_benchmark_shapes(self, m, k):
         self.assert_same_draw(300, m, k, 1)
+
+    def test_sparse_universe_builds_no_wide_bit_list(self):
+        # a list of every 1 << j below m = 20,000 would take about m**2 / 16
+        # bytes, 25 MB, where three edges of weight 2 look up a few bits
+        ours, reference = random.Random(1), random.Random(1)
+        tracemalloc.start()
+        try:
+            masks = _draw_masks(ours, 3, 20_000, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert masks == sample_draw_masks(reference, 3, 20_000, 2)
+        assert ours.getstate() == reference.getstate()
+        assert peak < 4 << 20
 
     @pytest.mark.parametrize("star_n, m, k", bloom_table_rows())
     def test_bloom_table_rows(self, star_n, m, k):

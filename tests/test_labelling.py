@@ -513,7 +513,9 @@ TEXT_WIDTHS = (0, 1, 7, 8, 9, 63, 64, 65, 502)
 def text_format_labellings() -> list[Labelling]:
     """Every constructor at each width of TEXT_WIDTHS it can reach, the
     constructive schemes at several sizes, and hand-made masks at the ends of
-    each width and of from_text's name table."""
+    each width and at widths 4095-4097. to_text names positions from a list
+    when the top bit is at most the edge count and through a _Table
+    otherwise, and both occur here."""
     labs = [Labelling(0, [])]
     for w in TEXT_WIDTHS[1:]:
         labs.append(bit_per_edge(make_star(w)))
@@ -539,7 +541,7 @@ def parse_outcome(parse, text: str):
     return "ok", (result.width, result.masks) if isinstance(result, Labelling) else result
 
 
-# texts the table-driven parser must read exactly as the per-token reference:
+# texts from_text must read exactly as the per-token reference:
 # non-canonical integers, whitespace and line-break variants, every error
 REFERENCE_TEXTS = [
     "universe 4\nedge 0: 03\n",
@@ -617,8 +619,8 @@ class TestTextFormatAgainstReference:
         assert parse_outcome(Labelling.from_text, text) == parse_outcome(reference_from_text, text)
 
     def test_wide_sparse_universe_builds_no_wide_table(self):
-        # a name table up to the top bit would hold a million strings, and
-        # one up to the width a trillion
+        # a list of names up to the top bit would hold a million strings, and
+        # a list of bits up to the width a trillion; both calls look up two
         lab = Labelling(1_000_000, [1 << 999_999, 1])
         tracemalloc.start()
         try:

@@ -10,7 +10,8 @@ import pytest
 
 from bitpath import cli
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
 # every `bitpath ...` line outside the python blocks
 COMMAND_LINES = [
@@ -53,3 +54,15 @@ def test_command_line_exits_as_documented(line, capsys):
 def test_command_examples_are_found():
     assert len(RUNNABLE) < len(COMMAND_LINES)
     assert any(ln.endswith("# exits 1") for ln in RUNNABLE)
+
+
+def test_install_comment_names_every_test_extra():
+    # pyproject.toml read with a regex: tomllib needs Python 3.11
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    extra = re.search(r"^test = \[(.*?)\]", pyproject, re.M | re.S)
+    assert extra, "pyproject.toml has no test extra"
+    packages = [re.match(r"[A-Za-z0-9_.-]+", req).group() for req in re.findall(r'"([^"]+)"', extra.group(1))]
+    install = [ln for ln in README.read_text(encoding="utf-8").splitlines() if "pip install -e '.[test]'" in ln]
+    assert len(install) == 1
+    comment = install[0].partition("#")[2]
+    assert packages and all(re.search(rf"\b{re.escape(name)}\b", comment) for name in packages), (packages, comment)
