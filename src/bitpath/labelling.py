@@ -32,13 +32,17 @@ def bit_positions(x: int) -> list[int]:
 
 class _Table(dict):
     """A per-call lookup table that holds only the keys its call looks up:
-    a missing key stores and returns make(key)."""
+    a missing key returns make(key), and stores it unless a limit is given
+    and the value is not below it."""
 
-    def __init__(self, make: Callable):
+    def __init__(self, make: Callable, limit: int | None = None):
         self.make = make
+        self.limit = limit
 
     def __missing__(self, key):
-        value = self[key] = self.make(key)
+        value = self.make(key)
+        if self.limit is None or value < self.limit:
+            self[key] = value
         return value
 
 
@@ -69,10 +73,9 @@ class Labelling:
         each, the positions in canonical decimal, ascending and single-spaced.
         A position's name comes from a per-call list of the names below the
         highest set bit when they are no more than the edges, each of which
-        names at least one position, and otherwise from a _Table filled on
-        first lookup."""
+        names at least one position, and otherwise from str."""
         top = max(self.masks, default=0).bit_length()
-        name = ([str(p) for p in range(top)] if top <= len(self.masks) else _Table(str)).__getitem__
+        name = [str(p) for p in range(top)].__getitem__ if top <= len(self.masks) else str
         lines = [f"universe {self.width}"]
         lines += [f"edge {eid}: {' '.join(map(name, bit_positions(mask)))}" for eid, mask in enumerate(self.masks)]
         return "\n".join(lines) + "\n"
@@ -87,8 +90,10 @@ class Labelling:
 
         A line's mask is the OR of its tokens' bits, looked up in a per-call
         _Table from token to bit, so a token is read once however often it
-        appears and the table holds only the tokens the text uses; the first
-        bad token of a line names the error."""
+        appears; the first bad token of a line names the error. The table
+        stores a bit only below position 4 * isqrt(len(text)), one int per
+        position shared by every token naming it, so its bits take at most
+        about len(text) bytes."""
         numbered = ((i, ln) for i, ln in enumerate(text.split("\n"), start=1) if ln and not ln.isspace())
         lineno, head = next(numbered, (1, ""))
         bad_header = f"line {lineno}: expected 'universe <size>'"
@@ -102,6 +107,9 @@ class Labelling:
         if width < 0:
             raise ValueError(f"line {lineno}: universe size must be non-negative, got {width}")
 
+        keep = 4 * math.isqrt(len(text))
+        shared = _Table((1).__lshift__)
+
         def bit(tok: str) -> int:
             try:
                 pos = int(tok)
@@ -109,9 +117,9 @@ class Labelling:
                 raise ValueError(f"bit {tok!r} is not an integer") from None
             if not 0 <= pos < width:
                 raise ValueError(f"bit {pos} outside universe")
-            return 1 << pos
+            return shared[pos] if pos < keep else 1 << pos
 
-        lookup = _Table(bit).__getitem__
+        lookup = _Table(bit, 1 << keep).__getitem__
         masks = []
         for eid, (lineno, line) in enumerate(numbered):
             prefix = f"edge {eid}:"

@@ -514,8 +514,8 @@ def text_format_labellings() -> list[Labelling]:
     """Every constructor at each width of TEXT_WIDTHS it can reach, the
     constructive schemes at several sizes, and hand-made masks at the ends of
     each width and at widths 4095-4097. to_text names positions from a list
-    when the top bit is at most the edge count and through a _Table
-    otherwise, and both occur here."""
+    when the top bit is at most the edge count and through str otherwise,
+    and both occur here."""
     labs = [Labelling(0, [])]
     for w in TEXT_WIDTHS[1:]:
         labs.append(bit_per_edge(make_star(w)))
@@ -630,6 +630,27 @@ class TestTextFormatAgainstReference:
         finally:
             tracemalloc.stop()
         assert text == "universe 1000000\nedge 0: 999999\nedge 1: 0\n"
+        assert again.masks == lab.masks
+        assert peak < 8 << 20
+
+    @pytest.mark.parametrize(
+        "lab",
+        [
+            Labelling(50_000, [(1 << 50_000) - 1]),
+            Labelling(2_000_000, [sum(1 << p for p in range(1_999_000, 2_000_000, 5))]),
+            Labelling(20_000, [(1 << 20_000) - 1] + [1] * 19_999),
+        ],
+        ids=["one-dense-edge", "one-edge-of-high-bits", "one-dense-edge-among-many"],
+    )
+    def test_round_trip_stores_few_wide_bits(self, lab):
+        # storing every bit from_text reads would hold about 150, 48 and
+        # 24 MiB; storing those below the edge-line count, still the last
+        tracemalloc.start()
+        try:
+            again = Labelling.from_text(lab.to_text())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert again.masks == lab.masks
         assert peak < 8 << 20
 
