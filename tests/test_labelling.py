@@ -1,6 +1,7 @@
 """Labellings, constructive labellings, and rank selection."""
 
 import hashlib
+import itertools
 import math
 import random
 import tracemalloc
@@ -652,6 +653,22 @@ class TestTextFormatAgainstReference:
         finally:
             tracemalloc.stop()
         assert again.masks == lab.masks
+        assert peak < 8 << 20
+
+    def test_spellings_of_one_position_share_its_bit(self):
+        # 10,000 spellings of 5999 in ten digit scripts; a blank line of
+        # 2.5 million spaces lifts the stored-bit bound above 5999, and a
+        # copy of the bit per spelling would add about 7.5 MiB
+        zeros = [0x30, 0x660, 0x6F0, 0x966, 0x9E6, 0xA66, 0xAE6, 0xB66, 0xBE6, 0xFF10]
+        spellings = ["".join(chr(z + int(d)) for z, d in zip(zs, "5999")) for zs in itertools.product(zeros, repeat=4)]
+        text = f"universe 6000\n{' ' * 2_500_000}\nedge 0: {' '.join(spellings)}\n"
+        tracemalloc.start()
+        try:
+            lab = Labelling.from_text(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lab.masks == (1 << 5999,)
         assert peak < 8 << 20
 
 
