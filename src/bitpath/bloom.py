@@ -23,13 +23,13 @@ def _draw_masks(rng: random.Random, edge_count: int, m: int, k: int) -> list[int
     range or already taken; at or below it, pool-swap over randbelow(n) for
     n = m, m - 1, ..., m - k + 1. The bits 1 << j come from a per-call list
     when the draw makes at least as many lookups as it has entries, which the
-    pool swap needs, and otherwise from a _Table filled on first lookup."""
+    pool swap needs, and otherwise from an empty _Table that stores none."""
     getrandbits = rng.getrandbits
     setsize = 21
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
     masks = []
-    bit = [1 << j for j in range(m)] if m <= max(setsize, edge_count * k) else _Table((1).__lshift__)
+    bit = [1 << j for j in range(m)] if m <= max(setsize, edge_count * k) else _Table((), (1).__lshift__)
     if m > setsize:
         width = m.bit_length()
         for _ in range(edge_count):

@@ -31,19 +31,15 @@ def bit_positions(x: int) -> list[int]:
 
 
 class _Table(dict):
-    """A per-call lookup table that holds only the keys its call looks up:
-    a missing key returns make(key), and stores it unless a limit is given
-    and the value is not below it."""
+    """A per-call lookup table filled from items when it is built: a missing
+    key returns make(key) and stores nothing, so the table never grows."""
 
-    def __init__(self, make: Callable, limit: int | None = None):
+    def __init__(self, items, make: Callable):
+        super().__init__(items)
         self.make = make
-        self.limit = limit
 
     def __missing__(self, key):
-        value = self.make(key)
-        if self.limit is None or value < self.limit:
-            self[key] = value
-        return value
+        return self.make(key)
 
 
 class Labelling:
@@ -89,11 +85,11 @@ class Labelling:
         names its line by its position in text.
 
         A line's mask is the OR of its tokens' bits, looked up in a per-call
-        _Table from token to bit, so a token is read once however often it
-        appears; the first bad token of a line names the error. The table
-        stores a bit only below position 4 * isqrt(len(text)), one int per
-        position shared by every token naming it, so its bits take at most
-        about len(text) bytes."""
+        _Table from token to bit, filled with the canonical names of the
+        positions below min(width, 4 * isqrt(len(text))), so its bits take at
+        most about len(text) bytes. Any other token is read by int() and its
+        bit made on each lookup and not stored; the first bad token of a line
+        names the error."""
         numbered = ((i, ln) for i, ln in enumerate(text.split("\n"), start=1) if ln and not ln.isspace())
         lineno, head = next(numbered, (1, ""))
         bad_header = f"line {lineno}: expected 'universe <size>'"
@@ -107,9 +103,6 @@ class Labelling:
         if width < 0:
             raise ValueError(f"line {lineno}: universe size must be non-negative, got {width}")
 
-        keep = 4 * math.isqrt(len(text))
-        shared = _Table((1).__lshift__)
-
         def bit(tok: str) -> int:
             try:
                 pos = int(tok)
@@ -117,9 +110,10 @@ class Labelling:
                 raise ValueError(f"bit {tok!r} is not an integer") from None
             if not 0 <= pos < width:
                 raise ValueError(f"bit {pos} outside universe")
-            return shared[pos] if pos < keep else 1 << pos
+            return 1 << pos
 
-        lookup = _Table(bit, 1 << keep).__getitem__
+        named = min(width, 4 * math.isqrt(len(text)))
+        lookup = _Table(((str(p), 1 << p) for p in range(named)), bit).__getitem__
         masks = []
         for eid, (lineno, line) in enumerate(numbered):
             prefix = f"edge {eid}:"

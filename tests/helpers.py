@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -348,6 +349,17 @@ def error_line(message: str) -> int:
     head, sep, _ = message.partition(": ")
     assert sep and head.startswith("line ") and head[5:].isdigit() and head[5:].isascii(), message
     return int(head[5:])
+
+
+def traced_peak(call):
+    """(call(), the peak bytes tracemalloc saw allocated during the call)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def sample_draw_masks(rng: random.Random, edge_count: int, m: int, k: int) -> list[int]:

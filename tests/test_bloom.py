@@ -5,7 +5,6 @@ import math
 import multiprocessing
 import os
 import random
-import tracemalloc
 
 import pytest
 
@@ -23,7 +22,7 @@ from bitpath import (
 from bitpath import bloom, routing
 from bitpath.bloom import _draw_masks
 from bitpath.cli import BLOOM_TABLE_DEFAULT
-from helpers import sample_draw_masks, sample_empirical_fpr
+from helpers import sample_draw_masks, sample_empirical_fpr, traced_peak
 
 LN2 = math.log(2.0)
 
@@ -102,19 +101,19 @@ class TestDrawMatchesSample:
     def test_benchmark_shapes(self, m, k):
         self.assert_same_draw(300, m, k, 1)
 
-    def test_sparse_universe_builds_no_wide_bit_list(self):
-        # a list of every 1 << j below m = 20,000 would take about m**2 / 16
-        # bytes, 25 MB, where three edges of weight 2 look up a few bits
+    # a list of every 1 << j below m would take about m**2 / 16 bytes: 25 MB
+    # at m = 20,000, where three edges of weight 2 look up a few bits, and
+    # 156 MB at m = 50,000, where 1,000 masks take 4.7 MiB and a table that
+    # stored each bit it made would hold 17.6 MiB
+    @pytest.mark.parametrize(
+        "edge_count, m, k, bound", [(3, 20_000, 2, 4 << 20), (1_000, 50_000, 4, 8 << 20)], ids=["3-edges", "1000-edges"]
+    )
+    def test_sparse_universe_builds_no_wide_bit_list(self, edge_count, m, k, bound):
         ours, reference = random.Random(1), random.Random(1)
-        tracemalloc.start()
-        try:
-            masks = _draw_masks(ours, 3, 20_000, 2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert masks == sample_draw_masks(reference, 3, 20_000, 2)
+        masks, peak = traced_peak(lambda: _draw_masks(ours, edge_count, m, k))
+        assert masks == sample_draw_masks(reference, edge_count, m, k)
         assert ours.getstate() == reference.getstate()
-        assert peak < 4 << 20
+        assert peak < bound
 
     @pytest.mark.parametrize("star_n, m, k", bloom_table_rows())
     def test_bloom_table_rows(self, star_n, m, k):

@@ -4,7 +4,6 @@ import hashlib
 import itertools
 import math
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +30,7 @@ from bitpath import (
     verify_no_false_positives,
 )
 from bitpath.cli import main
-from bitpath.labelling import bit_positions
+from bitpath.labelling import _Table, bit_positions
 from helpers import (
     error_line,
     line_count,
@@ -40,6 +39,7 @@ from helpers import (
     reference_to_text,
     star_labelling_reference,
     star_recognition_violations,
+    traced_peak,
 )
 
 
@@ -288,12 +288,7 @@ class TestStarLabellingAgainstReference:
         # rank 200 has 20,100 groups of base 2, so each row is a 40,200-bit
         # int; the loop keeps one row per later coordinate of the one live
         # prefix, where a walk keeping every depth's rows peaked at 110 MiB
-        tracemalloc.start()
-        try:
-            star_labelling(5, 200)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: star_labelling(5, 200))
         assert peak < 16 << 20
 
     @pytest.mark.parametrize(
@@ -623,13 +618,12 @@ class TestTextFormatAgainstReference:
         # a list of names up to the top bit would hold a million strings, and
         # a list of bits up to the width a trillion; both calls look up two
         lab = Labelling(1_000_000, [1 << 999_999, 1])
-        tracemalloc.start()
-        try:
+
+        def round_trip():
             text = lab.to_text()
-            again = Labelling.from_text(text.replace("universe 1000000", "universe 1000000000000"))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+            return text, Labelling.from_text(text.replace("universe 1000000", "universe 1000000000000"))
+
+        (text, again), peak = traced_peak(round_trip)
         assert text == "universe 1000000\nedge 0: 999999\nedge 1: 0\n"
         assert again.masks == lab.masks
         assert peak < 8 << 20
@@ -645,31 +639,36 @@ class TestTextFormatAgainstReference:
     )
     def test_round_trip_stores_few_wide_bits(self, lab):
         # storing every bit from_text reads would hold about 150, 48 and
-        # 24 MiB; storing those below the edge-line count, still the last
-        tracemalloc.start()
-        try:
-            again = Labelling.from_text(lab.to_text())
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # 24 MiB; the table holds only the bits below 4 * isqrt(len(text)),
+        # filled before parsing, and makes every other bit per lookup
+        again, peak = traced_peak(lambda: Labelling.from_text(lab.to_text()))
         assert again.masks == lab.masks
         assert peak < 8 << 20
 
     def test_spellings_of_one_position_share_its_bit(self):
         # 10,000 spellings of 5999 in ten digit scripts; a blank line of
-        # 2.5 million spaces lifts the stored-bit bound above 5999, and a
-        # copy of the bit per spelling would add about 7.5 MiB
+        # 2.5 million spaces lifts the filled bound above 5999, so the table
+        # holds the bits of all 6,000 canonical names, and a stored copy of
+        # the bit per other spelling would add about 7.5 MiB
         zeros = [0x30, 0x660, 0x6F0, 0x966, 0x9E6, 0xA66, 0xAE6, 0xB66, 0xBE6, 0xFF10]
         spellings = ["".join(chr(z + int(d)) for z, d in zip(zs, "5999")) for zs in itertools.product(zeros, repeat=4)]
         text = f"universe 6000\n{' ' * 2_500_000}\nedge 0: {' '.join(spellings)}\n"
-        tracemalloc.start()
-        try:
-            lab = Labelling.from_text(text)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        lab, peak = traced_peak(lambda: Labelling.from_text(text))
         assert lab.masks == (1 << 5999,)
         assert peak < 8 << 20
+
+
+def test_table_answers_from_its_items_and_never_grows():
+    made = []
+
+    def make(key):
+        made.append(key)
+        return key * 2
+
+    table = _Table(((key, len(key)) for key in ("a", "bb")), make)
+    assert (table["a"], table["bb"], made) == (1, 2, [])
+    assert (table["c"], table["c"], made) == ("cc", "cc", ["c", "c"])
+    assert table == {"a": 1, "bb": 2}
 
 
 LABELLING_TOKENS = st.one_of(
