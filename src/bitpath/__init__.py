@@ -60,7 +60,6 @@ from .labelling import (
     optimal_rank,
     optimal_rank_float,
     star_labelling,
-    star_universe_size,
 )
 from .routing import (
     RoutingTrace,

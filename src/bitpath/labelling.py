@@ -166,11 +166,6 @@ def ceil_nth_root(n: int, r: int) -> int:
     return k if k**r >= n else k + 1
 
 
-def star_universe_size(n: int, rank: int) -> int:
-    """(rank + rank*(rank-1)/2) * ceil(n ** (1/rank)), exact."""
-    return (rank + rank * (rank - 1) // 2) * ceil_nth_root(n, rank)
-
-
 def star_labelling(n: int, rank: int, base: int | None = None) -> Labelling:
     """Star labelling for make_star(n), edge ids 0..n-1.
 
@@ -252,7 +247,7 @@ def _best_rank(n: int, root: Callable[[int, int], int]) -> RankChoice:
 
 
 def optimal_rank(n: int) -> RankChoice:
-    """Rank minimizing star_universe_size(n, rank), with exact roots."""
+    """Rank of the narrowest star_labelling(n, rank), by exact roots."""
     return _best_rank(n, ceil_nth_root)
 
 

@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress
-from operator import itemgetter, xor
+from operator import itemgetter, or_, xor
 
 from .graphs import Graph, Path, _bfs, _check_vertices, shortest_path
 from .labelling import Labelling, bit_positions
@@ -195,7 +195,8 @@ def verify_no_false_positives(
     positives are the edges whose bits are still clear. Only edges off S
     can fail, since S's header holds every label on S. Once the record list
     is full, the first further false positive sets fp_truncated and later
-    pairs are only counted.
+    pairs are only counted. The tables cover only the bits the labels set,
+    so their size follows those bits, not the declared width.
 
     The sources are checked in shards, shard i of s taking every s-th source
     from i. The shards' reports merge exactly: the counts add up, and the
@@ -290,9 +291,15 @@ def _run_shards(name: str, work, stop: int, units: int) -> list:
 
 
 def _tables(g: Graph, labelling: Labelling) -> tuple:
-    """The per-call tables: width, steps, rejects, ends and incident."""
+    """The per-call tables: width, steps, rejects, ends and incident, over
+    the bits the labels set. Unset bits drop out and the others close up in
+    order, an injective remap, so every subset test keeps its answer."""
     masks = labelling.masks
     width = labelling.width
+    used = reduce(or_, masks, 0)
+    if used.bit_count() < width:
+        bit = {b: 1 << i for i, b in enumerate(bit_positions(used))}
+        width, masks = len(bit), [sum(map(bit.__getitem__, bit_positions(mask))) for mask in masks]
     steps = [mask | 1 << width + eid for eid, mask in enumerate(masks)]
     carriers = [0] * width
     for eid, mask in enumerate(masks):

@@ -299,8 +299,9 @@ class TestLabelTree:
     @staticmethod
     def check_table_row(capsys, h: int, width: int) -> None:
         """The built labelling of a binary-tree-table row: its width is the
-        printed universe_size cell, its masks are distinct and each level's
-        masks have the weight of a star labelling at the rank
+        printed universe_size cell, its masks are distinct, its levels have
+        the sizes 2**i that perfect_tree_universe_size assumes and each
+        level's masks have the weight of a star labelling at the rank
         optimal_rank_float picks."""
         tree = make_perfect_binary_tree(h)
         lab = label_tree(tree, 0)
@@ -308,6 +309,7 @@ class TestLabelTree:
         cell = capsys.readouterr().out.splitlines()[-1].split(",")[-1]
         assert lab.width == int(cell) == width
         assert len(set(lab.masks)) == tree.edge_count
+        assert [len(level) for level in tree_star_levels(tree, 0)] == [2**i for i in range(1, h + 1)]
         for level in tree_star_levels(tree, 0):
             rank = optimal_rank_float(len(level)).rank
             assert {lab.masks[eid].bit_count() for eid in level} == {rank + rank * (rank - 1) // 2}
@@ -342,8 +344,9 @@ class TestLabelCorePeriphery:
     @pytest.mark.parametrize("n", [100, 200])
     def test_hundred_width(self, capsys, n):
         """The built labelling of a core-periphery table row: its width is the
-        printed universe_size cell, its masks are distinct, each core edge
-        has two bits and each level's masks have the weight of a star
+        printed universe_size cell, its masks are distinct, its one level
+        has the n(n-1) edges core_periphery_universe_size assumes, each core
+        edge has two bits and each level's masks have the weight of a star
         labelling at the rank optimal_rank_float picks."""
         g, core = make_core_periphery(n)
         lab = label_core_periphery(g, core)
@@ -352,6 +355,7 @@ class TestLabelCorePeriphery:
         assert lab.width == int(cell) == {100: 200, 200: 326}[n]
         assert len(set(lab.masks)) == g.edge_count
         _, core_edges, levels, _ = contract(g, core)
+        assert [len(level) for level in levels] == [n * (n - 1)]
         assert all(lab.masks[eid].bit_count() == 2 for eid in core_edges)
         for level in levels:
             rank = optimal_rank_float(len(level)).rank

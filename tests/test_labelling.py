@@ -25,7 +25,6 @@ from bitpath import (
     optimal_rank,
     optimal_rank_float,
     star_labelling,
-    star_universe_size,
     tree_star_levels,
     verify_no_false_positives,
 )
@@ -122,15 +121,11 @@ class TestStarDigits:
 
 class TestUniverseSize:
     def test_table_scale_values(self):
-        assert star_universe_size(10**4, 4) == 100
-        assert star_universe_size(10**5, 6) == 21 * 7 == 147
+        assert star_labelling(10**4, 4).width == 100
+        assert star_labelling(10**5, 6).width == 21 * 7 == 147
 
     def test_formula_with_root_oracle(self):
-        assert star_universe_size(16, 2) == 3 * 4 == 12
-
-    def test_matches_constructed_width(self):
-        for n, rank in ((10, 1), (100, 2), (64, 3), (7, 2)):
-            assert star_labelling(n, rank).width == star_universe_size(n, rank)
+        assert star_labelling(16, 2).width == 3 * 4 == 12
 
 
 class TestOptimalRank:
@@ -151,7 +146,7 @@ class TestOptimalRank:
 
     def test_tie_breaks_to_smaller_rank(self):
         # ranks 3 and 4 both give 60 at n=1000
-        assert star_universe_size(1000, 3) == star_universe_size(1000, 4) == 60
+        assert star_labelling(1000, 3).width == star_labelling(1000, 4).width == 60
         assert optimal_rank(1000).rank == 3
 
     def test_admissible_ranks_range(self):

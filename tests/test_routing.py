@@ -41,6 +41,7 @@ from helpers import (
     grid_4x4,
     random_graph_corpus,
     shuffled_edge_ids,
+    traced_peak,
 )
 
 # the 4x4 grid under edge ids that are not in lexicographic order
@@ -536,6 +537,15 @@ class TestVerify:
         report = verify_no_false_positives(g, corrupted)
         assert not report.ok
         assert any(eid in (4, 7) for _, _, eid in report.false_positives)
+
+    def test_sparse_universe_builds_small_tables(self):
+        # at most six bits of a 100,000-bit universe: tables over its width
+        # would hold 256 entries per byte of it, about 36 MiB
+        g = make_star(3)
+        lab = bloom_labelling(g, 100_000, 2, 1)
+        report, peak = traced_peak(lambda: verify_no_false_positives(g, lab))
+        assert report.ok
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("path_cap", [0, -1])
     def test_rejects_path_cap_below_one(self, path_cap):
