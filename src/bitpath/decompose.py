@@ -5,8 +5,9 @@ each edge at the larger distance of its ends: bit-per-vertex on distance 0,
 the core's own edges, then a star labelling on each level i, the edges
 joining distances i and i+1. contract is the one code that makes that
 split: label_core_periphery labels it, and label_tree a tree's split around
-a one-vertex core. The split needs a connected core, no outside vertex with
-two core neighbours, and a tree once the core is one vertex.
+a one-vertex core. contract returns a split only for a connected core with
+no outside vertex next to it twice, under which the periphery is a tree
+once the core is one vertex.
 """
 
 from __future__ import annotations
@@ -20,30 +21,32 @@ from .labelling import Labelling, optimal_rank_float, star_labelling
 class DecompositionError(ValueError):
     """A core that is empty, out of range, every vertex, next to an outside
     vertex twice, disconnected, or under a periphery that is no tree once it
-    is one vertex; or combine parts that do not partition the edges."""
+    is one vertex (NotATreeError); or combine parts that do not partition
+    the edges."""
 
 
-class NotATreeError(ValueError):
-    """An operation that needs a tree was given a cyclic or disconnected graph."""
+class NotATreeError(DecompositionError):
+    """A periphery that is no tree once the core is one vertex: for
+    tree_star_levels and label_tree, a cyclic or disconnected graph."""
 
 
 class Decomposition(NamedTuple):
-    """A graph's edges split around a core: the ascending core ids, the
-    ascending ids of the edges inside the core, the level stars with the
-    core contracted to one center (entry i holds the ascending ids of the
-    edges joining distances i and i+1 from the core) and whether that
-    contracted graph is a tree."""
+    """A graph's edges split around a core under which the periphery is a
+    tree: the ascending core ids, the ascending ids of the edges inside the
+    core and the level stars with the core contracted to one center (entry
+    i holds the ascending ids of the edges joining distances i and i+1 from
+    the core)."""
 
     core: tuple[int, ...]
     core_edges: tuple[int, ...]
     levels: tuple[tuple[int, ...], ...]
-    is_tree: bool
 
 
 def contract(g: Graph, core_vertices) -> Decomposition:
     """Split g's edges around the core, once the core is non-empty, in range
     (naming its smallest bad id), a proper subset, no outside vertex has two
-    core neighbours and the induced core is connected, checked in that
+    core neighbours, the induced core is connected and the periphery is a
+    tree once the core is one vertex (else NotATreeError), checked in that
     order. One multi-source BFS from the core buckets every edge at the
     larger of its ends' distances. Two core neighbours would be parallel
     edges once the core is one vertex; they are rejected rather than merged.
@@ -81,21 +84,21 @@ def contract(g: Graph, core_vertices) -> Decomposition:
                 stack.append(nbr)
     if unreached:
         raise DecompositionError("induced core is disconnected")
-    return Decomposition(tuple(core_ids), tuple(inside), tuple(map(tuple, levels)), is_tree)
+    if not is_tree:
+        raise NotATreeError("periphery after contraction is not a tree")
+    return Decomposition(tuple(core_ids), tuple(inside), tuple(map(tuple, levels)))
 
 
 def tree_star_levels(tree: Graph, center: int) -> tuple[tuple[int, ...], ...]:
     """Partition a tree's edges into the stars obtained by repeatedly
     contracting the star around the (merged) center, as contract splits it
     around the core (center,): entry i holds the ascending ids of the edges
-    joining distances i and i+1 from it. A one-vertex tree has none."""
+    joining distances i and i+1 from it. A one-vertex tree has none, and
+    contract raises NotATreeError on a graph that is no tree."""
     _check_vertices(tree, "center", (center,))
     if tree.vertex_count == 1:
         return ()
-    split = contract(tree, (center,))
-    if not split.is_tree:
-        raise NotATreeError("input is not a connected acyclic graph")
-    return split.levels
+    return contract(tree, (center,)).levels
 
 
 def combine(edge_count: int, parts: Sequence[tuple[Labelling, Sequence[int]]]) -> Labelling:
@@ -114,7 +117,7 @@ def combine(edge_count: int, parts: Sequence[tuple[Labelling, Sequence[int]]]) -
             if not 0 <= ge < edge_count:
                 raise DecompositionError(f"part {j}: edge id {ge} out of range")
             if masks[ge]:
-                raise DecompositionError(f"edge {ge} covered by two parts")
+                raise DecompositionError(f"part {j}: edge {ge} already covered")
             masks[ge] = mask << offset
         offset += part.width
     if 0 in masks:
@@ -123,13 +126,9 @@ def combine(edge_count: int, parts: Sequence[tuple[Labelling, Sequence[int]]]) -
 
 
 def _star_parts(levels: Sequence[Sequence[int]]) -> list[tuple[Labelling, Sequence[int]]]:
-    """A star labelling per level, of the rank and base optimal_rank_float
-    picks, so built widths equal the sizing formulas below."""
-    parts = []
-    for edge_ids in levels:
-        choice = optimal_rank_float(len(edge_ids))
-        parts.append((star_labelling(len(edge_ids), choice.rank, base=choice.base), edge_ids))
-    return parts
+    """A star labelling per level, at the rank optimal_rank_float picks and
+    so at its base too, hence of the widths the sizing formulas below sum."""
+    return [(star_labelling(len(ids), optimal_rank_float(len(ids)).rank), ids) for ids in levels]
 
 
 def label_tree(tree: Graph, center: int) -> Labelling:
@@ -140,11 +139,9 @@ def label_tree(tree: Graph, center: int) -> Labelling:
 def label_core_periphery(g: Graph, core_vertices) -> Labelling:
     """Label the split contract returns: bit-per-vertex on the core (bit i
     for the i-th smallest core id), then a star labelling per level. Rejects
-    the cores contract rejects, in its order, then a periphery that is no
-    tree once the core is one vertex."""
-    core_ids, core_edges, levels, is_tree = contract(g, core_vertices)
-    if not is_tree:
-        raise DecompositionError("periphery after contraction is not a tree")
+    what contract rejects, a periphery that is no tree included, in its
+    order."""
+    core_ids, core_edges, levels = contract(g, core_vertices)
     bit = {orig: 1 << i for i, orig in enumerate(core_ids)}
     core_part = Labelling(len(core_ids), [bit[u] | bit[v] for u, v in map(g.edges.__getitem__, core_edges)])
     return combine(g.edge_count, [(core_part, core_edges), *_star_parts(levels)])

@@ -12,7 +12,7 @@ from functools import reduce
 from operator import or_
 from typing import Callable, NamedTuple, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, ceil_log2
 
 
 def bit_positions(x: int) -> list[int]:
@@ -166,7 +166,7 @@ def ceil_nth_root(n: int, r: int) -> int:
     return k if k**r >= n else k + 1
 
 
-def star_labelling(n: int, rank: int, base: int | None = None) -> Labelling:
+def star_labelling(n: int, rank: int) -> Labelling:
     """Star labelling for make_star(n), edge ids 0..n-1.
 
     Universe: all (coordinate, digit) pairs in lexicographic order, then all
@@ -174,8 +174,7 @@ def star_labelling(n: int, rank: int, base: int | None = None) -> Labelling:
     d sets the pair bit (r, d[r]) for every coordinate r and the triple bit
     (r, s, (d[r]+d[s]) mod base) for every r < s, giving every label exactly
     rank + rank*(rank-1)/2 bits. Edge e's digits are its rank digits in base
-    k, most significant first, where k is base or, by default, the smallest
-    k with k**rank >= n.
+    k, most significant first, where k is the smallest k with k**rank >= n.
 
     The masks are built one coordinate at a time, over every digit prefix
     in lexicographic order, which is edge-id order. masks[j] holds the bits
@@ -194,9 +193,7 @@ def star_labelling(n: int, rank: int, base: int | None = None) -> Labelling:
     """
     if n < 1 or rank < 1:
         raise ValueError("need n >= 1 and rank >= 1")
-    k = ceil_nth_root(n, rank) if base is None else base
-    if k < 1 or k**rank < n:
-        raise ValueError(f"base {k} at rank {rank} cannot number {n} edges")
+    k = ceil_nth_root(n, rank)
     # group g spans bits g*k .. g*k + k-1: pair groups 0..rank-1, then one
     # triple group per coordinate pair (r, s), r < s, in lexicographic order
     coordinate_pairs = [(r, s) for r in range(rank) for s in range(r + 1, rank)]
@@ -232,7 +229,7 @@ def admissible_ranks(n: int) -> range:
     the first with base 2, the smallest usable; more ranks only add bits."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return range(1, max(1, (n - 1).bit_length()) + 1)
+    return range(1, max(1, ceil_log2(n)) + 1)
 
 
 def _best_rank(n: int, root: Callable[[int, int], int]) -> RankChoice:
@@ -267,5 +264,9 @@ def optimal_rank_float(n: int) -> RankChoice:
     evaluates to 8.000000000000002, so rank 5 scores 135 instead of 120 and
     the search settles on rank 6 (base 6, size 126). The perfect-binary-tree
     and core-periphery sizing tables are produced with this selection.
+
+    At the rank it picks, its base is star_labelling's, ceil_nth_root(n,
+    rank), for every n a graph here could hold: the first known exception is
+    6**19 + 1, whose float root at rank 19 rounds down to 6, not 7.
     """
     return _best_rank(n, _float_root)

@@ -6,9 +6,10 @@ star check packs bits and compares subsets on its own, the reference star
 labelling sets each edge's bits from its digit tuple, and the reference Bloom
 draw calls Random.sample once per edge. The contraction reference builds the
 induced core and the core-contracted periphery as two Graphs from the core
-ids and core edge ids of contract's split, checks the periphery is a tree on
-its own and labels the two through bit_per_vertex, label_tree and one
-combine; the level reference buckets edges by single-source BFS distance. The
+ids and the edges with both ends among them, leaves the core checks to
+contract, checks the periphery is a tree on its own and labels the two
+through bit_per_vertex, label_tree and one combine; the level reference
+buckets edges by single-source BFS distance. The
 forwarding reference is the one-line candidate rule that tested the
 incoming edge first. The text
 format references are the per-bit and per-token serializer and parser the
@@ -31,6 +32,7 @@ from bitpath import (
     DecompositionError,
     Graph,
     Labelling,
+    NotATreeError,
     Path,
     VerificationReport,
     bfs_distances,
@@ -204,12 +206,18 @@ class ContractedGraphs:
 
 def contracted_graphs(g: Graph, core_vertices) -> ContractedGraphs:
     """The induced core and the periphery with the core merged into one
-    vertex, as two Graphs with id maps. Only the core ids and core edge ids
-    of contract's split are read (so its errors are contract's): every other
-    edge goes to the periphery, and checking that it is a tree is left to
-    the caller."""
-    core_ids, core_edge_map, _, _ = contract(g, core_vertices)
+    vertex, as two Graphs with id maps. contract is called for its core
+    checks only (so their errors are contract's), and its NotATreeError is
+    ignored: the core is the sorted core ids and the edges with both ends
+    among them, every other edge goes to the periphery, and checking that it
+    is a tree is left to the caller."""
+    try:
+        contract(g, core_vertices)
+    except NotATreeError:
+        pass
+    core_ids = sorted(set(core_vertices))
     core_index = {orig: i for i, orig in enumerate(core_ids)}
+    core_edge_map = [eid for eid, (u, v) in enumerate(g.edges) if u in core_index and v in core_index]
     outside = [v for v in range(g.vertex_count) if v not in core_index]
     periphery_index = dict.fromkeys(core_ids, CONTRACTED_VERTEX) | {v: i for i, v in enumerate(outside, 1)}
     edge_map = sorted(set(range(g.edge_count)).difference(core_edge_map))

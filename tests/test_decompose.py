@@ -95,11 +95,12 @@ def contract_calls(monkeypatch):
 
 
 class TestContract:
-    """contract's split, and the two graphs tests/helpers builds from it."""
+    """contract's split, and the two graphs tests/helpers builds around the
+    same core."""
 
     def test_core_periphery_three_gives_six_edge_star(self):
         g, core = make_core_periphery(3)
-        assert contract(g, core) == ((0, 1, 2), (0, 1, 2), ((3, 4, 5, 6, 7, 8),), True)
+        assert contract(g, core) == ((0, 1, 2), (0, 1, 2), ((3, 4, 5, 6, 7, 8),))
         d = contracted_graphs(g, core)
         assert d.periphery.vertex_count == 7
         assert d.periphery.edge_count == 6
@@ -203,12 +204,14 @@ class TestTreeStarLevels:
                 assert sorted((dist[u], dist[v])) == [level - 1, level]
 
     def test_rejects_cycle(self):
-        with pytest.raises(NotATreeError):
-            tree_star_levels(Graph(3, [(0, 1), (1, 2), (0, 2)]), 0)
+        for build in (tree_star_levels, label_tree):
+            with pytest.raises(NotATreeError, match="^periphery after contraction is not a tree$"):
+                build(Graph(3, [(0, 1), (1, 2), (0, 2)]), 0)
 
     def test_rejects_disconnected(self):
-        with pytest.raises(NotATreeError):
-            tree_star_levels(Graph(4, [(0, 1), (2, 3)]), 0)
+        for build in (tree_star_levels, label_tree):
+            with pytest.raises(NotATreeError, match="^periphery after contraction is not a tree$"):
+                build(Graph(4, [(0, 1), (2, 3)]), 0)
 
     def test_one_vertex_tree_has_no_levels(self):
         # the one graph whose center is no proper subset, so contract is not asked
@@ -262,7 +265,8 @@ class TestCombine:
 
     def test_rejects_doubly_covered_edge(self):
         lab = star_labelling(3, 1)
-        with pytest.raises(DecompositionError, match="two parts"):
+        # one part lists edge 1 twice: no second part is involved
+        with pytest.raises(DecompositionError, match="^part 0: edge 1 already covered$"):
             combine(3, [(lab, [0, 1, 1])])
 
     def test_rejects_size_mismatch(self):
@@ -281,9 +285,9 @@ class TestCombine:
             # size first, then each part's ids in order, then the first uncovered edge
             ([([0, 1, 2], 3), ([3], 2)], "part 1: edge map size differs from labelling"),
             ([([0, 7, 1], 3), ([3], 2)], "part 0: edge id 7 out of range"),
-            ([([0, 0, 7], 3)], "edge 0 covered by two parts"),
+            ([([0, 0, 7], 3)], "part 0: edge 0 already covered"),
             ([([0, 7, 0], 3)], "part 0: edge id 7 out of range"),
-            ([([1, 2], 2), ([2, 9], 2)], "edge 2 covered by two parts"),
+            ([([1, 2], 2), ([2, 9], 2)], "part 1: edge 2 already covered"),
             ([([1, 2], 2), ([9, 2], 2)], "part 1: edge id 9 out of range"),
             ([([3, 1], 2), ([2], 1)], "edge 0 not covered by any part"),
             ([([4], 1), ([1, 2], 2)], "edge 0 not covered by any part"),
@@ -354,7 +358,7 @@ class TestLabelCorePeriphery:
         cell = capsys.readouterr().out.splitlines()[-1].split(",")[-1]
         assert lab.width == int(cell) == {100: 200, 200: 326}[n]
         assert len(set(lab.masks)) == g.edge_count
-        _, core_edges, levels, _ = contract(g, core)
+        _, core_edges, levels = contract(g, core)
         assert [len(level) for level in levels] == [n * (n - 1)]
         assert all(lab.masks[eid].bit_count() == 2 for eid in core_edges)
         for level in levels:
@@ -375,9 +379,9 @@ class TestLabelCorePeriphery:
         ids=["triangle", "cycle", "unreached-path", "unreached-edge"],
     )
     def test_rejects_non_tree_periphery(self, g, core):
-        assert contract(g, core).is_tree is False
-        with pytest.raises(DecompositionError, match="^periphery after contraction is not a tree$"):
-            label_core_periphery(g, core)
+        for build in (contract, label_core_periphery):
+            with pytest.raises(NotATreeError, match="^periphery after contraction is not a tree$"):
+                build(g, core)
 
     def test_splits_through_the_traced_name(self, contract_calls):
         """perfbench's tracer swaps bitpath.decompose.contract for a wrapper
@@ -542,7 +546,7 @@ class TestFlatPartsMatchContraction:
             lab = label_core_periphery(graph, range(c))
             reference = label_core_periphery_by_contraction(graph, range(c))
             assert (lab.width, lab.masks) == (reference.width, reference.masks)
-            _, core_edges, levels, _ = contract(graph, range(c))
+            _, core_edges, levels = contract(graph, range(c))
             assert sorted(core_edges + sum(levels, ())) == list(range(graph.edge_count))
 
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
@@ -565,7 +569,7 @@ class TestFlatPartsMatchContraction:
         # the root, the last leaf and the first vertex at depth ceil(h/2)
         for center in (0, tree.vertex_count - 1, 2 ** ((h + 1) // 2) - 1):
             assert tree_star_levels(tree, center) == tree_star_levels_reference(tree, center)
-            assert contract(tree, {center}) == ((center,), (), tree_star_levels(tree, center), True)
+            assert contract(tree, {center}) == ((center,), (), tree_star_levels(tree, center))
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.data())
@@ -577,13 +581,12 @@ class TestFlatPartsMatchContraction:
         for graph in (tree, shuffled):
             assert tree_star_levels(graph, center) == tree_star_levels_reference(graph, center)
             if n > 1:  # a one-vertex core of a one-vertex tree is no proper subset
-                assert contract(graph, {center}) == ((center,), (), tree_star_levels(graph, center), True)
+                assert contract(graph, {center}) == ((center,), (), tree_star_levels(graph, center))
 
 
 class TestCoreErrors:
     """Each rejected core gives one exact message, from label_core_periphery,
-    from contract (whose split leaves the tree check to its caller) and from
-    verify's --core."""
+    from contract and from verify's --core."""
 
     @pytest.mark.parametrize("g, core, message", CORE_ERRORS, ids=CORE_ERROR_IDS)
     def test_label_core_periphery_message(self, g, core, message):
@@ -614,7 +617,7 @@ class TestCoreErrors:
             else:
                 assert message == f"contraction creates parallel edges at periphery vertex {doubled}"
 
-    @pytest.mark.parametrize("g, core, message", CORE_ERRORS[:-1], ids=CORE_ERROR_IDS[:-1])
+    @pytest.mark.parametrize("g, core, message", CORE_ERRORS, ids=CORE_ERROR_IDS)
     def test_contract_message(self, g, core, message):
         with pytest.raises(DecompositionError) as exc:
             contract(g, core)

@@ -114,10 +114,6 @@ class TestStarDigits:
         lab = star_labelling(50, 3)
         assert len({self.digits(mask, 3, 4) for mask in lab.masks}) == 50
 
-    def test_params_validate(self):
-        with pytest.raises(ValueError, match="cannot number"):
-            star_labelling(10, 2, base=3)  # 3**2 < 10
-
 
 class TestUniverseSize:
     def test_table_scale_values(self):
@@ -167,6 +163,16 @@ class TestOptimalRank:
         # the one divergence the tree tables rely on
         assert optimal_rank(32768) == (5, 8, 120)
         assert optimal_rank_float(32768) == (6, 6, 126)
+
+    def test_float_base_is_the_exact_root_at_its_rank(self):
+        """The float search's base is ceil_nth_root at the rank it picks, so
+        star_labelling(s, rank) has the size it scores: on every s up to
+        2**16 and every core-periphery level n(n-1), n = 100..500. The first
+        known exception, 6**19 + 1, is far beyond any graph built here."""
+        for s in [*range(1, 2**16 + 1), *(n * (n - 1) for n in range(100, 501))]:
+            choice = optimal_rank_float(s)
+            assert choice.base == ceil_nth_root(s, choice.rank), s
+        assert optimal_rank_float(6**19 + 1)[:2] == (19, 6) and ceil_nth_root(6**19 + 1, 19) == 7
 
 
 class TestBitPerEdge:
@@ -239,17 +245,11 @@ class TestStarLabelling:
         assert len(set(lab.masks)) == n
         assert {mask.bit_count() for mask in lab.masks} == {rank + rank * (rank - 1) // 2}
 
-    def test_explicit_base_accepted(self):
-        lab = star_labelling(10, 2, base=5)
-        assert lab.width == 3 * 5
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             star_labelling(0, 1)
         with pytest.raises(ValueError):
             star_labelling(10, 0)
-        with pytest.raises(ValueError):
-            star_labelling(10, 2, base=2)  # 2**2 < 10
 
 
 class TestStarLabellingAgainstReference:
@@ -261,23 +261,22 @@ class TestStarLabellingAgainstReference:
                 lab = star_labelling(n, rank)
                 assert (lab.width, list(lab.masks)) == star_labelling_reference(n, rank, brute_root(n, rank)), (n, rank)
 
-    def test_tree_level_stars_with_explicit_base(self):
+    def test_tree_level_stars_at_the_float_rank(self):
+        """Each level star of the trees h = 1..8, built at the rank the float
+        search picks, equals the reference at the base that search picks."""
         seen = set()
         for h in range(1, 9):
             for edge_ids in tree_star_levels(make_perfect_binary_tree(h), 0):
                 choice = optimal_rank_float(len(edge_ids))
                 seen.add((len(edge_ids), choice.rank, choice.base))
         for n, rank, base in sorted(seen):
-            lab = star_labelling(n, rank, base=base)
+            lab = star_labelling(n, rank)
             assert (lab.width, list(lab.masks)) == star_labelling_reference(n, rank, base), (n, rank, base)
 
-    @pytest.mark.parametrize(
-        "n, rank, base", [(5, 40, None), (2, 64, None), (3, 120, None), (7, 3, 4), (30, 2, 30), (100, 3, 7), (1, 4, 1)]
-    )
-    def test_high_ranks_and_base_overrides(self, n, rank, base):
-        lab = star_labelling(n, rank, base=base)
-        k = brute_root(n, rank) if base is None else base
-        assert (lab.width, list(lab.masks)) == star_labelling_reference(n, rank, k)
+    @pytest.mark.parametrize("n, rank", [(5, 40), (2, 64), (3, 120), (1, 4)])
+    def test_high_ranks(self, n, rank):
+        lab = star_labelling(n, rank)
+        assert (lab.width, list(lab.masks)) == star_labelling_reference(n, rank, brute_root(n, rank))
 
     def test_high_rank_memory_stays_small(self):
         # rank 200 has 20,100 groups of base 2, so each row is a 40,200-bit
@@ -515,7 +514,7 @@ def text_format_labellings() -> list[Labelling]:
         labs.append(bloom_labelling(make_perfect_binary_tree(5), w, min(w, 13), w))
         labs.append(Labelling(w, [(1 << w) - 1, 1 << (w - 1), 1, 1 | 1 << (w - 1)]))
     labs += [star_labelling(100, r) for r in admissible_ranks(100)]
-    labs += [star_labelling(1000, 3), star_labelling(1000, 3, base=11)]
+    labs += [star_labelling(1000, 3), star_labelling(1001, 3)]
     labs += [label_tree(make_perfect_binary_tree(h), 0) for h in range(1, 9)]
     labs += [label_core_periphery(*make_core_periphery(n)) for n in (2, 3, 5, 8)]
     labs.append(bloom_labelling(make_perfect_binary_tree(8), 502, 13, 1))
