@@ -19,10 +19,9 @@ from .labelling import Labelling, optimal_rank_float, star_labelling
 
 
 class DecompositionError(ValueError):
-    """A core that is empty, out of range, every vertex, next to an outside
-    vertex twice, disconnected, or under a periphery that is no tree once it
-    is one vertex (NotATreeError); or combine parts that do not partition
-    the edges."""
+    """A core that is empty, out of range, next to an outside vertex twice,
+    disconnected, or under a periphery that is no tree once it is one vertex
+    (NotATreeError); or combine parts that do not partition the edges."""
 
 
 class NotATreeError(DecompositionError):
@@ -44,22 +43,20 @@ class Decomposition(NamedTuple):
 
 def contract(g: Graph, core_vertices) -> Decomposition:
     """Split g's edges around the core, once the core is non-empty, in range
-    (naming its smallest bad id), a proper subset, no outside vertex has two
-    core neighbours, the induced core is connected and the periphery is a
-    tree once the core is one vertex (else NotATreeError), checked in that
-    order. One multi-source BFS from the core buckets every edge at the
-    larger of its ends' distances. Two core neighbours would be parallel
-    edges once the core is one vertex; they are rejected rather than merged.
-    The neighbour check cannot fail on a tree and is skipped there; the
-    connectivity walk is not, since a disconnected core can contract to a
-    tree."""
+    (naming its smallest bad id), no outside vertex has two core neighbours,
+    the induced core is connected and the periphery is a tree once the core
+    is one vertex (else NotATreeError), checked in that order. A core of
+    every vertex leaves a one-vertex periphery, a tree with no levels. One
+    multi-source BFS from the core buckets every edge at the larger of its
+    ends' distances. Two core neighbours would be parallel edges once the
+    core is one vertex; they are rejected rather than merged. The neighbour
+    check cannot fail on a tree and is skipped there; the connectivity walk
+    is not, since a disconnected core can contract to a tree."""
     core_set = frozenset(core_vertices)
     core_ids = sorted(core_set)
     if not core_ids:
         raise DecompositionError("core must be non-empty")
     _check_vertices(g, "core vertex", core_ids, DecompositionError)
-    if len(core_ids) >= g.vertex_count:
-        raise DecompositionError("core must be a proper subset of the vertices")
     dist, _, order = _bfs(g, core_ids)
     buckets: list[list[int]] = [[] for _ in range(dist[order[-1]] + 1)]
     for eid, (u, v) in enumerate(g.edges):
@@ -96,8 +93,6 @@ def tree_star_levels(tree: Graph, center: int) -> tuple[tuple[int, ...], ...]:
     joining distances i and i+1 from it. A one-vertex tree has none, and
     contract raises NotATreeError on a graph that is no tree."""
     _check_vertices(tree, "center", (center,))
-    if tree.vertex_count == 1:
-        return ()
     return contract(tree, (center,)).levels
 
 

@@ -92,6 +92,16 @@ class Graph:
 # ---------------------------------------------------------------------------
 # generators: each checks its own arguments, then links its edges unchecked
 
+# 4x the largest graph a command builds from a table size, --star 1000000
+_MAX_SIZE = 1 << 22
+
+
+def _check_size(vertex_count: int, edge_count: int, error: type[ValueError] = ValueError, where: str = "") -> None:
+    """Refuse a graph of more than _MAX_SIZE vertices or edges, before any list of them is made."""
+    if vertex_count > _MAX_SIZE or edge_count > _MAX_SIZE:
+        raise error(f"{where}a graph of {vertex_count} vertices and {edge_count} edges is over the limit of "
+                    f"{_MAX_SIZE} vertices and {_MAX_SIZE} edges")
+
 
 def _linked(vertex_count: int, edges: list[tuple[int, int]]) -> Graph:
     """The graph of edges already valid as made, without Graph's per-edge checks."""
@@ -102,6 +112,7 @@ def make_star(n: int) -> Graph:
     """Star with n edges: center 0, leaves 1..n, edge i-1 joining 0 and i."""
     if n < 1:
         raise ValueError("a star needs at least one edge")
+    _check_size(n + 1, n)
     return _linked(n + 1, [(0, i) for i in range(1, n + 1)])
 
 
@@ -109,6 +120,7 @@ def make_complete(n: int) -> Graph:
     """Complete graph on n vertices, edges in lexicographic order."""
     if n < 1:
         raise ValueError("a complete graph needs at least one vertex")
+    _check_size(n, n * (n - 1) // 2)
     return _linked(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
@@ -120,6 +132,7 @@ def make_core_periphery(n: int) -> tuple[Graph, frozenset[int]]:
     """
     if n < 2:
         raise ValueError("core-periphery construction needs n >= 2")
+    _check_size(n * n, n * (n - 1) // 2 + n * (n - 1))
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     leaf = n
     for c in range(n):
@@ -137,6 +150,7 @@ def make_perfect_binary_tree(h: int) -> Graph:
     if h < 1:
         raise ValueError("height-0 tree has no edges to label")
     vertex_count = 2 ** (h + 1) - 1
+    _check_size(vertex_count, vertex_count - 1)
     return _linked(vertex_count, [((v - 1) // 2, v) for v in range(1, vertex_count)])
 
 
@@ -183,6 +197,7 @@ def load_edge_list(text: str) -> Graph:
         raise EdgeListParseError("line 1: header values must be integers") from None
     if vertex_count < 0 or edge_count < 0:
         raise EdgeListParseError("line 1: header values must be non-negative")
+    _check_size(vertex_count, edge_count, EdgeListParseError, "line 1: ")
     edges: list[tuple[int, int]] = []
     for lineno, line in enumerate(lines[1 : edge_count + 1], start=2):
         parts = line.split()

@@ -1,7 +1,9 @@
-"""The skip rule of the tests marked forks, and a time limit for calls that may hang."""
+"""The skip rule of the tests marked forks, a time limit for calls that may
+hang and a memory cap for calls that must build nothing large."""
 
 import multiprocessing
 import os
+import resource
 import signal
 
 import pytest
@@ -26,3 +28,19 @@ def deadline():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def memory_cap():
+    """Cap this process's address space at 256 MiB above its size for the
+    test, so that a graph built by mistake raises MemoryError instead of
+    taking the host's memory. The size is read from /proc/self/statm."""
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("the memory cap reads the process size from /proc/self/statm")
+    with open("/proc/self/statm", encoding="ascii") as statm:
+        size = int(statm.read().split()[0]) * resource.getpagesize()
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + (256 << 20)
+    resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+    yield
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))

@@ -7,9 +7,11 @@ labelling sets each edge's bits from its digit tuple, and the reference Bloom
 draw calls Random.sample once per edge. The contraction reference builds the
 induced core and the core-contracted periphery as two Graphs from the core
 ids and the edges with both ends among them, leaves the core checks to
-contract, checks the periphery is a tree on its own and labels the two
-through bit_per_vertex, label_tree and one combine; the level reference
-buckets edges by single-source BFS distance. The
+contract, checks the periphery is a tree on its own, gives each core edge
+its two ends' bits and each level of the periphery the reference star
+labelling at the float rank search's choice, at offsets of its own; the
+level reference buckets edges by single-source BFS distance. The premises
+reference states the core rules with plain sets and a union-find. The
 forwarding reference is the one-line candidate rule that tested the
 incoming edge first. The text
 format references are the per-bit and per-token serializer and parser the
@@ -36,13 +38,11 @@ from bitpath import (
     Path,
     VerificationReport,
     bfs_distances,
-    bit_per_vertex,
-    combine,
     contract,
     is_connected,
-    label_tree,
     make_complete,
     make_random_connected,
+    optimal_rank_float,
 )
 
 
@@ -235,15 +235,65 @@ def contracted_graphs(g: Graph, core_vertices) -> ContractedGraphs:
 
 def label_core_periphery_by_contraction(g: Graph, core_vertices) -> Labelling:
     """The combined labelling composed through contracted graphs:
-    contracted_graphs, bit_per_vertex on the core graph, label_tree on the
-    periphery around the merged core after its own tree check, then one
-    combine of the two through the edge maps."""
+    contracted_graphs and its own tree check, then bits u and v for each
+    edge {u, v} of the core graph, then star_labelling_reference, at
+    optimal_rank_float's rank and base, for each level of
+    tree_star_levels_reference on the periphery around the merged core,
+    shifted past the bits before it and mapped back through the edge map."""
     d = contracted_graphs(g, core_vertices)
     if d.periphery.edge_count != d.periphery.vertex_count - 1 or not is_connected(d.periphery):
         raise DecompositionError("periphery after contraction is not a tree")
-    core_part = bit_per_vertex(d.core)
-    periphery_part = label_tree(d.periphery, CONTRACTED_VERTEX)
-    return combine(g.edge_count, [(core_part, d.core_edge_map), (periphery_part, d.edge_map)])
+    masks = [0] * g.edge_count
+    for (u, v), ge in zip(d.core.edges, d.core_edge_map):
+        masks[ge] = 1 << u | 1 << v
+    offset = d.core.vertex_count
+    for level in tree_star_levels_reference(d.periphery, CONTRACTED_VERTEX):
+        choice = optimal_rank_float(len(level))
+        width, level_masks = star_labelling_reference(len(level), choice.rank, choice.base)
+        for pe, mask in zip(level, level_masks):
+            masks[d.edge_map[pe]] = mask << offset
+        offset += width
+    return Labelling(offset, masks)
+
+
+def core_periphery_premises(g: Graph, core: set[int]) -> str | None:
+    """None if the non-empty in-range core meets the combined labelling's
+    premises, else the message of the first it breaks, in this order:
+    no outside vertex with two core neighbours (named by the outside vertex
+    whose second core edge comes first in edge-id order), a connected
+    induced core, and a periphery that is a tree once the core is one
+    vertex. Plain sets and a union-find; no BFS."""
+    seen: set[int] = set()
+    for u, v in g.edges:
+        if (u in core) != (v in core):
+            w = v if u in core else u
+            if w in seen:
+                return f"contraction creates parallel edges at periphery vertex {w}"
+            seen.add(w)
+    start = min(core)
+    parent = {v: v for v in range(g.vertex_count)}
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for u, v in g.edges:
+        if u in core and v in core:
+            parent[root(u)] = root(v)
+    if any(root(v) != root(start) for v in core):
+        return "induced core is disconnected"
+    # merged, the core is one vertex: the rest is a tree iff it has one
+    # edge fewer than its vertices and no edge closes a cycle
+    outside_edges = [(u, v) for u, v in g.edges if u not in core or v not in core]
+    if len(outside_edges) != g.vertex_count - len(core):
+        return "periphery after contraction is not a tree"
+    for u, v in outside_edges:
+        a, b = root(u), root(v)
+        if a == b:
+            return "periphery after contraction is not a tree"
+        parent[a] = b
+    return None
 
 
 def tree_star_levels_reference(tree: Graph, center: int) -> tuple[tuple[int, ...], ...]:

@@ -26,7 +26,7 @@ from bitpath import (
     star_labelling,
 )
 from bitpath.cli import build_parser, main
-from helpers import reference_to_text
+from helpers import reference_to_text, traced_peak
 
 STAR_CSV = (
     "n,theoretical_smallest_size,universe_size,optimal_rank\n"
@@ -301,6 +301,17 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         assert "argument --core: expected one argument" in capsys.readouterr().err
 
+    def test_full_core_labels_bit_per_vertex(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("4 4\n0 1\n1 2\n2 3\n0 3\n")
+        runs = []
+        for scheme, core in (("combined", ["--core", "0,1,2,3"]), ("bit-per-vertex", [])):
+            dump = tmp_path / f"{scheme}.txt"
+            argv = ["verify", "--graph", str(path), "--scheme", scheme, *core, "--dump-labelling", str(dump)]
+            runs.append((*run(capsys, argv), dump.read_bytes()))
+        code, out, err, _ = runs[0]
+        assert runs[0] == runs[1] and (code, err) == (0, "") and out.startswith("ok:")
+
     def test_rejects_empty_core(self, capsys, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("4 3\n0 1\n0 2\n0 3\n")
@@ -535,6 +546,27 @@ class TestChecksBeforeWork:
         message = "--source -1 outside a 127-vertex graph"
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not dump.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--graph", "<big>", "--scheme", "bit-per-vertex"],
+             "line 1: a graph of 400000000 vertices and 0 edges is over the limit of 4194304 vertices and "
+             "4194304 edges"),
+            (["route", "--tree", "40", "--scheme", "combined", "--source", "0", "--dest", "1"],
+             "a graph of 2199023255551 vertices and 2199023255550 edges is over the limit of 4194304 vertices "
+             "and 4194304 edges"),
+        ],
+        ids=["edge-list-header", "tree"],
+    )
+    def test_graph_size_before_the_graph(self, capsys, tmp_path, memory_cap, argv, message):
+        """A graph over the size limit is refused from its counts alone."""
+        big = tmp_path / "big.txt"
+        big.write_text("400000000 0\n")
+        argv = [str(big) if arg == "<big>" else arg for arg in argv]
+        code, peak = traced_peak(lambda: main(argv))
+        assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
+        assert peak < 1 << 20
 
     def test_core_before_the_graph_file(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr("bitpath.cli.load_edge_list", refuse)

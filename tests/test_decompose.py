@@ -63,7 +63,6 @@ CORE_ERRORS = [
     (PATH_0123, set(), "core must be non-empty"),
     (PATH_0123, {9}, "core vertex 9 outside a 4-vertex graph"),
     (PATH_0123, {7, 1, 5}, "core vertex 5 outside a 4-vertex graph"),
-    (PATH_0123, {0, 1, 2, 3}, "core must be a proper subset of the vertices"),
     # vertex 1 touches both core vertices; the core {0, 2} is also
     # disconnected, and the parallel edges are reported first
     (FOUR_CYCLE, {0, 2}, "contraction creates parallel edges at periphery vertex 1"),
@@ -74,8 +73,8 @@ CORE_ERRORS = [
     (Graph(5, [(0, 4), (1, 2), (2, 3)]), {0, 1}, "induced core is disconnected"),
     (FOUR_CYCLE, {0}, "periphery after contraction is not a tree"),
 ]
-CORE_ERROR_IDS = ["empty", "out-of-range", "out-of-range-smallest", "not-proper", "parallel", "parallel-own-id",
-                  "disconnected", "disconnected-tree", "not-a-tree"]
+CORE_ERROR_IDS = ["empty", "out-of-range", "out-of-range-smallest", "parallel", "parallel-own-id", "disconnected",
+                  "disconnected-tree", "not-a-tree"]
 
 
 @pytest.fixture
@@ -157,12 +156,23 @@ class TestContract:
         with pytest.raises(DecompositionError, match="disconnected"):
             contract(g, {0, 3})
 
-    def test_rejects_empty_and_full_cores(self):
-        g = Graph(3, [(0, 1), (1, 2)])
+    def test_rejects_empty_core(self):
         with pytest.raises(DecompositionError):
-            contract(g, set())
-        with pytest.raises(DecompositionError):
-            contract(g, {0, 1, 2})
+            contract(Graph(3, [(0, 1), (1, 2)]), set())
+
+    def test_full_core_is_the_whole_graph(self):
+        """A core of every vertex leaves a one-vertex periphery, a tree with
+        no levels, so the combined labelling is bit-per-vertex."""
+        assert contract(PATH_0123, {0, 1, 2, 3}) == ((0, 1, 2, 3), (0, 1, 2), ())
+        for g in (PATH_0123, FOUR_CYCLE, Graph(1, []), make_core_periphery(4)[0], make_perfect_binary_tree(3)):
+            lab, expected = label_core_periphery(g, range(g.vertex_count)), bit_per_vertex(g)
+            assert (lab.width, lab.masks) == (expected.width, expected.masks)
+
+    def test_full_core_of_a_disconnected_graph_is_disconnected(self):
+        g = Graph(4, [(0, 1), (2, 3)])
+        for build in (contract, label_core_periphery):
+            with pytest.raises(DecompositionError, match="^induced core is disconnected$"):
+                build(g, range(4))
 
     def test_negative_core_id_is_the_smallest_bad_id(self):
         with pytest.raises(DecompositionError, match="^core vertex -3 outside a 4-vertex graph$"):
@@ -214,15 +224,15 @@ class TestTreeStarLevels:
                 build(Graph(4, [(0, 1), (2, 3)]), 0)
 
     def test_one_vertex_tree_has_no_levels(self):
-        # the one graph whose center is no proper subset, so contract is not asked
         assert tree_star_levels(Graph(1, []), 0) == ()
         assert label_tree(Graph(1, []), 0).width == 0
 
     @pytest.mark.parametrize("split", [tree_star_levels, label_tree])
     def test_splits_through_the_traced_name(self, contract_calls, split):
-        """contract is the one split: each call on a tree of two or more
-        vertices goes through it once, with the center as the core."""
-        trees = [(Graph(2, [(0, 1)]), 1), (make_star(6), 0), (make_perfect_binary_tree(4), 9), (PATH_0123, 2)]
+        """contract is the one split: each call on a tree goes through it
+        once, with the center as the core."""
+        trees = [(Graph(1, []), 0), (Graph(2, [(0, 1)]), 1), (make_star(6), 0),
+                 (make_perfect_binary_tree(4), 9), (PATH_0123, 2)]
         for tree, center in trees:
             split(tree, center)
         assert [(g, tuple(core)) for g, core in contract_calls] == [(tree, (center,)) for tree, center in trees]
@@ -580,8 +590,7 @@ class TestFlatPartsMatchContraction:
         shuffled = shuffled_edge_ids(tree, data.draw(st.integers(0, 2**16), label="shuffle seed"))
         for graph in (tree, shuffled):
             assert tree_star_levels(graph, center) == tree_star_levels_reference(graph, center)
-            if n > 1:  # a one-vertex core of a one-vertex tree is no proper subset
-                assert contract(graph, {center}) == ((center,), (), tree_star_levels(graph, center))
+            assert contract(graph, {center}) == ((center,), (), tree_star_levels(graph, center))
 
 
 class TestCoreErrors:
@@ -603,7 +612,7 @@ class TestCoreErrors:
         n = data.draw(st.integers(2, 9), label="vertices")
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges"))
-        core = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1), label="core")
+        core = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n), label="core")
         attached = [w for u, v in g.edges if (u in core) != (v in core) for w in (u, v) if w not in core]
         doubled = next((w for i, w in enumerate(attached) if w in attached[:i]), None)
         for build in (label_core_periphery, contract):

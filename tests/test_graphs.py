@@ -47,6 +47,7 @@ from helpers import (
     mutated,
     random_graph_corpus,
     shuffled_edge_ids,
+    traced_peak,
     validate_path,
 )
 
@@ -238,6 +239,88 @@ class TestGeneratorsLinkValidEdges:
                 except ValueError:
                     edges = None
                 assert edges == first_connected_draw(vertex_count, p, seed)
+
+
+class Stopped(Exception):
+    """Raised in place of building a graph whose counts passed the size check."""
+
+
+class TestSizeLimit:
+    """Generators and load_edge_list refuse more than 2**22 vertices or edges
+    from their closed-form or header counts, before any list is made. The
+    large cases run under memory_cap, so a missing check fails with
+    MemoryError instead of filling the host's memory."""
+
+    @pytest.fixture
+    def checked_counts(self, monkeypatch):
+        """The (vertices, edges) of every size check, which then goes on."""
+        original, calls = graphs._check_size, []
+
+        def recording(vertex_count, edge_count, *args):
+            calls.append((vertex_count, edge_count))
+            return original(vertex_count, edge_count, *args)
+
+        monkeypatch.setattr(graphs, "_check_size", recording)
+        return calls
+
+    @pytest.mark.parametrize("call", GENERATOR_CALLS[:16], ids=lambda call: f"{call[0].__name__}{call[1:]}")
+    def test_generators_check_their_built_counts(self, checked_counts, call):
+        built = call[0](*call[1:])
+        g = built[0] if isinstance(built, tuple) else built
+        assert checked_counts == [(g.vertex_count, g.edge_count)]
+
+    def test_edge_list_checks_its_header_counts(self, checked_counts):
+        load_edge_list("5 2\n0 1\n1 2\n")
+        assert checked_counts == [(5, 2)]
+
+    @pytest.mark.parametrize(
+        "call, counts",
+        [
+            ((make_star, (1 << 22) - 1), (1 << 22, (1 << 22) - 1)),
+            ((make_complete, 2896), (2896, 2896 * 2895 // 2)),
+            ((make_core_periphery, 1672), (1672**2, 3 * 1672 * 1671 // 2)),
+            ((make_perfect_binary_tree, 21), (2**22 - 1, 2**22 - 2)),
+            ((load_edge_list, "4194304 4194304\n"), (1 << 22, 1 << 22)),
+        ],
+        ids=["star", "complete", "core-periphery", "tree", "edge-list"],
+    )
+    def test_largest_accepted_size(self, monkeypatch, memory_cap, checked_counts, call, counts):
+        original = graphs._check_size
+
+        def check_then_stop(*args):
+            original(*args)
+            raise Stopped
+
+        monkeypatch.setattr(graphs, "_check_size", check_then_stop)
+        with pytest.raises(Stopped):
+            call[0](*call[1:])
+        assert checked_counts == [counts]
+
+    @pytest.mark.parametrize(
+        "call, counts",
+        [
+            ((make_star, 1 << 22), ((1 << 22) + 1, 1 << 22)),
+            ((make_complete, 2897), (2897, 2897 * 2896 // 2)),
+            ((make_core_periphery, 1673), (1673**2, 3 * 1673 * 1672 // 2)),
+            ((make_perfect_binary_tree, 22), (2**23 - 1, 2**23 - 2)),
+            ((load_edge_list, "400000000 0\n"), (400_000_000, 0)),
+        ],
+        ids=["star", "complete", "core-periphery", "tree", "edge-list"],
+    )
+    def test_smallest_refused_size(self, memory_cap, call, counts):
+        def refusal():
+            with pytest.raises(ValueError) as raised:
+                call[0](*call[1:])
+            return raised.value
+
+        error, peak = traced_peak(refusal)
+        loader = call[0] is load_edge_list
+        assert type(error) is (EdgeListParseError if loader else ValueError)
+        assert str(error) == (
+            f"{'line 1: ' if loader else ''}a graph of {counts[0]} vertices and {counts[1]} edges is over the "
+            "limit of 4194304 vertices and 4194304 edges"
+        )
+        assert peak < 1 << 20
 
 
 @st.composite
