@@ -12,7 +12,7 @@ import random
 from typing import NamedTuple
 
 from .graphs import Graph
-from .labelling import Labelling, _Table
+from .labelling import Labelling, _check_bits, _Table
 from .routing import _run_shards
 
 
@@ -22,14 +22,15 @@ def _draw_masks(rng: random.Random, edge_count: int, m: int, k: int) -> list[int
     set-size threshold, redraw m.bit_length() bits while the value is out of
     range or already taken; at or below it, pool-swap over randbelow(n) for
     n = m, m - 1, ..., m - k + 1. The bits 1 << j come from a per-call list
-    when the draw makes at least as many lookups as it has entries, which the
-    pool swap needs, and otherwise from an empty _Table that stores none."""
+    when it costs no more than the masks, m <= 2 * edge_count (its m**2 / 16
+    bytes against their edge_count * m / 8), or the pool swap needs it, and
+    otherwise from an empty _Table that stores none."""
     getrandbits = rng.getrandbits
     setsize = 21
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
     masks = []
-    bit = [1 << j for j in range(m)] if m <= max(setsize, edge_count * k) else _Table((), (1).__lshift__)
+    bit = [1 << j for j in range(m)] if m <= max(setsize, 2 * edge_count) else _Table((), (1).__lshift__)
     if m > setsize:
         width = m.bit_length()
         for _ in range(edge_count):
@@ -69,6 +70,7 @@ def bloom_labelling(g: Graph, m: int, k: int, seed: int) -> Labelling:
     is the OR of the e-th Random(seed).sample(range(m), k) call, drawn with
     CPython's sample algorithm straight from getrandbits."""
     _check_weight(m, k)
+    _check_bits(g.edge_count, m)
     return Labelling(m, _draw_masks(random.Random(seed), g.edge_count, m, k))
 
 

@@ -5,9 +5,8 @@ each edge at the larger distance of its ends: bit-per-vertex on distance 0,
 the core's own edges, then a star labelling on each level i, the edges
 joining distances i and i+1. contract is the one code that makes that
 split: label_core_periphery labels it, and label_tree a tree's split around
-a one-vertex core. contract returns a split only for a connected core with
-no outside vertex next to it twice, under which the periphery is a tree
-once the core is one vertex.
+a one-vertex core. contract returns a split only for a connected core under
+which the periphery is a tree once the core is one vertex.
 """
 
 from __future__ import annotations
@@ -19,9 +18,9 @@ from .labelling import Labelling, optimal_rank_float, star_labelling
 
 
 class DecompositionError(ValueError):
-    """A core that is empty, out of range, next to an outside vertex twice,
-    disconnected, or under a periphery that is no tree once it is one vertex
-    (NotATreeError); or combine parts that do not partition the edges."""
+    """A core that is empty, out of range, disconnected, or under a
+    periphery that is no tree once it is one vertex (NotATreeError); or
+    combine parts that do not partition the edges."""
 
 
 class NotATreeError(DecompositionError):
@@ -43,17 +42,15 @@ class Decomposition(NamedTuple):
 
 def contract(g: Graph, core_vertices) -> Decomposition:
     """Split g's edges around the core, once the core is non-empty, in range
-    (naming its smallest bad id), no outside vertex has two core neighbours,
-    the induced core is connected and the periphery is a tree once the core
-    is one vertex (else NotATreeError), checked in that order. A core of
-    every vertex leaves a one-vertex periphery, a tree with no levels. One
-    multi-source BFS from the core buckets every edge at the larger of its
-    ends' distances. Two core neighbours would be parallel edges once the
-    core is one vertex; they are rejected rather than merged. The neighbour
-    check cannot fail on a tree and is skipped there; the connectivity walk
-    is not, since a disconnected core can contract to a tree."""
-    core_set = frozenset(core_vertices)
-    core_ids = sorted(core_set)
+    (naming its smallest bad id), the induced core is connected and the
+    periphery is a tree once the core is one vertex (else NotATreeError),
+    checked in that order. A core of every vertex leaves a one-vertex
+    periphery, a tree with no levels. One multi-source BFS from the core
+    buckets every edge at the larger of its ends' distances. An outside
+    vertex next to two core vertices closes a cycle once the core is one
+    vertex, so the tree check refuses it. The connectivity walk runs on a
+    tree too, since a disconnected core can contract to a tree."""
+    core_ids = sorted(set(core_vertices))
     if not core_ids:
         raise DecompositionError("core must be non-empty")
     _check_vertices(g, "core vertex", core_ids, DecompositionError)
@@ -65,13 +62,6 @@ def contract(g: Graph, core_vertices) -> Decomposition:
             buckets[d].append(eid)
     inside, *levels = buckets
     is_tree = len(order) == g.vertex_count and sum(map(len, levels)) == g.vertex_count - len(core_ids)
-    attached: set[int] = set()  # outside vertices with a core neighbour so far
-    for u, v in map(g.edges.__getitem__, () if is_tree or not levels else levels[0]):
-        if u in core_set or v in core_set:  # not an edge between two outside vertices
-            w = v if u in core_set else u
-            if w in attached:
-                raise DecompositionError(f"contraction creates parallel edges at periphery vertex {w}")
-            attached.add(w)
     unreached = set(core_ids[1:])
     stack = core_ids[:1]
     for cur in stack:

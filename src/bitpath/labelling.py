@@ -2,7 +2,8 @@
 
 A label is a bit set stored as a Python int over the universe of bits
 0..width-1, and a Labelling is a width plus one such int per edge. All
-constructors here are pure.
+constructors here are pure, and each refuses a labelling whose edge count
+times width is over 2**32 before it makes any mask.
 """
 
 from __future__ import annotations
@@ -132,14 +133,28 @@ class Labelling:
 # ---------------------------------------------------------------------------
 # bit-per-edge and bit-per-vertex
 
+# 17x the largest labelling a table or benchmark size builds, the combined
+# labelling of make_core_periphery(500): 374250 edges x 668 bits
+_MAX_BITS = 1 << 32
+
+
+def _check_bits(edge_count: int, width: int) -> None:
+    """Refuse a labelling whose edge count times width is over _MAX_BITS,
+    before any mask of it is made."""
+    if edge_count * width > _MAX_BITS:
+        raise ValueError(f"a labelling of {edge_count} edges and width {width} is over the limit of "
+                         f"{_MAX_BITS} for edges times width")
+
 
 def bit_per_edge(g: Graph) -> Labelling:
     """Universe = edge set; every edge labelled by its own singleton bit."""
+    _check_bits(g.edge_count, g.edge_count)
     return Labelling(g.edge_count, [1 << e for e in range(g.edge_count)])
 
 
 def bit_per_vertex(g: Graph) -> Labelling:
     """Universe = vertex set; edge {u, v} labelled by bits u and v."""
+    _check_bits(g.edge_count, g.vertex_count)
     masks = [(1 << u) | (1 << v) for u, v in g.edges]
     return Labelling(g.vertex_count, masks)
 
@@ -194,6 +209,8 @@ def star_labelling(n: int, rank: int) -> Labelling:
     if n < 1 or rank < 1:
         raise ValueError("need n >= 1 and rank >= 1")
     k = ceil_nth_root(n, rank)
+    width = (rank + rank * (rank - 1) // 2) * k
+    _check_bits(n, width)
     # group g spans bits g*k .. g*k + k-1: pair groups 0..rank-1, then one
     # triple group per coordinate pair (r, s), r < s, in lexicographic order
     coordinate_pairs = [(r, s) for r in range(rank) for s in range(r + 1, rank)]
@@ -211,7 +228,7 @@ def star_labelling(n: int, rank: int) -> Labelling:
         rows = [[r | unit for r in column for unit in digit_units] for column, digit_units in zip(rows[1:], units)]
         for column in (masks, *rows):
             del column[prefixes:]
-    return Labelling((rank + len(coordinate_pairs)) * k, masks)
+    return Labelling(width, masks)
 
 
 # ---------------------------------------------------------------------------

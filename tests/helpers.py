@@ -13,7 +13,9 @@ labelling at the float rank search's choice, at offsets of its own; the
 level reference buckets edges by single-source BFS distance. The premises
 reference states the core rules with plain sets and a union-find. The
 forwarding reference is the one-line candidate rule that tested the
-incoming edge first. The text
+incoming edge first. The oracle witness counts records from the chance that
+a random label lies inside a union of random labels, with no enumeration.
+The text
 format references are the per-bit and per-token serializer and parser the
 table-driven Labelling.to_text and from_text replaced, with a bit scan in
 place of the library's bit iterator.
@@ -25,7 +27,9 @@ import itertools
 import math
 import random
 import tracemalloc
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -210,7 +214,9 @@ def contracted_graphs(g: Graph, core_vertices) -> ContractedGraphs:
     checks only (so their errors are contract's), and its NotATreeError is
     ignored: the core is the sorted core ids and the edges with both ends
     among them, every other edge goes to the periphery, and checking that it
-    is a tree is left to the caller."""
+    is a tree is left to the caller. Only two periphery edges that map to
+    the same pair, which a simple Graph cannot hold, are refused here: they
+    close a 2-cycle, so the periphery is not a tree."""
     try:
         contract(g, core_vertices)
     except NotATreeError:
@@ -223,6 +229,8 @@ def contracted_graphs(g: Graph, core_vertices) -> ContractedGraphs:
     edge_map = sorted(set(range(g.edge_count)).difference(core_edge_map))
     core_edges = [(core_index[u], core_index[v]) for u, v in map(g.edges.__getitem__, core_edge_map)]
     periphery_edges = [(periphery_index[u], periphery_index[v]) for u, v in map(g.edges.__getitem__, edge_map)]
+    if len(set(map(frozenset, periphery_edges))) != len(periphery_edges):
+        raise DecompositionError("periphery after contraction is not a tree")
     return ContractedGraphs(
         core=Graph(len(core_ids), core_edges),
         core_vertex_map=tuple(core_ids),
@@ -258,18 +266,9 @@ def label_core_periphery_by_contraction(g: Graph, core_vertices) -> Labelling:
 
 def core_periphery_premises(g: Graph, core: set[int]) -> str | None:
     """None if the non-empty in-range core meets the combined labelling's
-    premises, else the message of the first it breaks, in this order:
-    no outside vertex with two core neighbours (named by the outside vertex
-    whose second core edge comes first in edge-id order), a connected
-    induced core, and a periphery that is a tree once the core is one
-    vertex. Plain sets and a union-find; no BFS."""
-    seen: set[int] = set()
-    for u, v in g.edges:
-        if (u in core) != (v in core):
-            w = v if u in core else u
-            if w in seen:
-                return f"contraction creates parallel edges at periphery vertex {w}"
-            seen.add(w)
+    premises, else the message of the first it breaks, in this order: a
+    connected induced core, and a periphery that is a tree once the core is
+    one vertex. Plain sets and a union-find; no BFS."""
     start = min(core)
     parent = {v: v for v in range(g.vertex_count)}
 
@@ -284,7 +283,8 @@ def core_periphery_premises(g: Graph, core: set[int]) -> str | None:
     if any(root(v) != root(start) for v in core):
         return "induced core is disconnected"
     # merged, the core is one vertex: the rest is a tree iff it has one
-    # edge fewer than its vertices and no edge closes a cycle
+    # edge fewer than its vertices and no edge closes a cycle, a 2-cycle
+    # through an outside vertex next to two core vertices included
     outside_edges = [(u, v) for u, v in g.edges if u not in core or v not in core]
     if len(outside_edges) != g.vertex_count - len(core):
         return "periphery after contraction is not a tree"
@@ -304,6 +304,35 @@ def tree_star_levels_reference(tree: Graph, center: int) -> tuple[tuple[int, ...
     for eid, (u, v) in enumerate(tree.edges):
         levels[max(dist[u], dist[v]) - 1].append(eid)
     return tuple(map(tuple, levels))
+
+
+def label_inside_union(m: int, k: int, length: int) -> Fraction:
+    """p(length): the chance that a uniform k-subset of {0..m-1} lies inside
+    the union of length independent ones. The union's size is a chain from
+    0: from size s, a label adds j new elements with probability
+    C(m - s, j) C(s, k - j) / C(m, k); a union of size s then holds the
+    label with probability C(s, k) / C(m, k)."""
+    total = math.comb(m, k)
+    sizes = {0: Fraction(1)}
+    for _ in range(length):
+        grown: Counter = Counter()
+        for s, p in sizes.items():
+            for j in range(k + 1):
+                if ways := math.comb(m - s, j) * math.comb(s, k - j):
+                    grown[s + j] += p * ways / total
+        sizes = grown
+    return sum(p * math.comb(s, k) for s, p in sizes.items()) / total
+
+
+def expected_oracle_records(g: Graph, m: int, k: int) -> Fraction:
+    """The exact expected number of uncapped oracle records on a connected
+    graph with one shortest path per pair, under independent uniform
+    k-subset labels of {0..m-1}: sum over L of N_L (E - L) p(L), N_L the
+    pairs at distance L. Each of a pair's E - L off-path labels is
+    independent of the L labels of its path, so it is recorded with
+    probability p(L)."""
+    pairs = Counter(d for u in range(g.vertex_count) for d in bfs_distances(g, u)[u + 1 :])
+    return sum(n * (g.edge_count - length) * label_inside_union(m, k, length) for length, n in pairs.items())
 
 
 def reference_to_text(width: int, masks) -> str:

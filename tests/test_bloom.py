@@ -102,11 +102,14 @@ class TestDrawMatchesSample:
         self.assert_same_draw(300, m, k, 1)
 
     # a list of every 1 << j below m would take about m**2 / 16 bytes: 25 MB
-    # at m = 20,000, where three edges of weight 2 look up a few bits, and
-    # 156 MB at m = 50,000, where 1,000 masks take 4.7 MiB and a table that
-    # stored each bit it made would hold 17.6 MiB
+    # at m = 20,000, where three edges of weight 2 look up a few bits, 156 MB
+    # at m = 50,000, where 1,000 masks take 4.7 MiB and a table that stored
+    # each bit it made would hold 17.6 MiB, and 100 MB at m = 40,000, where
+    # 1,000 masks of weight 40 make m lookups but take 4.7 MiB
     @pytest.mark.parametrize(
-        "edge_count, m, k, bound", [(3, 20_000, 2, 4 << 20), (1_000, 50_000, 4, 8 << 20)], ids=["3-edges", "1000-edges"]
+        "edge_count, m, k, bound",
+        [(3, 20_000, 2, 4 << 20), (1_000, 50_000, 4, 8 << 20), (1_000, 40_000, 40, 8 << 20)],
+        ids=["3-edges", "1000-edges", "1000-edges-weight-40"],
     )
     def test_sparse_universe_builds_no_wide_bit_list(self, edge_count, m, k, bound):
         ours, reference = random.Random(1), random.Random(1)

@@ -568,6 +568,24 @@ class TestChecksBeforeWork:
         assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize(
+        "args, counts",
+        [
+            (["--star", "300000", "--scheme", "bit-per-vertex"], (300000, 300001)),
+            (["--star", "300000", "--scheme", "bit-per-edge"], (300000, 300000)),
+            (["--star", "300000", "--scheme", "star", "--rank", "1"], (300000, 300000)),
+            (["--star", "3000", "--scheme", "bloom", "--m", "100000000", "--k", "1"], (3000, 100000000)),
+        ],
+        ids=["bit-per-vertex", "bit-per-edge", "star", "bloom"],
+    )
+    def test_labelling_size_before_the_labelling(self, capsys, memory_cap, args, counts):
+        """A labelling over the size limit is refused from its edge count and
+        width alone, after the graph is built."""
+        code, out, err = run(capsys, ["route", *args, "--source", "1", "--dest", "2"])
+        message = (f"a labelling of {counts[0]} edges and width {counts[1]} is over the limit of 4294967296 for "
+                   "edges times width")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_core_before_the_graph_file(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr("bitpath.cli.load_edge_list", refuse)
         path = tmp_path / "g.txt"

@@ -53,28 +53,29 @@ def labelling_or_error(build, g: Graph, core):
 
 FOUR_CYCLE = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 PATH_0123 = Graph(4, [(0, 1), (1, 2), (2, 3)])
-# vertex 4 touches both vertices of the core {0, 1}; it is the third vertex
-# outside the core, so a number among the outside vertices would be 3
+# vertex 4 touches both vertices of the core {0, 1}
 PARALLEL_AT_4 = Graph(5, [(0, 1), (0, 2), (2, 3), (0, 4), (1, 4)])
 # (graph, core, message): one input per check, in the order they run, a
-# second out-of-range input whose smallest bad id is named, and a second
-# parallel-edge input
+# second out-of-range input whose smallest bad id is named, and two cores
+# with an outside vertex next to two core vertices, one refused by each of
+# the last two checks
 CORE_ERRORS = [
     (PATH_0123, set(), "core must be non-empty"),
     (PATH_0123, {9}, "core vertex 9 outside a 4-vertex graph"),
     (PATH_0123, {7, 1, 5}, "core vertex 5 outside a 4-vertex graph"),
-    # vertex 1 touches both core vertices; the core {0, 2} is also
-    # disconnected, and the parallel edges are reported first
-    (FOUR_CYCLE, {0, 2}, "contraction creates parallel edges at periphery vertex 1"),
-    (PARALLEL_AT_4, {0, 1}, "contraction creates parallel edges at periphery vertex 4"),
+    # vertex 1 touches both core vertices, which are not adjacent: the
+    # connectivity check runs first
+    (FOUR_CYCLE, {0, 2}, "induced core is disconnected"),
+    # merged, the core {0, 1} and vertex 4 are joined twice, a 2-cycle
+    (PARALLEL_AT_4, {0, 1}, "periphery after contraction is not a tree"),
     (PATH_0123, {0, 3}, "induced core is disconnected"),
     # the graph is disconnected, yet contracting the core {0, 1} leaves the
     # tree 4-{0,1}-2-3: only the core walk can reject it
     (Graph(5, [(0, 4), (1, 2), (2, 3)]), {0, 1}, "induced core is disconnected"),
     (FOUR_CYCLE, {0}, "periphery after contraction is not a tree"),
 ]
-CORE_ERROR_IDS = ["empty", "out-of-range", "out-of-range-smallest", "parallel", "parallel-own-id", "disconnected",
-                  "disconnected-tree", "not-a-tree"]
+CORE_ERROR_IDS = ["empty", "out-of-range", "out-of-range-smallest", "parallel-disconnected", "parallel-not-a-tree",
+                  "disconnected", "disconnected-tree", "not-a-tree"]
 
 
 @pytest.fixture
@@ -146,9 +147,9 @@ class TestContract:
             assert mapped - {None} == outside
 
     def test_rejects_parallel_edges_after_contraction(self):
-        # vertex 3 touches two core vertices, so contraction would double up
+        # vertex 3 touches two core vertices, so contraction closes a 2-cycle
         g = Graph(4, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3)])
-        with pytest.raises(DecompositionError, match="parallel"):
+        with pytest.raises(NotATreeError, match="^periphery after contraction is not a tree$"):
             contract(g, {0, 1, 2})
 
     def test_rejects_disconnected_core(self):
@@ -606,25 +607,23 @@ class TestCoreErrors:
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.data())
-    def test_parallel_edges_name_the_first_doubly_attached_vertex(self, data):
-        """On a valid core, the parallel-edge check names, by its own id, the
-        outside vertex whose second core edge comes first in edge-id order."""
-        n = data.draw(st.integers(2, 9), label="vertices")
+    def test_outside_vertex_next_to_two_core_vertices_is_refused(self, data):
+        """A core with an outside vertex w next to two core vertices a and b
+        is always refused: by the connectivity check, or else by the tree
+        check, since merged, the core and w are joined twice."""
+        n = data.draw(st.integers(3, 9), label="vertices")
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges"))
-        core = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n), label="core")
-        attached = [w for u, v in g.edges if (u in core) != (v in core) for w in (u, v) if w not in core]
-        doubled = next((w for i, w in enumerate(attached) if w in attached[:i]), None)
+        core = data.draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=n - 1), label="core")
+        w = data.draw(st.sampled_from(sorted(set(range(n)) - core)), label="outside vertex")
+        a, b = data.draw(st.lists(st.sampled_from(sorted(core)), min_size=2, max_size=2, unique=True), label="ends")
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges")
+        edges += [pair for pair in (tuple(sorted((a, w))), tuple(sorted((b, w)))) if pair not in edges]
+        g = Graph(n, edges)
         for build in (label_core_periphery, contract):
-            try:
+            with pytest.raises(DecompositionError) as exc:
                 build(g, core)
-                message = ""
-            except DecompositionError as exc:
-                message = str(exc)
-            if doubled is None:
-                assert "parallel" not in message
-            else:
-                assert message == f"contraction creates parallel edges at periphery vertex {doubled}"
+            assert str(exc.value) in ("induced core is disconnected", "periphery after contraction is not a tree")
+            assert isinstance(exc.value, NotATreeError) == (str(exc.value) != "induced core is disconnected")
 
     @pytest.mark.parametrize("g, core, message", CORE_ERRORS, ids=CORE_ERROR_IDS)
     def test_contract_message(self, g, core, message):

@@ -28,6 +28,7 @@ from bitpath import (
     tree_star_levels,
     verify_no_false_positives,
 )
+from bitpath import bloom, labelling
 from bitpath.cli import main
 from bitpath.labelling import _Table, bit_positions
 from helpers import (
@@ -701,6 +702,87 @@ class TestTextFormatFuzz:
         assert outcome == parse_outcome(reference_from_text, text)
         if outcome[0] == "error":
             assert 1 <= error_line(outcome[1]) <= line_count(text) + 1
+
+
+class Stopped(Exception):
+    """Raised in place of building a labelling whose size passed the check."""
+
+
+# (constructor and its arguments, the edge count and width it checks) as
+# functions of the size n the limit bounds, and the largest n it accepts
+LIMIT_CASES = [
+    (lambda n: (bit_per_edge, make_star(n)), lambda n: (n, n), 1 << 16),
+    (lambda n: (bit_per_vertex, make_star(n)), lambda n: (n, n + 1), (1 << 16) - 1),
+    (lambda n: (star_labelling, n, 1), lambda n: (n, n), 1 << 16),
+    (lambda m: (bloom_labelling, make_star(4), m, 1, 1), lambda m: (4, m), 1 << 30),
+]
+LIMIT_IDS = ["bit-per-edge", "bit-per-vertex", "star", "bloom"]
+
+
+class TestSizeLimit:
+    """bit_per_edge, bit_per_vertex, star_labelling and bloom_labelling
+    refuse an edge count times width over 2**32 before making any mask. The
+    large cases run under memory_cap, so a missing check fails with
+    MemoryError instead of filling the host's memory."""
+
+    @pytest.fixture
+    def checked_sizes(self, monkeypatch):
+        """The (edges, width) of every size check, which then goes on."""
+        original, calls = labelling._check_bits, []
+
+        def recording(edge_count, width):
+            calls.append((edge_count, width))
+            return original(edge_count, width)
+
+        for module in (labelling, bloom):
+            monkeypatch.setattr(module, "_check_bits", recording)
+        return calls
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: bit_per_edge(make_complete(6)),
+            lambda: bit_per_vertex(make_complete(6)),
+            lambda: star_labelling(100, 3),
+            lambda: bloom_labelling(make_complete(6), 40, 3, 1),
+        ],
+        ids=LIMIT_IDS,
+    )
+    def test_constructors_check_their_built_size(self, checked_sizes, build):
+        lab = build()
+        assert checked_sizes == [(lab.edge_count, lab.width)]
+
+    @pytest.mark.parametrize("call, counts, n", LIMIT_CASES, ids=LIMIT_IDS)
+    def test_largest_accepted_size(self, monkeypatch, memory_cap, checked_sizes, call, counts, n):
+        fn, *args = call(n)
+        recording = labelling._check_bits
+
+        def check_then_stop(*sizes):
+            recording(*sizes)
+            raise Stopped
+
+        for module in (labelling, bloom):
+            monkeypatch.setattr(module, "_check_bits", check_then_stop)
+        with pytest.raises(Stopped):
+            fn(*args)
+        assert checked_sizes == [counts(n)]
+
+    @pytest.mark.parametrize("call, counts, n", LIMIT_CASES, ids=LIMIT_IDS)
+    def test_smallest_refused_size(self, memory_cap, call, counts, n):
+        fn, *args = call(n + 1)
+
+        def refusal():
+            with pytest.raises(ValueError) as raised:
+                fn(*args)
+            return raised.value
+
+        error, peak = traced_peak(refusal)
+        edges, width = counts(n + 1)
+        assert type(error) is ValueError
+        assert str(error) == (
+            f"a labelling of {edges} edges and width {width} is over the limit of 4294967296 for edges times width"
+        )
+        assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,13 @@
 """Headers, subset recognition, forwarding simulation, and the FP oracle."""
 
+import math
 import multiprocessing
 import os
 import random
+import statistics
 import threading
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from bitpath import (
     bit_per_vertex,
     bloom_labelling,
     encode_path,
+    exact_two_label_fpr,
     label_core_periphery,
     label_tree,
     make_complete,
@@ -38,7 +42,9 @@ from helpers import (
     brute_force_report,
     candidates_reference,
     draw_core_plus_forest,
+    expected_oracle_records,
     grid_4x4,
+    label_inside_union,
     random_graph_corpus,
     shuffled_edge_ids,
     traced_peak,
@@ -661,6 +667,33 @@ class TestVerify:
         assert report.paths_checked == paths
         assert report.path_cap_hits == cap_hits
         assert report.false_positives == expected
+
+
+class TestAnalyticWitness:
+    """The oracle's mean record count over seeded Bloom labellings against
+    the exact expectation, which shares nothing with the oracle's search:
+    on a graph with one shortest path per pair, every off-path label is
+    independent of the header."""
+
+    def test_two_labels_match_the_closed_form(self):
+        assert label_inside_union(10, 3, 2) == Fraction(1415, 14400)
+        assert float(label_inside_union(10, 3, 2)) == pytest.approx(exact_two_label_fpr(10, 3), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "g, m, k",
+        [(make_perfect_binary_tree(5), 40, 3), (make_core_periphery(5)[0], 24, 3)],
+        ids=["tree-h5", "core-periphery-n5"],
+    )
+    def test_mean_records_match_the_expectation(self, g, m, k):
+        expected = expected_oracle_records(g, m, k)
+        records = []
+        cap = g.vertex_count**2 * g.edge_count  # above one record per pair and edge
+        for seed in range(100):
+            report = verify_no_false_positives(g, bloom_labelling(g, m, k, seed), fp_record_cap=cap)
+            assert not report.fp_truncated and report.path_cap_hits == 0
+            records.append(len(report.false_positives))
+        stderr = statistics.stdev(records) / math.sqrt(len(records))
+        assert abs(statistics.mean(records) - expected) < 4 * stderr
 
 
 class TestVerifyFoldSwitch:
